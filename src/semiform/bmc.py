@@ -17,6 +17,7 @@ failing property always reports its earliest reachable frame.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import MissingStopat, SemiformError
 from .frontend import PropertyAst
 from .netlist import FlatModel, Node, blackbox
-from .sat import Solver
+from .sat import Cnf, Solver, export_dimacs
 from . import sim as simlib
 
 
@@ -669,14 +670,11 @@ def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
 def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
     if dump_cnf is None or enc.problem is None:
         return
-    import os
     os.makedirs(dump_cnf, exist_ok=True)
     safe = re.sub(r"[^A-Za-z0-9_.-]", "_", prop_name)
     path = os.path.join(dump_cnf, safe + ".cnf")
     with open(path, "w") as fh:
-        fh.write(f"p cnf {enc.solver.num_vars} {len(enc.problem)}\n")
-        for c in enc.problem:
-            fh.write(" ".join(str(x) for x in c) + " 0\n")
+        fh.write(export_dimacs(Cnf(enc.solver.num_vars, tuple(enc.problem))))
 
 
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,

@@ -1,14 +1,35 @@
 """CDCL satisfiability solver with incremental assumptions.
 
-Textbook architecture: two watched literals, first-UIP conflict learning,
-VSIDS-style variable activity with phase saving, Luby restarts, lazy
-learned-clause deletion.  No internal randomness: given the same clauses
-and assumptions the search is identical, which the reports rely on.  The
-`seed` parameter is accepted for interface stability and ignored.
+Architecture after MiniSat (Eén & Sörensson, "An Extensible SAT-solver",
+SAT 2003): two watched literals, first-UIP conflict learning, VSIDS-style
+variable activity with phase saving, Luby restarts and learnt-clause
+deletion.  No internal randomness: given the same clauses and assumptions
+the search is identical, which the reports rely on.
+
+Internally a literal is encoded as `2v` (v true) or `2v+1` (v false), so
+negation is `x ^ 1` and the variable is `x >> 1`.  `value[x]` holds 1, -1
+or 0 (unassigned) for every encoded literal, kept in step for both
+polarities, so testing a literal is one list read.  The public methods
+(`add_clause`, `solve`, `lit_value`, `model_value`) take DIMACS literals;
+`clauses` holds encoded literals, with None for a deleted learnt clause.
+
+`watches[x]` lists the clauses watching literal x as flat pairs
+`[ci, blocker, ci, blocker, ...]`.  The blocker is another literal of
+clause ci; when it is true the clause is satisfied and propagation skips
+it without touching the clause.  The two watched literals of a live
+clause are always its first two.  Every 8,192 learnt clauses `_reduce_db`
+drops the less active half of the unlocked learnts longer than two
+literals, sets their `clauses` entries to None and purges them from every
+watch list, so propagation never meets a deleted clause.
+
+Counters: `n_conflicts`, `n_learnts` (learnt clauses recorded, not counting
+units), and `n_propagations`, the number of watch entries visited during
+propagation, whether or not the visit touched the clause.
 
 The solver object is incremental: clauses may be added between `solve`
 calls and learned clauses are kept (they are implied by the database, so
-they stay valid when assumptions change).
+they stay valid when assumptions change).  The `seed` parameter of the
+one-shot `solve()` is accepted for interface stability and ignored.
 """
 
 from __future__ import annotations
@@ -35,20 +56,25 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
+def _enc(lit: int) -> int:
+    """Encoded form of DIMACS literal `lit`."""
+    return lit << 1 if lit > 0 else (-lit << 1) | 1
+
+
 class Solver:
     RESTART_BASE = 128
+    REDUCE_INTERVAL = 8192  # learnt clauses between database reductions
     VAR_DECAY = 1.0 / 0.95
     CLA_DECAY = 1.0 / 0.999
 
     def __init__(self):
-        self.clauses: list[list[int]] = []
-        self.deleted: set[int] = set()
+        self.clauses: list[list[int] | None] = []
         self.watches: list[list[int]] = [[], []]  # indexed by encoded literal
-        self.assign: list[int] = [0]  # 0 unassigned, 1 true, -1 false
+        self.value: list[int] = [0, 0]  # indexed by encoded literal
         self.level: list[int] = [0]
         self.reason: list[int] = [-1]  # clause index
         self.activity: list[float] = [0.0]
-        self.phase: list[int] = [0]
+        self.phase: list[int] = [0]  # sign bit of the last value
         self.seen: list[bool] = [False]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -61,16 +87,18 @@ class Solver:
         self.n_conflicts = 0
         self.n_propagations = 0
         self.n_learnts = 0
+        self.next_reduce = self.REDUCE_INTERVAL
         self._model: list[int] = []
 
     # -- variables and clauses ----------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self.assign) - 1
+        return len(self.level) - 1
 
     def new_var(self) -> int:
-        self.assign.append(0)
+        self.value.append(0)
+        self.value.append(0)
         self.level.append(0)
         self.reason.append(-1)
         self.activity.append(0.0)
@@ -78,7 +106,7 @@ class Solver:
         self.seen.append(False)
         self.watches.append([])
         self.watches.append([])
-        v = len(self.assign) - 1
+        v = len(self.level) - 1
         heappush(self.heap, (0.0, v))
         return v
 
@@ -86,33 +114,30 @@ class Solver:
         while self.num_vars < n:
             self.new_var()
 
-    def _enc(self, lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
     def lit_value(self, lit: int) -> int:
-        a = self.assign[abs(lit)]
-        return a if lit > 0 else -a
+        """1, -1 or 0 (unassigned) for DIMACS literal `lit`."""
+        return self.value[_enc(lit)]
 
     def add_clause(self, lits) -> bool:
         """Add a clause.  Returns False once the DB is UNSAT."""
         if not self.ok:
             return False
-        self._cancel_until(0)
+        if self.trail_lim:
+            self._cancel_until(0)
+        value = self.value
         out = []
-        seen = set()
         for lit in lits:
-            self.ensure_vars(abs(lit))
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            v = self.lit_value(lit)
+            x = lit << 1 if lit > 0 else (-lit << 1) | 1  # _enc, inlined
+            if x >= len(value):
+                self.ensure_vars(x >> 1)
+            v = value[x]
             if v == 1:
                 return True  # already satisfied at level 0
-            if v == -1:
-                continue  # already false at level 0
-            seen.add(lit)
-            out.append(lit)
+            if v == -1 or x in out:
+                continue  # false at level 0, or a repeat
+            if x ^ 1 in out:
+                return True  # tautology
+            out.append(x)
         if not out:
             self.ok = False
             return False
@@ -124,89 +149,117 @@ class Solver:
             return True
         ci = len(self.clauses)
         self.clauses.append(out)
-        self.watches[self._enc(out[0])].append(ci)
-        self.watches[self._enc(out[1])].append(ci)
+        self.watches[out[0]] += (ci, out[1])
+        self.watches[out[1]] += (ci, out[0])
         return True
 
     # -- trail ----------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason_ci: int):
-        v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
+    def _enqueue(self, x: int, reason_ci: int):
+        self.value[x] = 1
+        self.value[x ^ 1] = -1
+        v = x >> 1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason_ci
-        self.trail.append(lit)
+        self.trail.append(x)
 
     def _cancel_until(self, lvl: int):
-        if len(self.trail_lim) <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
-        bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
-            self.phase[v] = 1 if lit > 0 else -1
-            self.assign[v] = 0
-            self.reason[v] = -1
-            heappush(self.heap, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
+        trail = self.trail
+        value = self.value
+        phase = self.phase
+        activity = self.activity
+        heap = self.heap
+        bound = trail_lim[lvl]
+        # reason[] of unassigned variables is stale and never read
+        for x in reversed(trail[bound:]):
+            v = x >> 1
+            phase[v] = x & 1
+            value[x] = 0
+            value[x ^ 1] = 0
+            heappush(heap, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[lvl:]
+        self.qhead = bound
 
     # -- propagation -----------------------------------------------------------
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -p
-            wl = self.watches[self._enc(false_lit)]
-            i = j = 0
+        trail = self.trail
+        value = self.value
+        watches = self.watches
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        visited = 0
+        confl = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            wl = watches[false_lit]
             n = len(wl)
+            i = j = 0
             while i < n:
                 ci = wl[i]
-                i += 1
-                if ci in self.deleted:
-                    continue
-                c = self.clauses[ci]
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], c[0]
-                first = c[0]
-                if self.lit_value(first) == 1:
+                blocker = wl[i + 1]
+                i += 2
+                if value[blocker] == 1:
                     wl[j] = ci
-                    j += 1
+                    wl[j + 1] = blocker
+                    j += 2
                     continue
-                moved = False
+                c = clauses[ci]
+                first = c[0]
+                if first == false_lit:
+                    first = c[1]
+                    c[0] = first
+                    c[1] = false_lit
+                if first != blocker and value[first] == 1:
+                    wl[j] = ci
+                    wl[j + 1] = first
+                    j += 2
+                    continue
                 for k in range(2, len(c)):
-                    if self.lit_value(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[self._enc(c[1])].append(ci)
-                        moved = True
+                    x = c[k]
+                    if value[x] != -1:
+                        c[1] = x
+                        c[k] = false_lit
+                        watches[x] += (ci, first)
                         break
-                if moved:
-                    continue
-                wl[j] = ci
-                j += 1
-                if self.lit_value(first) == -1:
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
-                    self.qhead = len(self.trail)
-                    return c
-                self._enqueue(first, ci)
+                else:
+                    wl[j] = ci
+                    wl[j + 1] = first
+                    j += 2
+                    if value[first] == -1:
+                        confl = c
+                        break
+                    value[first] = 1
+                    value[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
+            visited += i
+            if confl is not None:
+                del wl[j:i]
+                qhead = len(trail)
+                break
             del wl[j:]
-            self.n_propagations += n
-        return None
+        self.qhead = qhead
+        self.n_propagations += visited >> 1
+        return confl
 
     # -- learning ---------------------------------------------------------------
 
-    def _bump_var(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, len(self.activity)):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
+    def _rescale_var_activity(self):
+        activity = self.activity
+        for i in range(1, len(activity)):
+            activity[i] *= 1e-100
+        self.var_inc *= 1e-100
 
     def _bump_clause(self, ci: int):
         # only learnt clauses live in cla_act; originals are never deletable,
@@ -221,10 +274,17 @@ class Solver:
             self.cla_inc *= 1e-20
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        seen = self.seen
+        level = self.level
+        activity = self.activity
+        trail = self.trail
+        reason = self.reason
+        clauses = self.clauses
+        var_inc = self.var_inc
         learnt = [0]
         counter = 0
-        p = 0
-        idx = len(self.trail) - 1
+        p = -1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         touched = []
         c = confl
@@ -232,37 +292,41 @@ class Solver:
             for q in c:
                 if q == p:
                     continue
-                v = abs(q)
-                if not self.seen[v] and self.level[v] > 0:
-                    self.seen[v] = True
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
+                    seen[v] = True
                     touched.append(v)
-                    self._bump_var(v)
-                    if self.level[v] >= cur_level:
+                    a = activity[v] + var_inc
+                    activity[v] = a
+                    if a > 1e100:
+                        self._rescale_var_activity()
+                        var_inc = self.var_inc
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not self.seen[abs(self.trail[idx])]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
-            v = abs(p)
-            self.seen[v] = False
+            v = p >> 1
+            seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            ci = self.reason[v]
+            ci = reason[v]
             self._bump_clause(ci)
-            c = self.clauses[ci]
-        learnt[0] = -p
+            c = clauses[ci]
+        learnt[0] = p ^ 1
         for v in touched:
-            self.seen[v] = False
+            seen[v] = False
         if len(learnt) == 1:
             bt = 0
         else:
             # move the second-highest-level literal to position 1
-            mi = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+            mi = max(range(1, len(learnt)), key=lambda i: level[learnt[i] >> 1])
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            bt = self.level[abs(learnt[1])]
+            bt = level[learnt[1] >> 1]
         return learnt, bt
 
     def _record_learnt(self, learnt: list[int]):
@@ -273,33 +337,41 @@ class Solver:
         self.clauses.append(learnt)
         self.n_learnts += 1
         self.cla_act[ci] = self.cla_inc
-        self.watches[self._enc(learnt[0])].append(ci)
-        self.watches[self._enc(learnt[1])].append(ci)
+        self.watches[learnt[0]] += (ci, learnt[1])
+        self.watches[learnt[1]] += (ci, learnt[0])
         self._enqueue(learnt[0], ci)
 
     def _reduce_db(self):
-        locked = {self.reason[abs(lit)] for lit in self.trail}
-        cand = [ci for ci in self.cla_act
-                if ci not in self.deleted and ci not in locked
-                and len(self.clauses[ci]) > 2]
+        reason = self.reason
+        clauses = self.clauses
+        cla_act = self.cla_act
+        locked = {reason[x >> 1] for x in self.trail}
+        cand = [ci for ci in cla_act
+                if ci not in locked and len(clauses[ci]) > 2]
         if len(cand) < 2000:
             return
-        cand.sort(key=lambda ci: self.cla_act[ci])
+        cand.sort(key=cla_act.__getitem__)
         for ci in cand[: len(cand) // 2]:
-            self.deleted.add(ci)
-            del self.cla_act[ci]
+            clauses[ci] = None
+            del cla_act[ci]
+        for wl in self.watches:
+            live = [k for k in range(0, len(wl), 2)
+                    if clauses[wl[k]] is not None]
+            if 2 * len(live) < len(wl):
+                wl[:] = [x for k in live for x in (wl[k], wl[k + 1])]
 
     # -- search -------------------------------------------------------------------
 
     def _decide(self) -> int | None:
         # lazy heap: entries may carry stale priorities, which only skews
         # pick order, never correctness or determinism
+        value = self.value
         while self.heap:
             _, v = heappop(self.heap)
-            if self.assign[v] == 0:
+            if value[v << 1] == 0:
                 return v
-        for v in range(1, len(self.assign)):
-            if self.assign[v] == 0:
+        for v in range(1, len(self.level)):
+            if value[v << 1] == 0:
                 return v
         return None
 
@@ -312,17 +384,24 @@ class Solver:
             self.ok = False
             return "unsat"
         assumptions = list(assumptions)
+        assumed = [_enc(a) for a in assumptions]
+        if assumed:
+            self.ensure_vars(max(assumed) >> 1)
+        value = self.value
+        trail = self.trail
+        trail_lim = self.trail_lim
+        propagate = self._propagate
         conflicts_here = 0
         decisions = 0
         restart_n = 1
         limit = _luby(restart_n) * self.RESTART_BASE
         check_mask = 63
         while True:
-            confl = self._propagate()
+            confl = propagate()
             if confl is not None:
                 self.n_conflicts += 1
                 conflicts_here += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return "unsat"
                 learnt, bt = self._analyze(confl)
@@ -330,7 +409,8 @@ class Solver:
                 self._record_learnt(learnt)
                 self.var_inc *= self.VAR_DECAY
                 self.cla_inc *= self.CLA_DECAY
-                if self.n_learnts and self.n_learnts % 8192 == 0:
+                if self.n_learnts >= self.next_reduce:
+                    self.next_reduce += self.REDUCE_INTERVAL
                     self._reduce_db()
                 if (conflicts_here & check_mask) == 0 and deadline is not None \
                         and time.perf_counter() > deadline:
@@ -345,48 +425,47 @@ class Solver:
                 if deadline is not None and time.perf_counter() > deadline:
                     return "timeout"
                 continue
-            if len(self.trail_lim) < len(assumptions):
-                a = assumptions[len(self.trail_lim)]
-                self.ensure_vars(abs(a))
-                v = self.lit_value(a)
+            if len(trail_lim) < len(assumed):
+                a = assumed[len(trail_lim)]
+                v = value[a]
                 if v == 1:
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                     continue
                 if v == -1:
                     self._cancel_until(0)
                     return "unsat"
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 self._enqueue(a, -1)
                 continue
             v = self._decide()
             if v is None:
                 self._verify_model(assumptions)
-                self._model = self.assign.copy()
+                self._model = value.copy()
                 return "sat"
             decisions += 1
             if (decisions & 1023) == 0 and deadline is not None \
                     and time.perf_counter() > deadline:
                 self._cancel_until(0)
                 return "timeout"
-            lit = v if self.phase[v] >= 0 else -v
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, -1)
+            trail_lim.append(len(trail))
+            self._enqueue((v << 1) | self.phase[v], -1)
 
     def _verify_model(self, assumptions):
         for lit in assumptions:
             if self.lit_value(lit) != 1:
                 raise SemiformError("model does not satisfy an assumption")
+        value = self.value
         for ci, c in enumerate(self.clauses):
-            if ci in self.deleted:
+            if c is None:
                 continue
-            if all(self.lit_value(lit) == -1 for lit in c):
+            if all(value[x] == -1 for x in c):
                 raise SemiformError(f"model leaves clause {ci} unsatisfied")
 
     def model_value(self, lit: int) -> bool:
         """Value of `lit` in the most recent satisfying assignment."""
-        v = abs(lit)
-        a = self._model[v] if v < len(self._model) else 0
-        return (a == 1) if lit > 0 else (a != 1)  # unassigned vars read false
+        x = _enc(lit)
+        a = self._model[x] if x < len(self._model) else 0
+        return a == 1 if lit > 0 else a != -1  # unassigned vars read false
 
 
 # ---------------------------------------------------------------------------

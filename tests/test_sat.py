@@ -1,6 +1,8 @@
-"""CDCL solver: answers vs brute force, incrementality, clause retention."""
+"""CDCL solver: answers vs brute force, incrementality, clause retention,
+learnt-database reduction and determinism."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,3 +192,95 @@ def test_hypothesis_random_instances(nv, data):
     assert got == ("sat" if want else "unsat")
     if got == "sat":
         _check_model(s, clauses)
+
+
+def test_reduce_db_fires_once_per_interval():
+    # decisions 1 then 2 conflict on 3 and learn (-1 -2), the 8,192nd learnt;
+    # the backjump asserts -2, which conflicts on 4 and learns the unit (-1)
+    # straight after it.  A unit adds no learnt, so the count stays at 8,192
+    # and must not trigger a second reduction.
+    s = Solver()
+    s.ensure_vars(4)
+    for c in ([-1, -2, 3], [-1, -2, -3], [-1, 2, 4], [-1, 2, -4]):
+        s.add_clause(c)
+    s.n_learnts = 8191
+    calls = []
+    reduce_db = s._reduce_db
+
+    def counted():
+        calls.append(s.n_learnts)
+        reduce_db()
+
+    s._reduce_db = counted
+    assert s.solve() == "sat"
+    assert s.n_conflicts == 2 and s.n_learnts == 8192
+    assert not s.model_value(1)
+    assert calls == [8192]
+
+
+def _pigeonhole(s: Solver, pigeons: int, holes: int):
+    """Pigeons into holes, each pigeon's clause guarded by an activation
+    literal.  Returns that literal and the clauses."""
+    def p(i, j):
+        return 1 + i * holes + j
+    act = pigeons * holes + 1
+    s.ensure_vars(act)
+    clauses = []
+    for i in range(pigeons):
+        clauses.append([-act] + [p(i, j) for j in range(holes)])
+    for j in range(holes):
+        for i in range(pigeons):
+            for k in range(i + 1, pigeons):
+                clauses.append([-p(i, j), -p(k, j)])
+    for c in clauses:
+        assert s.add_clause(c)
+    return act, clauses
+
+
+def test_reduce_db_purges_dropped_clauses():
+    s = Solver()
+    act, clauses = _pigeonhole(s, 8, 7)
+    assert s.solve([act]) == "unsat"
+    n_live = len(s.cla_act)
+    assert n_live >= 2000  # enough learnts for a reduction
+    s._reduce_db()
+    assert 0 < len(s.cla_act) < n_live
+    dropped = {ci for ci, c in enumerate(s.clauses) if c is None}
+    assert dropped and not dropped & set(s.cla_act)
+    watched = Counter()
+    for x, wl in enumerate(s.watches):
+        for ci, blocker in zip(wl[::2], wl[1::2]):
+            assert ci not in dropped
+            c = s.clauses[ci]
+            assert x in c[:2] and blocker in c
+            watched[ci] += 1
+    live = [ci for ci, c in enumerate(s.clauses) if c is not None]
+    assert all(watched[ci] == 2 for ci in live)  # once by each of c[0], c[1]
+    assert s.solve([act]) == "unsat"
+    assert s.solve() == "sat"
+    _check_model(s, clauses)
+    assert not s.model_value(act)
+
+
+def _random_3sat(seed, nv, ratio=4.26):
+    rng = random.Random(seed)
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nv + 1), 3))
+            for _ in range(int(nv * ratio))]
+
+
+@pytest.mark.parametrize("seed", [3, 6])  # one UNSAT, one SAT
+def test_solver_is_deterministic(seed):
+    nv = 90
+    clauses = _random_3sat(seed, nv)
+    runs = []
+    for _ in range(2):
+        s = Solver()
+        s.ensure_vars(nv)
+        for c in clauses:
+            s.add_clause(list(c))
+        status = s.solve()
+        model = [s.model_value(v) for v in range(1, nv + 1)]
+        runs.append((status, s.n_conflicts, s.n_propagations, model))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 100  # real search, not unit propagation alone
