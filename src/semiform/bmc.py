@@ -195,6 +195,7 @@ class Unroller:
         self.solver = Solver()
         self.solver.ensure_vars(1)
         self.problem: list[tuple[int, ...]] | None = [] if track_problem else None
+        self.n_clauses = 0  # clauses emitted; the solver's list also holds learnts
         self._add([1])
         self.memo: dict[tuple[str, int], int] = {}
         self.deadline: float | None = None
@@ -232,6 +233,7 @@ class Unroller:
     # -- clause emission -----------------------------------------------------
 
     def _add(self, clause):
+        self.n_clauses += 1
         if self.problem is not None:
             self.problem.append(tuple(clause))
         self.solver.add_clause(clause)
@@ -626,7 +628,7 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
 
     run.elapsed = time.perf_counter() - start
     run.n_vars = enc.solver.num_vars
-    run.n_clauses = len(enc.solver.clauses)
+    run.n_clauses = enc.n_clauses
     run.n_conflicts = enc.solver.n_conflicts
     return run
 

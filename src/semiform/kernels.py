@@ -1,150 +1,57 @@
-"""Hot evaluation kernels for the three-valued simulator.
+"""Gate-evaluation kernel for the three-valued simulator.
 
-Two interchangeable backends compute one combinational settle over the
-levelized gate arrays: a numba-compiled gate loop and a pure-numpy path
-that evaluates one level at a time with table lookups.  Selection:
+`eval_comb` settles the combinational logic of a compiled model in place.
+It is one pure-Python loop over `(kind, a, b, c, out)` gate tuples in
+topological order, so each gate reads inputs that are already settled.
+Nets hold one byte each in a `bytearray`: 0, 1, or 2 for X.  A net whose
+`locked` byte is set keeps its value (testbench force semantics).
 
-    SEMIFORM_BACKEND=numba   force the compiled loop (error if unavailable)
-    SEMIFORM_BACKEND=numpy   force the vectorized fallback
-    unset                    numba when importable, else numpy
-
-Values are uint8: 0, 1, or 2 for X.  Gate tables implement pessimistic
-X-propagation: a controlling known input (0 on AND, 1 on OR) forces a
-known output.
+The tables are flat `bytes` indexed `a * 3 + b` (NOT by `a`) and
+implement pessimistic X-propagation: a controlling known input (0 on AND,
+1 on OR) forces a known output.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via env flag tests
-    numba = None
-
 X = 2
 
-# index [a, b] -> result
-AND3 = np.array([[0, 0, 0],
-                 [0, 1, 2],
-                 [0, 2, 2]], dtype=np.uint8)
-OR3 = np.array([[0, 1, 2],
-                [1, 1, 1],
-                [2, 1, 2]], dtype=np.uint8)
-XOR3 = np.array([[0, 1, 2],
-                 [1, 0, 2],
-                 [2, 2, 2]], dtype=np.uint8)
-NOT3 = np.array([1, 0, 2], dtype=np.uint8)
+AND3 = bytes((0, 0, 0,
+              0, 1, 2,
+              0, 2, 2))
+OR3 = bytes((0, 1, 2,
+             1, 1, 1,
+             2, 1, 2))
+XOR3 = bytes((0, 1, 2,
+              1, 0, 2,
+              2, 2, 2))
+NOT3 = bytes((1, 0, 2))
 
 
-def _eval_comb_py(kinds, i0, i1, i2, outs, level_ptr, values, locked):
-    """Reference gate loop; the numba backend compiles exactly this."""
-    for g in range(kinds.shape[0]):
-        k = kinds[g]
-        if k == 0:
-            r = AND3[values[i0[g]], values[i1[g]]]
-        elif k == 1:
-            r = OR3[values[i0[g]], values[i1[g]]]
-        elif k == 2:
-            r = XOR3[values[i0[g]], values[i1[g]]]
-        elif k == 3:
-            r = NOT3[values[i0[g]]]
-        else:
-            s = values[i0[g]]
-            a = values[i1[g]]
-            b = values[i2[g]]
-            if s == 0:
-                r = b
-            elif s == 1:
-                r = a
-            elif a == b and a != X:
-                r = a
-            else:
-                r = X
-        o = outs[g]
-        if not locked[o]:
-            values[o] = r
+def eval_comb(gates, values: bytearray, locked: bytearray) -> None:
+    """Settle every gate once, in order; locked outputs are left alone.
 
-
-def _eval_comb_numpy(kinds, i0, i1, i2, outs, level_ptr, values, locked):
-    """Levelized table-lookup evaluation; all gates in a level go at once."""
-    for lv in range(level_ptr.shape[0] - 1):
-        lo, hi = level_ptr[lv], level_ptr[lv + 1]
-        if lo == hi:
+    MUX(s, a, b) is a when s is 1 and b when s is 0.  With s unknown it is
+    known only when both branches agree on a known value.
+    """
+    and3, or3, xor3, not3 = AND3, OR3, XOR3, NOT3
+    # kind codes are netlist.KIND_CODE: AND 0, OR 1, XOR 2, NOT 3, MUX 4
+    for k, a, b, c, o in gates:
+        if locked[o]:
             continue
-        k = kinds[lo:hi]
-        a = values[i0[lo:hi]]
-        b = values[i1[lo:hi]]
-        r = np.empty(hi - lo, dtype=np.uint8)
-        m = k == 0
-        if m.any():
-            r[m] = AND3[a[m], b[m]]
-        m = k == 1
-        if m.any():
-            r[m] = OR3[a[m], b[m]]
-        m = k == 2
-        if m.any():
-            r[m] = XOR3[a[m], b[m]]
-        m = k == 3
-        if m.any():
-            r[m] = NOT3[a[m]]
-        m = k == 4
-        if m.any():
-            s = a[m]
-            va = b[m]
-            vb = values[i2[lo:hi]][m]
-            eq = (va == vb) & (va != X)
-            r[m] = np.where(s == 0, vb,
-                            np.where(s == 1, va,
-                                     np.where(eq, va, X))).astype(np.uint8)
-        o = outs[lo:hi]
-        values[o] = np.where(locked[o], values[o], r)
-
-
-def _eval_batch_numpy(kinds, i0, i1, i2, outs, level_ptr, values2d):
-    """Batched variant: values2d is (nets, batch); no forced nets."""
-    for lv in range(level_ptr.shape[0] - 1):
-        lo, hi = level_ptr[lv], level_ptr[lv + 1]
-        for g in range(lo, hi):
-            k = kinds[g]
-            if k == 0:
-                r = AND3[values2d[i0[g]], values2d[i1[g]]]
-            elif k == 1:
-                r = OR3[values2d[i0[g]], values2d[i1[g]]]
-            elif k == 2:
-                r = XOR3[values2d[i0[g]], values2d[i1[g]]]
-            elif k == 3:
-                r = NOT3[values2d[i0[g]]]
+        if k == 0:
+            values[o] = and3[values[a] * 3 + values[b]]
+        elif k == 1:
+            values[o] = or3[values[a] * 3 + values[b]]
+        elif k == 2:
+            values[o] = xor3[values[a] * 3 + values[b]]
+        elif k == 3:
+            values[o] = not3[values[a]]
+        else:
+            s = values[a]
+            if s == 1:
+                values[o] = values[b]
+            elif s == 0:
+                values[o] = values[c]
             else:
-                s = values2d[i0[g]]
-                a = values2d[i1[g]]
-                b = values2d[i2[g]]
-                eq = (a == b) & (a != X)
-                r = np.where(s == 0, b,
-                             np.where(s == 1, a,
-                                      np.where(eq, a, X))).astype(np.uint8)
-            values2d[outs[g]] = r
-
-
-_requested = os.environ.get("SEMIFORM_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"SEMIFORM_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-if _requested == "numba" and numba is None:
-    raise ImportError("SEMIFORM_BACKEND=numba but numba is not importable")
-
-if numba is not None:
-    eval_comb_numba = numba.njit(cache=True)(_eval_comb_py)
-else:
-    eval_comb_numba = None
-
-eval_comb_numpy = _eval_comb_numpy
-eval_batch = _eval_batch_numpy
-
-if _requested == "numpy" or numba is None:
-    BACKEND = "numpy"
-    eval_comb = _eval_comb_numpy
-else:
-    BACKEND = "numba"
-    eval_comb = eval_comb_numba
+                va = values[b]
+                values[o] = va if va == values[c] else X

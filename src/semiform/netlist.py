@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     CombinationalLoop,
     MultipleDrivers,
@@ -273,21 +271,16 @@ class FlatRegister:
 
 @dataclass
 class CompiledModel:
-    """Arrays for the evaluation kernels, gates in topological order."""
+    """Index tuples for `kernels.eval_comb`, gates in topological order."""
 
     net_names: tuple[str, ...]
     index: dict[str, int]
-    kinds: np.ndarray  # int8, per gate
-    i0: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
-    outs: np.ndarray
-    level_ptr: np.ndarray  # int32 prefix: gates [lp[k], lp[k+1]) share a level
-    dff_q: np.ndarray
-    dff_d: np.ndarray
-    dff_init: np.ndarray  # uint8, 2 = unknown
-    const_idx: np.ndarray
-    const_val: np.ndarray
+    gates: tuple[tuple[int, int, int, int, int], ...]  # (kind, a, b, c, out)
+    dff_q: tuple[int, ...]
+    dff_d: tuple[int, ...]
+    dff_init: tuple[int, ...]  # 2 = unknown
+    const_idx: tuple[int, ...]
+    const_val: tuple[int, ...]
     n_nets: int
 
 
@@ -351,18 +344,18 @@ class FlatModel:
             self._consumers = cons
         return self._consumers
 
-    # -- compilation for the kernels ----------------------------------------
+    # -- compilation for the kernel -----------------------------------------
 
     def compile(self) -> CompiledModel:
         if self._compiled is not None:
             return self._compiled
         names = self.nets
         index = {n: i for i, n in enumerate(names)}
-        gates = [n for n in self.nodes if n.kind in COMB_KINDS]
+        comb = [n for n in self.nodes if n.kind in COMB_KINDS]
         level: dict[str, int] = {}
 
         # Iterative levelization; recursion depth can exceed limits on deep chains.
-        for g in gates:
+        for g in comb:
             stack = [g.output]
             while stack:
                 net = stack[-1]
@@ -380,39 +373,22 @@ class FlatModel:
                 else:
                     level[net] = 1 + max(level[i] for i in drv.inputs)
                     stack.pop()
-        order = sorted(gates, key=lambda n: (level[n.output], index[n.output]))
+        order = sorted(comb, key=lambda n: (level[n.output], index[n.output]))
 
-        kinds = np.array([KIND_CODE[n.kind] for n in order], dtype=np.int8)
         def pick(n: Node, j: int) -> int:
             return index[n.inputs[j]] if j < len(n.inputs) else 0
-        i0 = np.array([pick(n, 0) for n in order], dtype=np.int32)
-        i1 = np.array([pick(n, 1) for n in order], dtype=np.int32)
-        i2 = np.array([pick(n, 2) for n in order], dtype=np.int32)
-        outs = np.array([index[n.output] for n in order], dtype=np.int32)
-        lvls = [level[n.output] for n in order]
-        max_lv = max(lvls, default=0)
-        lp = [0]
-        pos = 0
-        for lv in range(1, max_lv + 1):
-            while pos < len(lvls) and lvls[pos] < lv:
-                pos += 1
-            lp.append(pos)
-        lp.append(len(order))
-        level_ptr = np.array(lp, dtype=np.int32)
+        gates = tuple((KIND_CODE[n.kind], pick(n, 0), pick(n, 1), pick(n, 2),
+                       index[n.output]) for n in order)
 
         dffs = [n for n in self.nodes if n.kind == "DFF"]
-        dff_q = np.array([index[n.output] for n in dffs], dtype=np.int32)
-        dff_d = np.array([index[n.inputs[0]] for n in dffs], dtype=np.int32)
-        dff_init = np.array(
-            [X if n.init is None else n.init for n in dffs], dtype=np.uint8)
         consts = [n for n in self.nodes if n.kind == "CONST"]
-        const_idx = np.array([index[n.output] for n in consts], dtype=np.int32)
-        const_val = np.array([n.value for n in consts], dtype=np.uint8)
-
         self._compiled = CompiledModel(
-            net_names=names, index=index, kinds=kinds, i0=i0, i1=i1, i2=i2,
-            outs=outs, level_ptr=level_ptr, dff_q=dff_q, dff_d=dff_d,
-            dff_init=dff_init, const_idx=const_idx, const_val=const_val,
+            net_names=names, index=index, gates=gates,
+            dff_q=tuple(index[n.output] for n in dffs),
+            dff_d=tuple(index[n.inputs[0]] for n in dffs),
+            dff_init=tuple(X if n.init is None else n.init for n in dffs),
+            const_idx=tuple(index[n.output] for n in consts),
+            const_val=tuple(n.value for n in consts),
             n_nets=len(names))
         return self._compiled
 

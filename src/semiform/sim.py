@@ -3,7 +3,9 @@
 The simulator drives an ESW transaction script through the design's bus
 decoder description, watching for points of interest (script statements
 that touch ranked registers) and capturing fully-known register values.
-Values are 0/1/X with pessimistic X-propagation (see kernels).
+State is one byte per net, 0, 1 or 2 for X, held in a `bytearray`; each
+cycle settles through `kernels.eval_comb` with pessimistic X-propagation.
+Frames and saved states are immutable `bytes` snapshots.
 
 Bus model: one statement per cycle.  A write forces the matched range's
 address/data/enable nets for that cycle; all other ranges idle at zero.
@@ -14,8 +16,6 @@ usual testbench force semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .errors import BusDecodeError, UnknownRegister
@@ -28,7 +28,7 @@ X = 2
 @dataclass(frozen=True)
 class SimState:
     cycle: int
-    values: np.ndarray  # uint8 per net, post-latch
+    values: bytes  # one byte per net, post-latch
     script_pc: int
 
 
@@ -81,17 +81,20 @@ class Simulator:
         self.design = design
         self.script = script
         self.cm = model.compile()
-        self.values = np.full(self.cm.n_nets, X, dtype=np.uint8)
-        self.frame = self.values.copy()  # pre-latch snapshot of last cycle
-        self.locked = np.zeros(self.cm.n_nets, dtype=bool)
+        self.values = bytearray([X]) * self.cm.n_nets
+        self.frame = bytes(self.values)  # pre-latch snapshot of last cycle
+        self.locked = bytearray(self.cm.n_nets)
+        self._forced: tuple[int, ...] = ()  # nets locked last cycle
         self.cycle = 0
         self.script_pc = 0
         self.warnings: list = []
         self._trace_path = trace_path
         self._trace_file = None
         self._trace_last = None
-        self.values[self.cm.const_idx] = self.cm.const_val
-        self.values[self.cm.dff_q] = self.cm.dff_init
+        for i, v in zip(self.cm.const_idx, self.cm.const_val):
+            self.values[i] = v
+        for i, v in zip(self.cm.dff_q, self.cm.dff_init):
+            self.values[i] = v
         self._ranges = self._resolve_ranges() if design is not None else []
         self._reset_bits = None
         if design is not None and design.bus.reset:
@@ -135,7 +138,7 @@ class Simulator:
     def step(self, drive: dict[str, int] | None = None):
         """One cycle: force nets, settle combinational logic, latch flops.
 
-        Returns the settled pre-latch frame (shared buffer; copy to keep).
+        Returns the settled pre-latch frame.
         """
         idx_drive = {}
         if drive:
@@ -180,18 +183,21 @@ class Simulator:
 
     def _step_indices(self, drive: dict[int, int]):
         cm = self.cm
-        self.locked[:] = False
+        values, locked = self.values, self.locked
+        for idx in self._forced:
+            locked[idx] = 0
         for idx, val in drive.items():
-            self.values[idx] = val
-            self.locked[idx] = True
-        kernels.eval_comb(cm.kinds, cm.i0, cm.i1, cm.i2, cm.outs,
-                          cm.level_ptr, self.values, self.locked)
-        np.copyto(self.frame, self.values)
+            values[idx] = val
+            locked[idx] = 1
+        self._forced = tuple(drive)
+        kernels.eval_comb(cm.gates, values, locked)
+        frame = self.frame = bytes(values)
         if self._trace_path is not None:
             self._dump_trace_cycle()
-        self.values[cm.dff_q] = self.values[cm.dff_d]
+        for q, d in zip(cm.dff_q, cm.dff_d):
+            values[q] = frame[d]
         self.cycle += 1
-        return self.frame
+        return frame
 
     def run_statement(self):
         """Execute script statement at pc (1..n cycles); advances pc."""
@@ -203,17 +209,17 @@ class Simulator:
         self.script_pc += 1
 
     def state(self) -> SimState:
-        return SimState(self.cycle, self.values.copy(), self.script_pc)
+        return SimState(self.cycle, bytes(self.values), self.script_pc)
 
     def restore(self, state: SimState):
         self.cycle = state.cycle
         self.script_pc = state.script_pc
-        np.copyto(self.values, state.values)
+        self.values[:] = state.values
 
     # -- observation ---------------------------------------------------------
 
     def net_value(self, net: str) -> int:
-        return int(self.frame[self.cm.index[self.model.resolve(net)]])
+        return self.frame[self.cm.index[self.model.resolve(net)]]
 
     def register_value(self, register: str):
         """Concrete register value from current state, or None if any bit X."""
@@ -222,7 +228,7 @@ class Simulator:
             raise UnknownRegister(f"no register {register}")
         v = 0
         for i, b in enumerate(reg.bits):
-            bit = int(self.values[self.cm.index[self.model.resolve(b)]])
+            bit = self.values[self.cm.index[self.model.resolve(b)]]
             if bit == X:
                 return None
             v |= bit << i
@@ -231,13 +237,12 @@ class Simulator:
     def _dump_trace_cycle(self):
         if self._trace_file is None:
             self._trace_file = open(self._trace_path, "w")
-            self._trace_last = np.full_like(self.frame, 255)
-        changed = np.nonzero(self.frame != self._trace_last)[0]
-        for i in changed:
-            v = self.frame[i]
-            self._trace_file.write(
-                f"{self.cycle} {self.cm.net_names[i]} {'x' if v == X else v}\n")
-        np.copyto(self._trace_last, self.frame)
+            self._trace_last = b"\xff" * len(self.frame)
+        for i, (v, was) in enumerate(zip(self.frame, self._trace_last)):
+            if v != was:
+                self._trace_file.write(
+                    f"{self.cycle} {self.cm.net_names[i]} {'x' if v == X else v}\n")
+        self._trace_last = self.frame
 
     def close(self):
         if self._trace_file is not None:
@@ -279,7 +284,7 @@ def _bits3(model: FlatModel, cm, frame, e):
     bits = model.signal_bits(sig)
     if idx is not None:
         bits = (bits[idx],)
-    return [int(frame[cm.index[model.resolve(b)]]) for b in bits]
+    return [frame[cm.index[model.resolve(b)]] for b in bits]
 
 
 _AND = kernels.AND3
@@ -299,13 +304,13 @@ def eval_expr3(model: FlatModel, frame, expr) -> int:
         if k == "sig":
             return _bits3(model, cm, frame, e)[0]
         if k == "not":
-            return int(_NOT[ev(e[1])])
+            return _NOT[ev(e[1])]
         if k == "and":
-            return int(_AND[ev(e[1]), ev(e[2])])
+            return _AND[ev(e[1]) * 3 + ev(e[2])]
         if k == "or":
-            return int(_OR[ev(e[1]), ev(e[2])])
+            return _OR[ev(e[1]) * 3 + ev(e[2])]
         if k == "imp":
-            return int(_OR[_NOT[ev(e[1])], ev(e[2])])
+            return _OR[_NOT[ev(e[1])] * 3 + ev(e[2])]
         if k in ("eq", "ne"):
             a, b = e[1], e[2]
             if a[0] == "int":
@@ -317,8 +322,8 @@ def eval_expr3(model: FlatModel, frame, expr) -> int:
                 bbits = _bits3(model, cm, frame, b)
             acc = 1
             for x, y in zip(abits, bbits):
-                acc = int(_AND[acc, _NOT[int(_XOR[x, y])]])
-            return acc if k == "eq" else int(_NOT[acc])
+                acc = _AND[acc * 3 + _NOT[_XOR[x * 3 + y]]]
+            return acc if k == "eq" else _NOT[acc]
         raise AssertionError(k)
 
     return ev(expr)
@@ -333,5 +338,5 @@ def violated_at(model: FlatModel, frame, prop, cycle: int) -> bool:
         if reg is None:
             return False
         cm = model.compile()
-        return any(int(frame[cm.index[model.resolve(b)]]) == X for b in reg.bits)
+        return any(frame[cm.index[model.resolve(b)]] == X for b in reg.bits)
     return eval_expr3(model, frame, prop.expr) == 0

@@ -6,7 +6,8 @@ from semiform import bmc, errors
 from semiform.frontend import PropertyAst, gen_xprop
 from semiform.sat import import_dimacs, solve
 
-from conftest import FAIL_TRACES, build_model, props_for, record_fails
+from conftest import (FAIL_TRACES, build_model, hard_block_module, props_for,
+                      record_fails)
 
 UNINIT_TEXT = """\
 .module holdx
@@ -177,6 +178,19 @@ def test_dump_cnf_reimports_and_solves(tmp_path, counter):
     cnf = import_dimacs(path.read_text())
     assert cnf.clauses and solve(cnf).status == "SAT"
     record_fails(model, props, run)
+
+
+def test_n_clauses_counts_the_encoding_not_learnts(tmp_path):
+    # an UNSAT refutation that learns clauses: the reported size must be
+    # the emitted problem, as in the DIMACS header, not the solver's list
+    model, design, lib = build_model(hard_block_module(8, 3, gated=False))
+    props = props_for("prop quiet : ~(m0.bad)\n", design, lib)
+    run = bmc.check(model, props, k=1, dump_cnf=str(tmp_path))
+    assert run.outcomes["quiet"].status == "PASS"
+    assert run.n_conflicts > 0
+    header = (tmp_path / "quiet.cnf").read_text().split("\n")[0].split()
+    assert header[:2] == ["p", "cnf"]
+    assert run.n_clauses == int(header[3])
 
 
 def test_trace_format_mentions_every_cycle(counter):

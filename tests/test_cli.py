@@ -1,12 +1,15 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from semiform.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def test_run_mini(mini_files, capsys, tmp_path):
@@ -153,3 +156,14 @@ def test_gen_xprop_command(mini_files, tmp_path, capsys):
     text = out.read_text()
     assert "xprop_a0_CFG" in text and "after 3" in text
     assert "xprop_b0_GAIN" in text
+
+
+def test_import_loads_no_numpy():
+    # the package is pure Python; numpy would add its import time to every run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import semiform, semiform.cli, sys; "
+         "assert 'numpy' not in sys.modules, 'numpy imported'"],
+        capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr

@@ -1,11 +1,6 @@
-"""Gate-evaluation kernels: table truth, backend agreement, env selection."""
+"""Gate-evaluation kernel: table truth, locked nets, MUX with an X select."""
 
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
+import random
 
 from semiform import kernels
 from semiform.kernels import AND3, NOT3, OR3, XOR3
@@ -16,117 +11,41 @@ import oracles
 def test_tables_match_reference():
     for a in (0, 1, 2):
         for b in (0, 1, 2):
-            assert AND3[a, b] == oracles._AND[(a, b)]
-            assert OR3[a, b] == oracles._OR[(a, b)]
-            assert XOR3[a, b] == oracles._XOR[(a, b)]
+            assert AND3[a * 3 + b] == oracles._AND[(a, b)]
+            assert OR3[a * 3 + b] == oracles._OR[(a, b)]
+            assert XOR3[a * 3 + b] == oracles._XOR[(a, b)]
         assert NOT3[a] == oracles._NOT[a]
 
 
 def test_tables_pessimism_corners():
     # controlling values dominate an unknown operand
-    assert AND3[0, 2] == 0 and AND3[2, 0] == 0
-    assert OR3[1, 2] == 1 and OR3[2, 1] == 1
+    assert AND3[0 * 3 + 2] == 0 and AND3[2 * 3 + 0] == 0
+    assert OR3[1 * 3 + 2] == 1 and OR3[2 * 3 + 1] == 1
     # non-controlling values do not
-    assert AND3[1, 2] == 2 and OR3[0, 2] == 2
-    assert XOR3[1, 2] == 2 and XOR3[2, 0] == 2
-
-
-def _compiled(model):
-    cm = model.compile()
-    return (cm.kinds, cm.i0, cm.i1, cm.i2, cm.outs, cm.level_ptr, cm.n_nets)
-
-
-def _random_values(n, rng):
-    return rng.choice(np.array([0, 1, 2], dtype=np.uint8), size=n)
-
-
-@pytest.mark.skipif(kernels.eval_comb_numba is None,
-                    reason="numba not importable")
-def test_backends_agree_on_corpus(corpus_library):
-    from semiform.frontend import parse_design
-    from semiform.netlist import elaborate
-    rng = np.random.default_rng(11)
-    for name, ip in sorted(corpus_library.items()):
-        design = parse_design(f".design d\n.instance {name} u0\n")
-        model = elaborate(design, {name: ip})
-        kinds, i0, i1, i2, outs, level_ptr, n = _compiled(model)
-        locked = np.zeros(n, dtype=bool)
-        for _ in range(20):
-            base = _random_values(n, rng)
-            va = base.copy()
-            vb = base.copy()
-            kernels.eval_comb_numba(kinds, i0, i1, i2, outs, level_ptr,
-                                    va, locked)
-            kernels.eval_comb_numpy(kinds, i0, i1, i2, outs, level_ptr,
-                                    vb, locked)
-            assert np.array_equal(va, vb)
+    assert AND3[1 * 3 + 2] == 2 and OR3[0 * 3 + 2] == 2
+    assert XOR3[1 * 3 + 2] == 2 and XOR3[2 * 3 + 0] == 2
 
 
 def test_locked_nets_keep_their_value(counter):
     model, _, _ = counter
     cm = model.compile()
     n = cm.n_nets
-    rng = np.random.default_rng(3)
-    values = _random_values(n, rng)
-    locked = np.zeros(n, dtype=bool)
-    pin = cm.outs[0]
-    locked[pin] = True
+    rng = random.Random(3)
+    values = bytearray(rng.choice((0, 1, 2)) for _ in range(n))
+    locked = bytearray(n)
+    pin = cm.gates[0][4]
+    locked[pin] = 1
     values[pin] = 2
-    kernels.eval_comb(cm.kinds, cm.i0, cm.i1, cm.i2, cm.outs, cm.level_ptr,
-                      values, locked)
+    kernels.eval_comb(cm.gates, values, locked)
     assert values[pin] == 2
 
 
-def test_batch_matches_single(counter):
-    model, _, _ = counter
-    cm = model.compile()
-    n = cm.n_nets
-    rng = np.random.default_rng(7)
-    batch = 17
-    v2d = rng.choice(np.array([0, 1, 2], dtype=np.uint8), size=(n, batch))
-    cols = [v2d[:, j].copy() for j in range(batch)]
-    kernels.eval_batch(cm.kinds, cm.i0, cm.i1, cm.i2, cm.outs, cm.level_ptr,
-                       v2d)
-    locked = np.zeros(n, dtype=bool)
-    for j, col in enumerate(cols):
-        kernels.eval_comb_numpy(cm.kinds, cm.i0, cm.i1, cm.i2, cm.outs,
-                                cm.level_ptr, col, locked)
-        assert np.array_equal(col, v2d[:, j])
-
-
-def test_backend_env_validation():
-    env = dict(os.environ, SEMIFORM_BACKEND="bogus")
-    r = subprocess.run([sys.executable, "-c", "import semiform.kernels"],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode != 0 and "SEMIFORM_BACKEND" in r.stderr
-
-    env = dict(os.environ, SEMIFORM_BACKEND="numpy")
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "from semiform import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env)
-    assert r.returncode == 0 and r.stdout.strip() == "numpy"
-
-
-def test_mux_unknown_selector_with_equal_branches(counter):
+def test_mux_unknown_selector_with_equal_branches():
     # s=X but both branches agree on a binary value: result is that value
-    model, _, _ = counter
-    cm = model.compile()
-    kinds = np.array([4], dtype=cm.kinds.dtype)
-    i0 = np.array([0], dtype=cm.i0.dtype)
-    i1 = np.array([1], dtype=cm.i1.dtype)
-    i2 = np.array([2], dtype=cm.i2.dtype)
-    outs = np.array([3], dtype=cm.outs.dtype)
-    level_ptr = np.array([0, 1], dtype=cm.level_ptr.dtype)
-    locked = np.zeros(4, dtype=bool)
+    gates = ((4, 0, 1, 2, 3),)
+    locked = bytearray(4)
     for s, a, b, want in [(2, 1, 1, 1), (2, 0, 0, 0), (2, 1, 0, 2),
                           (2, 2, 2, 2), (0, 2, 1, 1), (1, 1, 2, 1)]:
-        values = np.array([s, a, b, 0], dtype=np.uint8)
-        kernels.eval_comb_numpy(kinds, i0, i1, i2, outs, level_ptr,
-                                values, locked)
+        values = bytearray([s, a, b, 0])
+        kernels.eval_comb(gates, values, locked)
         assert values[3] == want, (s, a, b)
-        if kernels.eval_comb_numba is not None:
-            values = np.array([s, a, b, 0], dtype=np.uint8)
-            kernels.eval_comb_numba(kinds, i0, i1, i2, outs, level_ptr,
-                                    values, locked)
-            assert values[3] == want, (s, a, b)
