@@ -5,11 +5,18 @@ that value is known.  Unknowns (x) are the pair (0,0).  The known rail
 of each gate follows the same pessimistic rules the simulator uses, so
 a counterexample found here replays exactly in simulation.
 
-Encoding is lazy: a net/frame pair is translated to CNF only when some
+`xprop_encode` builds both rails as one graph over integer ids, held in
+flat `kind/a/b/c` lists: the value rails of the model's nets first, in
+`model.nets` order, then the known rails and the helper gates that
+compute them.  A NOT gate's output shares its input's known rail.
+
+Encoding is lazy: a node/frame pair is translated to CNF only when some
 property cone reaches it, and constants are folded during translation.
-Pinning a register with an assume therefore collapses everything behind
-its decode logic before the solver ever sees it, which is what makes
-the constrain-and-reprove iterations cheap.
+The `Unroller` memoises literals in one frame-major list,
+`memo[f * n + id]`, with 0 for a pair not yet translated.  Pinning a
+register with an assume therefore collapses everything behind its
+decode logic before the solver ever sees it, which is what makes the
+constrain-and-reprove iterations cheap.
 
 Frames are solved one at a time on a single incremental solver, so a
 failing property always reports its earliest reachable frame.
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import MissingStopat, SemiformError
 from .frontend import PropertyAst
-from .netlist import FlatModel, Node, blackbox
+from .netlist import FlatModel, blackbox
 from .sat import Cnf, Solver, export_dimacs
 from . import sim as simlib
 
@@ -74,101 +81,107 @@ def create_assumes(values: dict[str, int],
 # ---------------------------------------------------------------------------
 # dual-rail model
 
+# node kinds of the dual-rail graph
+AND, OR, XOR, NOT, MUX, DFF, ZERO, ONE, INPUT, PAIR = range(10)
+
 
 @dataclass(frozen=True)
 class DualModel:
+    """The dual-rail graph of a flat model as flat arrays over integer ids.
+
+    Node `i` is `kind[i]` over the ids `a[i]`, `b[i]`, `c[i]`; a DFF
+    reads `a` one frame back and starts at `b` (0/1).  ZERO and ONE are
+    constants, INPUT is a fresh variable per frame (a net the environment
+    drives to a known value) and PAIR a free (value, known) pair.
+    """
+
     base: FlatModel
-    driver: dict[str, Node]
-    known_of: dict[str, str]
-    free_pairs: frozenset[str]
+    index: dict[str, int]  # value-rail id of each net
+    known: list[int]  # known-rail id of each value-rail id
+    kind: list[int]
+    a: list[int]
+    b: list[int]
+    c: list[int]
+    free_pairs: tuple[int, ...]  # value-rail ids whose pair is unconstrained
 
 
 def xprop_encode(model: FlatModel) -> DualModel:
-    """Attach a known rail to every net of the flat model."""
-    driver: dict[str, Node] = {}
-    nodes_out = {n.output for n in model.nodes}
+    """Attach a known rail to every net of the flat model.
 
-    # a NOT gate shares its input's known rail, transitively
-    alias: dict[str, str] = {}
-    for node in model.nodes:
-        if node.kind == "NOT":
-            alias[node.output] = node.inputs[0]
-    known: dict[str, str] = {}
-    for net in model.nets:
-        root = net
+    Ids `0..len(model.nets)-1` are the value rails in `model.nets` order;
+    the known rails and the helper nodes that compute them follow.
+    """
+    nets = model.nets
+    index = {net: i for i, net in enumerate(nets)}
+    n = len(nets)
+    kind, a, b, c = [INPUT] * n, [0] * n, [0] * n, [0] * n
+
+    def node(k: int, x: int = 0, y: int = 0, z: int = 0) -> int:
+        kind.append(k)
+        a.append(x)
+        b.append(y)
+        c.append(z)
+        return len(kind) - 1
+
+    def gate(i: int, k: int, x: int, y: int = 0, z: int = 0):
+        kind[i], a[i], b[i], c[i] = k, x, y, z
+
+    # a NOT gate shares its input's known rail, transitively; every other
+    # rail starts out known (undriven nets are driven by the environment)
+    alias = {index[nd.output]: index[nd.inputs[0]]
+             for nd in model.nodes if nd.kind == "NOT"}
+    known = [0 if i in alias else node(ONE) for i in range(n)]
+    for i in alias:
+        root = i
         while root in alias:
             root = alias[root]
-        known[net] = root + "!k"
-    free_pairs = set()
-    for net in model.nets:
-        if net in nodes_out:
-            continue
-        # undriven: a primary input (driven by the environment, hence
-        # known) or a net freed by blackboxing (unknown allowed)
-        if net in model.free_inputs:
-            free_pairs.add(net)
-        else:
-            driver[known[net]] = Node("CONST", known[net], (), value=1)
+        known[i] = known[root]
+    # undriven nets freed by blackboxing may stay unknown
+    driven = {nd.output for nd in model.nodes}
+    free_pairs = tuple(i for i, net in enumerate(nets)
+                       if net in model.free_inputs and net not in driven)
+    for v in free_pairs:
+        kind[v] = kind[known[v]] = PAIR
 
-    def aux(base_name: str, i: int) -> str:
-        return f"{base_name}!k{i}"
-
-    extra: list[Node] = []
-    for node in model.nodes:
-        driver[node.output] = node
-        o = node.output
+    for nd in model.nodes:
+        o = index[nd.output]
         ko = known[o]
-        if node.kind == "CONST":
-            driver[ko] = Node("CONST", ko, (), value=1)
-            continue
-        if node.kind == "DFF":
-            d = node.inputs[0]
-            vinit = node.init if node.init is not None else 0
-            driver[o] = Node("DFF", o, (d,), init=vinit)
-            driver[ko] = Node("DFF", ko, (known[d],),
-                              init=1 if node.init is not None else 0)
-            continue
-        if node.kind == "NOT":
-            continue  # known rail shared with the input via `known`
-        if node.kind == "XOR":
-            a, b = node.inputs
-            driver[ko] = Node("AND", ko, (known[a], known[b]))
-            continue
-        if node.kind in ("AND", "OR"):
-            a, b = node.inputs
-            ka, kb = known[a], known[b]
+        ins = [index[x] for x in nd.inputs]
+        k = nd.kind
+        if k == "CONST":
+            kind[o] = ONE if nd.value else ZERO
+        elif k == "DFF":
+            gate(o, DFF, ins[0], nd.init or 0)
+            gate(ko, DFF, known[ins[0]], int(nd.init is not None))
+        elif k == "NOT":
+            gate(o, NOT, ins[0])  # known rail shared with the input
+        elif k == "XOR":
+            x, y = ins
+            gate(o, XOR, x, y)
+            gate(ko, AND, known[x], known[y])
+        elif k in ("AND", "OR"):
+            x, y = ins
+            kx, ky = known[x], known[y]
+            gate(o, AND if k == "AND" else OR, x, y)
             # known when both sides known, or either side is known at
             # the controlling value (0 for AND, 1 for OR)
-            if node.kind == "AND":
-                ca, cb = aux(o, 0), aux(o, 1)
-                extra.append(Node("NOT", ca, (a,)))
-                extra.append(Node("NOT", cb, (b,)))
+            if k == "AND":
+                cx, cy = node(NOT, x), node(NOT, y)
             else:
-                ca, cb = a, b
-            t1, t2, t3, o1 = aux(o, 2), aux(o, 3), aux(o, 4), aux(o, 5)
-            extra.append(Node("AND", t1, (ka, kb)))
-            extra.append(Node("AND", t2, (ka, ca)))
-            extra.append(Node("AND", t3, (kb, cb)))
-            extra.append(Node("OR", o1, (t1, t2)))
-            extra.append(Node("OR", ko, (o1, t3)))
-            continue
-        if node.kind == "MUX":
-            s, a, b = node.inputs
-            ks, ka, kb = known[s], known[a], known[b]
-            m1, t1, x, nx, t2, t3 = (aux(o, i) for i in range(6))
-            extra.append(Node("MUX", m1, (s, ka, kb)))
-            extra.append(Node("AND", t1, (ks, m1)))
-            extra.append(Node("XOR", x, (a, b)))
-            extra.append(Node("NOT", nx, (x,)))
-            extra.append(Node("AND", t2, (ka, kb)))
-            extra.append(Node("AND", t3, (t2, nx)))
-            extra.append(Node("OR", ko, (t1, t3)))
-            continue
-        raise SemiformError(f"unexpected node kind {node.kind}")
-
-    for n in extra:
-        driver[n.output] = n
-    return DualModel(model, driver, known, frozenset(free_pairs))
+                cx, cy = x, y
+            t1, t2, t3 = node(AND, kx, ky), node(AND, kx, cx), node(AND, ky, cy)
+            gate(ko, OR, node(OR, t1, t2), t3)
+        elif k == "MUX":
+            s, x, y = ins
+            ks, kx, ky = known[s], known[x], known[y]
+            gate(o, MUX, s, x, y)
+            t1 = node(AND, ks, node(MUX, s, kx, ky))
+            nx = node(NOT, node(XOR, x, y))
+            t3 = node(AND, node(AND, kx, ky), nx)
+            gate(ko, OR, t1, t3)
+        else:
+            raise SemiformError(f"unexpected node kind {k}")
+    return DualModel(model, index, known, kind, a, b, c, free_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +193,16 @@ class _EncodeTimeout(Exception):
 
 
 class Unroller:
-    """Translates (net, frame) pairs to solver literals on demand.
+    """Translates (node id, frame) pairs to solver literals on demand.
 
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
-    just integer comparison.
+    just integer comparison.  `memo[f * n + id]` holds the literal of
+    node `id` at frame `f`, 0 while untranslated, where `n` is the number
+    of dual-rail nodes; it grows by one frame of n slots as deeper frames
+    are asked for.  `kind` is the model's kind list with this check's
+    constraints written in: a cut net and its known rail become a PAIR,
+    an assumed bit a constant with a ONE known rail.  `partner` maps the
+    known rail of each pair to its value rail.
     """
 
     TRUE = 1
@@ -192,26 +211,29 @@ class Unroller:
     def __init__(self, dual: DualModel, stopats=(), assumes=(),
                  track_problem: bool = False):
         self.dual = dual
+        self.n = len(dual.kind)
         self.solver = Solver()
         self.solver.ensure_vars(1)
         self.problem: list[tuple[int, ...]] | None = [] if track_problem else None
         self.n_clauses = 0  # clauses emitted; the solver's list also holds learnts
         self._add([1])
-        self.memo: dict[tuple[str, int], int] = {}
+        self.memo: list[int] = []
         self.deadline: float | None = None
         self._ops = 0
 
-        base = dual.base
-        regs = base.registers
-        self.cut_value: set[str] = set()
-        self.cut_known: dict[str, str] = {}
+        base, index, known = dual.base, dual.index, dual.known
+        kind = self.kind = dual.kind.copy()
+        self.partner = {known[v]: v for v in dual.free_pairs}
+        self.cut_nets: set[str] = set()
         for st in stopats:
             for bit in self._reg_or_signal_bits(st.signal):
-                self.cut_value.add(bit)
-                self.cut_known[dual.known_of[bit]] = bit
-        self.assume_bits: dict[str, int] = {}
+                v = index[bit]
+                self.cut_nets.add(bit)
+                kind[v] = kind[known[v]] = PAIR
+                self.partner[known[v]] = v
+        self.assumed_nets: set[str] = set()
         for asm in assumes:
-            reg = regs.get(asm.register)
+            reg = base.registers.get(asm.register)
             if reg is None:
                 raise SemiformError(f"assume on unknown register {asm.register}")
             if asm.value >> len(reg.bits):
@@ -219,16 +241,16 @@ class Unroller:
                     f"assume value {asm.value:#x} overflows {asm.register}")
             for i, bit in enumerate(reg.bits):
                 net = base.resolve(bit)
-                self.assume_bits[net] = (asm.value >> i) & 1
-                self.assume_bits[dual.known_of[net]] = 1
-        self.freepair_known = {dual.known_of[v]: v for v in dual.free_pairs}
+                v = index[net]
+                self.assumed_nets.add(net)
+                kind[v] = ONE if (asm.value >> i) & 1 else ZERO
+                kind[known[v]] = ONE
 
     def _reg_or_signal_bits(self, name: str) -> tuple[str, ...]:
         base = self.dual.base
         reg = base.registers.get(name)
-        if reg is not None:
-            return tuple(base.resolve(b) for b in reg.bits)
-        return tuple(base.resolve(b) for b in base.signal_bits(name))
+        bits = reg.bits if reg is not None else base.signal_bits(name)
+        return tuple(base.resolve(b) for b in bits)
 
     # -- clause emission -----------------------------------------------------
 
@@ -306,119 +328,124 @@ class Unroller:
         self._add([a, b, -v])
         return v
 
-    # -- net translation --------------------------------------------------------
+    # -- node translation -------------------------------------------------------
 
-    def _alloc_pair(self, vnet: str, frame: int):
-        kn = self.dual.known_of[vnet]
-        vv = self._new()
-        kk = self._new()
-        self._add([-vv, kk])  # unknown values are canonical (0,0)
-        self.memo[(vnet, frame)] = vv
-        self.memo[(kn, frame)] = kk
+    def lit(self, i: int, f: int) -> int:
+        """Literal of node `i` at frame `f`, translating its cone first.
 
-    def lit(self, net: str, frame: int) -> int:
-        memo = self.memo
-        key = (net, frame)
-        if key in memo:
-            return memo[key]
+        Depth first: a node whose inputs are not all translated pushes
+        the first missing one and is looked at again once it is done.
+        AND/OR stop at the first input with the controlling value, and a
+        MUX with a constant select visits only the branch it picks.
+        """
+        n, memo = self.n, self.memo
+        key = f * n + i
+        if key >= len(memo):
+            memo.extend([0] * ((f + 1) * n - len(memo)))
+        r = memo[key]
+        if r:
+            return r
+        kind, A, B, C = self.kind, self.dual.a, self.dual.b, self.dual.c
+        add, new, deadline, ops = self._add, self._new, self.deadline, self._ops
         stack = [key]
         while stack:
-            self._ops += 1
-            if (self._ops & 4095) == 0 and self.deadline is not None \
-                    and time.perf_counter() > self.deadline:
-                raise _EncodeTimeout()
             top = stack[-1]
-            if top in memo:
+            if memo[top]:
                 stack.pop()
                 continue
-            r = self._step(top[0], top[1], stack)
-            if r is not None:
-                memo[top] = r
-                stack.pop()
+            ops += 1
+            if not ops & 4095 and deadline is not None \
+                    and time.perf_counter() > deadline:
+                self._ops = ops
+                raise _EncodeTimeout()
+            i = top % n
+            base = top - i
+            k = kind[i]
+            if k <= MUX:  # a gate: its first input comes first
+                x = memo[base + A[i]]
+                if not x:
+                    stack.append(base + A[i])
+                    continue
+                sign = -1 if k == OR else 1  # OR(x, y) = -AND(-x, -y)
+                if k == NOT:
+                    r = -x
+                elif k <= OR and x == -sign:
+                    r = x  # the controlling value: skip the other cone
+                elif k == MUX and (x == 1 or x == -1):
+                    pick = base + (B[i] if x == 1 else C[i])
+                    r = memo[pick]
+                    if not r:
+                        stack.append(pick)
+                        continue
+                else:
+                    y = memo[base + B[i]]
+                    if not y:
+                        stack.append(base + B[i])
+                        continue
+                    if k == XOR:
+                        r = self._xor(x, y)
+                    elif k == MUX:
+                        z = memo[base + C[i]]
+                        if not z:
+                            stack.append(base + C[i])
+                            continue
+                        r = self._mux(x, y, z)
+                    else:  # two-input AND, folded as `_and` would
+                        x, y = sign * x, sign * y
+                        if y == -1 or x == -y:
+                            r = -1
+                        elif x == 1 or x == y:
+                            r = y
+                        elif y == 1:
+                            r = x
+                        else:
+                            r = new()
+                            add([-r, x])
+                            add([-r, y])
+                            add([r, -x, -y])
+                        r *= sign
+            elif k == DFF:
+                if not base:
+                    r = 1 if B[i] else -1
+                else:
+                    r = memo[base - n + A[i]]
+                    if not r:
+                        stack.append(base - n + A[i])
+                        continue
+            elif k == ONE:
+                r = 1
+            elif k == ZERO:
+                r = -1
+            elif k == INPUT:
+                r = new()  # environment-driven input, fresh per frame
+            else:  # PAIR: allocate the value and known rails together
+                v = self.partner.get(i, i)
+                vv, kk = new(), new()
+                add([-vv, kk])  # unknown values are canonical (0,0)
+                memo[base + v] = vv
+                memo[base + self.dual.known[v]] = kk
+                r = memo[top]
+            memo[top] = r
+            stack.pop()
+        self._ops = ops
         return memo[key]
-
-    def _step(self, net: str, f: int, stack) -> int | None:
-        memo = self.memo
-        av = self.assume_bits.get(net)
-        if av is not None:
-            return self.TRUE if av else self.FALSE
-        if net in self.cut_value:
-            self._alloc_pair(net, f)
-            return memo[(net, f)]
-        if net in self.cut_known:
-            self._alloc_pair(self.cut_known[net], f)
-            return memo[(net, f)]
-        node = self.dual.driver.get(net)
-        if node is None:
-            if net in self.dual.free_pairs:
-                self._alloc_pair(net, f)
-                return memo[(net, f)]
-            if net in self.freepair_known:
-                self._alloc_pair(self.freepair_known[net], f)
-                return memo[(net, f)]
-            return self._new()  # environment-driven input, fresh per frame
-        kind = node.kind
-        if kind == "CONST":
-            return self.TRUE if node.value else self.FALSE
-        if kind == "DFF":
-            if f == 0:
-                return self.TRUE if node.init else self.FALSE
-            dep = (node.inputs[0], f - 1)
-            if dep in memo:
-                return memo[dep]
-            stack.append(dep)
-            return None
-        ins = node.inputs
-        if kind == "NOT":
-            dep = (ins[0], f)
-            if dep in memo:
-                return -memo[dep]
-            stack.append(dep)
-            return None
-        if kind in ("AND", "OR"):
-            controlling = self.FALSE if kind == "AND" else self.TRUE
-            lits = []
-            for i in ins:
-                dep = (i, f)
-                if dep not in memo:
-                    stack.append(dep)
-                    return None
-                lit = memo[dep]
-                if lit == controlling:
-                    return controlling  # short-circuit: skip later cones
-                lits.append(lit)
-            return self._and(lits) if kind == "AND" else self._or(lits)
-        if kind == "XOR":
-            for i in ins:
-                dep = (i, f)
-                if dep not in memo:
-                    stack.append(dep)
-                    return None
-            return self._xor(memo[(ins[0], f)], memo[(ins[1], f)])
-        if kind == "MUX":
-            sdep = (ins[0], f)
-            if sdep not in memo:
-                stack.append(sdep)
-                return None
-            s = memo[sdep]
-            if s == self.TRUE or s == self.FALSE:
-                pick = ins[1] if s == self.TRUE else ins[2]
-                dep = (pick, f)
-                if dep in memo:
-                    return memo[dep]
-                stack.append(dep)
-                return None
-            for i in ins[1:]:
-                dep = (i, f)
-                if dep not in memo:
-                    stack.append(dep)
-                    return None
-            return self._mux(s, memo[(ins[1], f)], memo[(ins[2], f)])
-        raise SemiformError(f"unexpected node kind {kind}")
 
     def pair(self, net: str, frame: int) -> tuple[int, int]:
         """(value, known) literals of a base-model net."""
-        return self.lit(net, frame), self.lit(self.dual.known_of[net], frame)
+        i = self.dual.index[net]
+        return self.lit(i, frame), self.lit(self.dual.known[i], frame)
+
+    def known(self, net: str, frame: int) -> int:
+        """Known-rail literal of a base-model net."""
+        return self.lit(self.dual.known[self.dual.index[net]], frame)
+
+    def peek(self, net: str, frame: int) -> tuple[int, int]:
+        """(value, known) literals of a net if translated, else 0s."""
+        i = self.dual.index[net]
+        base = frame * self.n
+        if base >= len(self.memo):
+            return 0, 0
+        return self.memo[base + i], self.memo[base + self.dual.known[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +455,7 @@ class Unroller:
 def _expr_pair(enc: Unroller, model: FlatModel, expr, frame: int):
     op = expr[0]
     if op == "sig":
-        bits = _sig_bits(model, expr)
+        bits = simlib.sig_nets(model, expr)
         if len(bits) != 1:
             raise SemiformError("multi-bit signal in boolean position")
         return enc.pair(bits[0], frame)
@@ -467,23 +494,15 @@ def _expr_pair(enc: Unroller, model: FlatModel, expr, frame: int):
     raise SemiformError(f"unexpected expression {op}")
 
 
-def _sig_bits(model: FlatModel, expr) -> tuple[str, ...]:
-    _, name, idx = expr
-    bits = tuple(model.resolve(b) for b in model.signal_bits(name))
-    if idx is not None:
-        bits = (bits[idx],)
-    return bits
-
-
 def _operand_bits(enc: Unroller, model: FlatModel, a, b, frame: int):
     def width_of(e):
-        return len(_sig_bits(model, e)) if e[0] == "sig" else None
+        return len(simlib.sig_nets(model, e)) if e[0] == "sig" else None
 
     w = width_of(a) or width_of(b) or 1
 
     def bits_of(e):
         if e[0] == "sig":
-            return [enc.pair(bit, frame) for bit in _sig_bits(model, e)]
+            return [enc.pair(bit, frame) for bit in simlib.sig_nets(model, e)]
         v = e[1]
         return [((enc.TRUE if (v >> i) & 1 else enc.FALSE), enc.TRUE)
                 for i in range(w)]
@@ -497,11 +516,8 @@ def _violation_lit(enc: Unroller, model: FlatModel, prop: PropertyAst,
         reg = model.registers.get(prop.register)
         if reg is None:
             raise SemiformError(f"xprop register {prop.register} missing")
-        lits = []
-        for bit in reg.bits:
-            net = model.resolve(bit)
-            lits.append(-enc.lit(enc.dual.known_of[net], frame))
-        return enc._or(lits)
+        return enc._or([-enc.known(model.resolve(bit), frame)
+                        for bit in reg.bits])
     v, k = _expr_pair(enc, model, prop.expr, frame)
     return enc._and([k, -v])  # definitely false, not merely unknown
 
@@ -589,6 +605,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
             pending.append(prop)
 
     dual = xprop_encode(model)
+    for prop in pending:
+        simlib.check_prop_nets(model, prop, dual.index)
     enc = Unroller(dual, stopats, assumes, track_problem=dump_cnf is not None)
     total_deadline = None if budget is None else start + budget
     next_frame = {p.name: (p.settle if p.kind == "xprop" else 0)
@@ -681,20 +699,15 @@ def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
 
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,
                    frame: int) -> CexTrace:
-    nets = sorted(set(model.inputs) | enc.cut_value | set(enc.assume_bits)
+    nets = sorted(set(model.inputs) | enc.cut_nets | enc.assumed_nets
                   | set(model.free_inputs))
-    nets = [n for n in nets if not n.endswith("!k")]
     rows = []
     mv = enc.solver.model_value
     for t in range(frame + 1):
         row = []
         for n in nets:
-            vlit = enc.memo.get((n, t))
-            if vlit is None:
-                row.append(2)
-                continue
-            klit = enc.memo.get((enc.dual.known_of[n], t))
-            known = True if klit is None else mv(klit)
+            vlit, klit = enc.peek(n, t)
+            known = vlit and (not klit or mv(klit))
             row.append(int(mv(vlit)) if known else 2)
         rows.append(tuple(row))
     return CexTrace(prop, frame, tuple(nets), tuple(rows))

@@ -128,36 +128,7 @@ class IpNetlist:
                 raise MultipleDrivers(
                     f"{self.name}: net {n.output} driven by {drivers[n.output]} and {n.kind}")
             drivers[n.output] = n.kind
-        self._check_comb_cycles()
-
-    def _check_comb_cycles(self):
-        by_output = {n.output: n for n in self.nodes if n.kind in COMB_KINDS}
-        state: dict[str, int] = {}
-        for start in by_output:
-            if state.get(start):
-                continue
-            stack = [(start, 0)]
-            while stack:
-                net, idx = stack.pop()
-                node = by_output.get(net)
-                if node is None or state.get(net) == 2:
-                    continue
-                ins = node.inputs
-                if idx == 0:
-                    state[net] = 1
-                pushed = False
-                for j in range(idx, len(ins)):
-                    nxt = ins[j]
-                    if state.get(nxt) == 1:
-                        raise CombinationalLoop(
-                            f"{self.name}: combinational cycle through {nxt}")
-                    if nxt in by_output and state.get(nxt) != 2:
-                        stack.append((net, j + 1))
-                        stack.append((nxt, 0))
-                        pushed = True
-                        break
-                if not pushed:
-                    state[net] = 2
+        _check_comb_cycles(self.nodes, f"{self.name}: ")
 
 
 @dataclass(frozen=True)
@@ -596,21 +567,25 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
         nodes=nodes, node_instance=node_instance,
         registers=registers, inputs=sorted(inputs),
         outputs=sorted(set(outputs)), signals=signals, aliases=aliases)
-    _check_flat_cycles(model)
+    _check_comb_cycles(model.nodes)
     return model
 
 
-def _check_flat_cycles(model: FlatModel):
-    comb = {n.output: n for n in model.nodes if n.kind in COMB_KINDS}
-    state: dict[str, int] = {}
+def _check_comb_cycles(nodes, where: str = ""):
+    """Raise CombinationalLoop if the gates among `nodes` form a cycle.
+
+    Iterative depth-first search; `where` prefixes the message.
+    """
+    comb = {n.output: n for n in nodes if n.kind in COMB_KINDS}
+    state: dict[str, int] = {}  # 1 on the DFS path, 2 finished
     for start in comb:
         if state.get(start) == 2:
             continue
         stack: list[tuple[str, int]] = [(start, 0)]
         while stack:
             net, idx = stack.pop()
-            node = comb.get(net)
-            if node is None or state.get(net) == 2:
+            node = comb[net]
+            if state.get(net) == 2:
                 continue
             if idx == 0:
                 state[net] = 1
@@ -619,7 +594,8 @@ def _check_flat_cycles(model: FlatModel):
                 nxt = node.inputs[j]
                 if nxt in comb:
                     if state.get(nxt) == 1:
-                        raise CombinationalLoop(f"combinational cycle through {nxt}")
+                        raise CombinationalLoop(
+                            f"{where}combinational cycle through {nxt}")
                     if state.get(nxt) != 2:
                         stack.append((net, j + 1))
                         stack.append((nxt, 0))

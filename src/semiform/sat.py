@@ -34,9 +34,6 @@ one-shot `solve()` is accepted for interface stability and ignored.
 
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -495,9 +492,6 @@ def solve(cnf: Cnf, assumptions=(), budget: float | None = None,
           seed: int = 0) -> SolveOutcome:
     """Solve a CNF; `seed` is accepted for interface parity and unused."""
     start = time.perf_counter()
-    ext = os.environ.get("SEMIFORM_SAT_CMD")
-    if ext:
-        return _solve_external(cnf, assumptions, budget, ext, start)
     s = Solver()
     s.ensure_vars(cnf.num_vars)
     for c in cnf.clauses:
@@ -510,38 +504,6 @@ def solve(cnf: Cnf, assumptions=(), budget: float | None = None,
         model = {v: s.model_value(v) for v in range(1, cnf.num_vars + 1)}
         return SolveOutcome("SAT", model, elapsed)
     return SolveOutcome("UNSAT" if res == "unsat" else "TIMEOUT", None, elapsed)
-
-
-def _solve_external(cnf, assumptions, budget, cmd, start) -> SolveOutcome:
-    """Shell out to a DIMACS solver; SAT models are re-verified locally."""
-    text = export_dimacs(Cnf(cnf.num_vars, cnf.clauses + tuple(
-        (a,) for a in assumptions)))
-    argv = [cmd] if shutil.which(cmd) else cmd.split()
-    try:
-        proc = subprocess.run(argv, input=text, capture_output=True,
-                              text=True, timeout=budget)
-    except subprocess.TimeoutExpired:
-        return SolveOutcome("TIMEOUT", None, time.perf_counter() - start)
-    out = proc.stdout
-    if "UNSAT" in out.upper():
-        return SolveOutcome("UNSAT", None, time.perf_counter() - start)
-    model: dict[int, bool] = {}
-    for tok in out.split():
-        try:
-            lit = int(tok)
-        except ValueError:
-            continue
-        if lit != 0 and abs(lit) <= cnf.num_vars:
-            model[abs(lit)] = lit > 0
-    for v in range(1, cnf.num_vars + 1):
-        model.setdefault(v, False)
-    for c in cnf.clauses:
-        if not any(model[abs(lit)] == (lit > 0) for lit in c):
-            raise SemiformError("external solver returned an invalid model")
-    for a in assumptions:
-        if model[abs(a)] != (a > 0):
-            raise SemiformError("external solver violated an assumption")
-    return SolveOutcome("SAT", model, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

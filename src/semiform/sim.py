@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import BusDecodeError, UnknownRegister
+from .errors import BusDecodeError, SemiformError, UnknownRegister
 from .frontend import EswScript, RegisterMap
 from .netlist import Design, FlatModel
 
@@ -279,12 +279,39 @@ def collect_sim_values(sim: Simulator, registers: list[str]) -> CapturedValues:
 # three-valued property evaluation over a frame of net values
 
 
+def sig_nets(model: FlatModel, e) -> tuple[str, ...]:
+    """Canonical nets of a `("sig", name, index)` expression leaf."""
+    bits = model.signal_bits(e[1])
+    if e[2] is not None:
+        bits = (bits[e[2]],)
+    return tuple(model.resolve(b) for b in bits)
+
+
+def check_prop_nets(model: FlatModel, prop, index) -> None:
+    """Raise SemiformError when `prop` reads a net missing from `index`.
+
+    `index` is keyed by `model.nets`, which leaves out a declared wire
+    that no gate drives or reads.
+    """
+    if prop.kind == "xprop":
+        reg = model.registers.get(prop.register)
+        nets = [model.resolve(b) for b in reg.bits] if reg else []
+    else:
+        nets, todo = [], [prop.expr]
+        while todo:
+            e = todo.pop()
+            if e[0] == "sig":
+                nets.extend(sig_nets(model, e))
+            elif e[0] != "int":
+                todo.extend(e[1:])
+    for net in nets:
+        if net not in index:
+            raise SemiformError(f"property {prop.name} reads net {net}, "
+                                "which nothing drives or reads")
+
+
 def _bits3(model: FlatModel, cm, frame, e):
-    sig, idx = e[1], e[2]
-    bits = model.signal_bits(sig)
-    if idx is not None:
-        bits = (bits[idx],)
-    return [frame[cm.index[model.resolve(b)]] for b in bits]
+    return [frame[cm.index[net]] for net in sig_nets(model, e)]
 
 
 _AND = kernels.AND3
@@ -331,12 +358,13 @@ def eval_expr3(model: FlatModel, frame, expr) -> int:
 
 def violated_at(model: FlatModel, frame, prop, cycle: int) -> bool:
     """A property is violated only when it evaluates to a definite 0."""
+    cm = model.compile()
+    check_prop_nets(model, prop, cm.index)
     if prop.kind == "xprop":
         if cycle < (prop.settle or 0):
             return False
         reg = model.registers.get(prop.register)
         if reg is None:
             return False
-        cm = model.compile()
         return any(frame[cm.index[model.resolve(b)]] == X for b in reg.bits)
     return eval_expr3(model, frame, prop.expr) == 0

@@ -96,6 +96,17 @@ def counter():
     return model, design, lib
 
 
+# `w` is declared but drives and reads nothing, so it is not a model net
+UNUSED_WIRE_TEXT = """\
+.module t
+.input a 1
+.wire w 1
+.reg R 1 init=0
+.dff R a
+.endmodule
+"""
+
+
 FIG_EXAMPLE_TEXT = """\
 .module influence
 .input rst 1

@@ -1,13 +1,17 @@
 """Bounded checking: outcomes, constraints, traces, unknown-value encoding."""
 
+import random
+
 import pytest
 
 from semiform import bmc, errors
 from semiform.frontend import PropertyAst, gen_xprop
 from semiform.sat import import_dimacs, solve
 
-from conftest import (FAIL_TRACES, build_model, hard_block_module, props_for,
-                      record_fails)
+import oracles
+from conftest import (FAIL_TRACES, UNUSED_WIRE_TEXT, build_model,
+                      hard_block_module, props_for, random_dag_module,
+                      random_prop, record_fails)
 
 UNINIT_TEXT = """\
 .module holdx
@@ -228,6 +232,35 @@ def test_free_inputs_may_stay_unknown(mini_parsed):
     assert o.status == "FAIL"
     assert bmc.replay_counterexample(model, props[0], o.trace)
     record_fails(model, props, run)
+
+
+def test_property_on_unused_wire_is_an_error():
+    # a declared wire that drives and reads nothing is not a model net
+    model, design, lib = build_model(UNUSED_WIRE_TEXT)
+    props = props_for("prop p : ~m0.w\n", design, lib)
+    with pytest.raises(errors.SemiformError, match="property p .* m0.w"):
+        bmc.check(model, props, k=2)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_check_matches_explicit_oracle(chunk):
+    # status and FAIL frame against breadth-first three-valued exploration,
+    # uninitialised registers included
+    for seed in range(chunk * 100, (chunk + 1) * 100):
+        rng = random.Random(seed)
+        n_regs = rng.choice((2, 3))
+        model, design, lib = build_model(
+            random_dag_module(rng, n_regs=n_regs, uninit=True))
+        text = "".join(f"prop p{j} : {random_prop(rng, n_regs)}\n"
+                       for j in range(3))
+        props = props_for(text, design, lib)
+        k = rng.randint(1, 4)
+        run = bmc.check(model, props, k=k)
+        for prop in props:
+            frame = oracles.explicit_check(model, prop, k)
+            want = ("PASS", None) if frame is None else ("FAIL", frame)
+            o = run.outcomes[prop.name]
+            assert (o.status, o.frame) == want, (seed, prop.name)
 
 
 def test_fail_traces_registry_replay():

@@ -152,3 +152,19 @@ def test_connection_ranking_gateway(gateway):
 def test_state_bits(counter):
     model, _, _ = counter
     assert model.state_bits == 4
+
+
+def test_cycle_messages_name_their_scope():
+    # one checker serves both levels: a loop inside an IP names the IP, a
+    # loop closed only by connections between instances names no IP
+    with pytest.raises(errors.CombinationalLoop, match="^t: combinational"):
+        parse_netlist(".module t\n.input a 1\n.output o 1\n.wire w 1\n"
+                      ".wire v 1\n.gate AND w a v\n.gate NOT v w\n"
+                      ".gate NOT o w\n.endmodule\n")
+    ip = parse_netlist(".module inv\n.input i 1\n.output o 1\n"
+                       ".gate NOT o i\n.endmodule\n")
+    design = parse_design(".design ring\n.instance inv a\n.instance inv b\n"
+                          ".connect a.o b.i\n.connect b.o a.i\n")
+    with pytest.raises(errors.CombinationalLoop,
+                       match="^combinational cycle through"):
+        elaborate(design, {"inv": ip})

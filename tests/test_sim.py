@@ -11,7 +11,8 @@ from semiform.sim import (ScriptEnded, Simulator, Triggered,
                           set_pois, violated_at)
 
 import oracles
-from conftest import build_model, props_for, random_dag_module
+from conftest import (UNUSED_WIRE_TEXT, build_model, props_for,
+                      random_dag_module)
 
 UNINIT_TEXT = """\
 .module holdx
@@ -255,3 +256,11 @@ def test_simulation_matches_oracle_on_corpus(corpus_library):
     for name, ip in sorted(corpus_library.items()):
         design = parse_design(f".design d\n.instance {name} u0\n")
         _differential_steps(elaborate(design, {name: ip}), rng, cycles=4)
+
+
+def test_property_on_unused_wire_is_an_error():
+    model, design, lib = build_model(UNUSED_WIRE_TEXT)
+    props = props_for("prop p : ~m0.w\n", design, lib)
+    frame = Simulator(model).step({})
+    with pytest.raises(errors.SemiformError, match="property p .* m0.w"):
+        violated_at(model, frame, props[0], 0)
