@@ -8,7 +8,10 @@ a counterexample found here replays exactly in simulation.
 `xprop_encode` builds both rails as one graph over integer ids, held in
 flat `kind/a/b/c` lists: the value rails of the model's nets first, in
 `model.nets` order, then the known rails and the helper gates that
-compute them.  A NOT gate's output shares its input's known rail.
+compute them.  A NOT gate's output shares its input's known rail.  A
+net a stopat cuts is a free (value, known) pair whose driver is ignored,
+as is a net blackboxing frees; a cut NOT output gets a known rail of its
+own, so freeing it leaves its input's rail alone.
 
 Encoding is lazy: a node/frame pair is translated to CNF only when some
 property cone reaches it, and constants are folded during translation.
@@ -20,6 +23,16 @@ constrain-and-reprove iterations cheap.
 
 Frames are solved one at a time on a single incremental solver, so a
 failing property always reports its earliest reachable frame.
+
+A property stops at its cone's sequential depth `d`: the most DFF edges
+on any path from the rails it reads to a leaf (an input, a cut or free
+pair, or a constant) of this check's graph, with stopats and assumes
+written in.  When no DFF closes a loop in the cone, a frame `f >= d`
+reads no flop's initial value, and inputs and pairs take fresh variables
+every frame, so frame `f + 1` is a renamed copy of frame `f`.  Frames
+`max(first, d)` and beyond thus hold or fail together, and proving the
+first of them proves the bound (Biere et al., "Symbolic Model Checking
+without BDDs", TACAS 1999).
 """
 
 from __future__ import annotations
@@ -105,11 +118,12 @@ class DualModel:
     free_pairs: tuple[int, ...]  # value-rail ids whose pair is unconstrained
 
 
-def xprop_encode(model: FlatModel) -> DualModel:
+def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
     """Attach a known rail to every net of the flat model.
 
     Ids `0..len(model.nets)-1` are the value rails in `model.nets` order;
-    the known rails and the helper nodes that compute them follow.
+    the known rails and the helper nodes that compute them follow.  Nets
+    in `cut` become free pairs and their drivers are left out.
     """
     nets = model.nets
     index = {net: i for i, net in enumerate(nets)}
@@ -126,24 +140,27 @@ def xprop_encode(model: FlatModel) -> DualModel:
     def gate(i: int, k: int, x: int, y: int = 0, z: int = 0):
         kind[i], a[i], b[i], c[i] = k, x, y, z
 
-    # a NOT gate shares its input's known rail, transitively; every other
-    # rail starts out known (undriven nets are driven by the environment)
-    alias = {index[nd.output]: index[nd.inputs[0]]
-             for nd in model.nodes if nd.kind == "NOT"}
+    # a NOT output shares its input's known rail, transitively, unless it
+    # is cut; every other rail starts out known (undriven nets are driven
+    # by the environment)
+    alias = {index[nd.output]: index[nd.inputs[0]] for nd in model.nodes
+             if nd.kind == "NOT" and nd.output not in cut}
     known = [0 if i in alias else node(ONE) for i in range(n)]
     for i in alias:
         root = i
         while root in alias:
             root = alias[root]
         known[i] = known[root]
-    # undriven nets freed by blackboxing may stay unknown
+    # cut nets, and undriven nets freed by blackboxing, may stay unknown
     driven = {nd.output for nd in model.nodes}
-    free_pairs = tuple(i for i, net in enumerate(nets)
-                       if net in model.free_inputs and net not in driven)
+    free_pairs = tuple(i for i, net in enumerate(nets) if net in cut or
+                       (net in model.free_inputs and net not in driven))
     for v in free_pairs:
         kind[v] = kind[known[v]] = PAIR
 
     for nd in model.nodes:
+        if nd.output in cut:
+            continue
         o = index[nd.output]
         ko = known[o]
         ins = [index[x] for x in nd.inputs]
@@ -192,6 +209,10 @@ class _EncodeTimeout(Exception):
     pass
 
 
+_ARITY = (2, 2, 2, 1, 3, 1, 0, 0, 0, 0)  # inputs of each node kind
+_UNSEEN, _OPEN = -1, -2  # depth memo entries of nodes not yet done
+
+
 class Unroller:
     """Translates (node id, frame) pairs to solver literals on demand.
 
@@ -200,15 +221,15 @@ class Unroller:
     node `id` at frame `f`, 0 while untranslated, where `n` is the number
     of dual-rail nodes; it grows by one frame of n slots as deeper frames
     are asked for.  `kind` is the model's kind list with this check's
-    constraints written in: a cut net and its known rail become a PAIR,
-    an assumed bit a constant with a ONE known rail.  `partner` maps the
-    known rail of each pair to its value rail.
+    assumes written in: an assumed bit becomes a constant with a ONE
+    known rail.  `partner` maps the known rail of each pair to its value
+    rail.
     """
 
     TRUE = 1
     FALSE = -1
 
-    def __init__(self, dual: DualModel, stopats=(), assumes=(),
+    def __init__(self, dual: DualModel, assumes=(),
                  track_problem: bool = False):
         self.dual = dual
         self.n = len(dual.kind)
@@ -221,17 +242,9 @@ class Unroller:
         self.deadline: float | None = None
         self._ops = 0
 
-        base, index, known = dual.base, dual.index, dual.known
+        base, known = dual.base, dual.known
         kind = self.kind = dual.kind.copy()
         self.partner = {known[v]: v for v in dual.free_pairs}
-        self.cut_nets: set[str] = set()
-        for st in stopats:
-            for bit in self._reg_or_signal_bits(st.signal):
-                v = index[bit]
-                self.cut_nets.add(bit)
-                kind[v] = kind[known[v]] = PAIR
-                self.partner[known[v]] = v
-        self.assumed_nets: set[str] = set()
         for asm in assumes:
             reg = base.registers.get(asm.register)
             if reg is None:
@@ -240,17 +253,10 @@ class Unroller:
                 raise SemiformError(
                     f"assume value {asm.value:#x} overflows {asm.register}")
             for i, bit in enumerate(reg.bits):
-                net = base.resolve(bit)
-                v = index[net]
-                self.assumed_nets.add(net)
+                v = dual.index[base.resolve(bit)]  # cut, so checked already
                 kind[v] = ONE if (asm.value >> i) & 1 else ZERO
                 kind[known[v]] = ONE
-
-    def _reg_or_signal_bits(self, name: str) -> tuple[str, ...]:
-        base = self.dual.base
-        reg = base.registers.get(name)
-        bits = reg.bits if reg is not None else base.signal_bits(name)
-        return tuple(base.resolve(b) for b in bits)
+        self._depth: list[int | None] = [_UNSEEN] * self.n
 
     # -- clause emission -----------------------------------------------------
 
@@ -447,6 +453,48 @@ class Unroller:
             return 0, 0
         return self.memo[base + i], self.memo[base + self.dual.known[i]]
 
+    # -- sequential depth ---------------------------------------------------
+
+    def depth(self, nets) -> int | None:
+        """Most DFF edges on any path from the nets' rails to a leaf.
+
+        Leaves are the INPUT, PAIR, ONE and ZERO nodes of this check's
+        `kind`, so cut, pinned and blackboxed nets end paths.  None when a
+        DFF closes a loop in the cone.  The memo lives as long as the
+        Unroller, so the properties of one check share it.
+        """
+        d, kind = self._depth, self.kind
+        abc = self.dual.a, self.dual.b, self.dual.c
+        worst = 0
+        for net in nets:
+            i = self.dual.index[net]
+            for root in (i, self.dual.known[i]):
+                stack = [root]
+                while stack:
+                    i = stack[-1]
+                    ins = [x[i] for x in abc[:_ARITY[kind[i]]]]
+                    if d[i] == _UNSEEN:
+                        d[i] = _OPEN  # until its inputs are done
+                        got = [d[j] for j in ins]
+                        if None in got or _OPEN in got:
+                            # an input loops, or is open and so on the
+                            # path here (a DFF reading its own Q is open
+                            # already): every open node reaches a loop
+                            for j in stack:
+                                if d[j] == _OPEN:
+                                    d[j] = None
+                            return None
+                        stack.extend(j for j in ins if d[j] == _UNSEEN)
+                    else:
+                        if d[i] == _OPEN:
+                            d[i] = max((d[j] for j in ins), default=0) + \
+                                (kind[i] == DFF)
+                        stack.pop()
+                if d[root] is None:  # found by an earlier call
+                    return None
+                worst = max(worst, d[root])
+        return worst
+
 
 # ---------------------------------------------------------------------------
 # property translation
@@ -575,19 +623,26 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     The budget is split evenly over the unresolved properties and
     redistributed in rounds, so one stubborn property cannot starve the
     rest.  Each property is solved frame by frame on one incremental
-    solver; a FAIL therefore carries its earliest reachable frame.
+    solver; a FAIL therefore carries its earliest reachable frame.  A
+    property whose cone has no loop through a flop is solved only up to
+    `min(k, max(first frame, cone depth))` (see `Unroller.depth`); when
+    those frames hold it passes with bound `k`, since every later frame
+    is a renamed copy of the last one solved.
     """
     start = time.perf_counter()
     stopats = tuple(c for c in constraints if isinstance(c, Stopat))
     assumes = tuple(c for c in constraints if isinstance(c, Assume))
     boxes = tuple(c for c in constraints if isinstance(c, Blackbox))
-    cut = {s.signal for s in stopats}
-    for a in assumes:
-        if a.register not in cut:
-            raise MissingStopat(f"assume on {a.register} without a stopat")
-
     for bx in boxes:
         model = blackbox(model, bx.instance)
+    cut = {}  # net -> the stopat that cuts it
+    for st in stopats:
+        reg = model.registers.get(st.signal)
+        for bit in reg.bits if reg else model.signal_bits(st.signal):
+            cut[model.resolve(bit)] = st.signal
+    for a in assumes:
+        if a.register not in cut.values():
+            raise MissingStopat(f"assume on {a.register} without a stopat")
 
     run = BmcRun(k=k)
     pending: list[PropertyAst] = []
@@ -604,13 +659,19 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         else:
             pending.append(prop)
 
-    dual = xprop_encode(model)
-    for prop in pending:
-        simlib.check_prop_nets(model, prop, dual.index)
-    enc = Unroller(dual, stopats, assumes, track_problem=dump_cnf is not None)
+    dual = xprop_encode(model, cut)
+    for net, signal in cut.items():
+        if net not in dual.index:
+            raise SemiformError(f"stopat {signal} names net {net}, which "
+                                "nothing drives or reads")
+    enc = Unroller(dual, assumes, track_problem=dump_cnf is not None)
     total_deadline = None if budget is None else start + budget
     next_frame = {p.name: (p.settle if p.kind == "xprop" else 0)
                   for p in pending}
+    last = {}
+    for p in pending:
+        d = enc.depth(simlib.check_prop_nets(model, p, dual.index))
+        last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))
     spent: dict[str, float] = {p.name: 0.0 for p in pending}
 
     while pending:
@@ -630,8 +691,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
             t0 = time.perf_counter()
             deadline = None if share is None else \
                 min(t0 + share, total_deadline)
-            out = _attempt(enc, model, prop, k, next_frame, deadline,
-                           dump_cnf)
+            out = _attempt(enc, model, prop, k, last[prop.name], next_frame,
+                           deadline, dump_cnf)
             spent[prop.name] += time.perf_counter() - t0
             if out is None:
                 still.append(prop)
@@ -652,12 +713,16 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
 
 
 def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
-             next_frame: dict[str, int], deadline: float | None,
+             last: int, next_frame: dict[str, int], deadline: float | None,
              dump_cnf: str | None) -> PropertyOutcome | None:
-    """Run one budget slice; None means still unresolved."""
+    """Run one budget slice; None means still unresolved.
+
+    Frames up to `last` are solved; once they all hold, so does every
+    frame up to `k`.
+    """
     enc.deadline = deadline
     try:
-        while next_frame[prop.name] <= k:
+        while next_frame[prop.name] <= last:
             f = next_frame[prop.name]
             if deadline is not None and time.perf_counter() > deadline:
                 return None
@@ -699,8 +764,8 @@ def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
 
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,
                    frame: int) -> CexTrace:
-    nets = sorted(set(model.inputs) | enc.cut_nets | enc.assumed_nets
-                  | set(model.free_inputs))
+    nets = sorted(set(model.inputs) | set(model.free_inputs)
+                  | {model.nets[v] for v in enc.dual.free_pairs})
     rows = []
     mv = enc.solver.model_value
     for t in range(frame + 1):

@@ -66,25 +66,16 @@ class ExhaustedRegisters(SemiformError):
     """A combined register set was requested beyond the ranked list."""
 
 
-class Warning_:
-    """A non-fatal condition reported alongside results."""
+class BusDecodeError:
+    """A software access hit an address no decoder range claims.
 
-    kind = "warning"
+    Not raised: the simulator reports it alongside its results.
+    """
+
+    kind = "bus-decode"
 
     def __init__(self, message: str):
         self.message = message
 
     def __repr__(self):
         return f"<{self.kind}: {self.message}>"
-
-
-class BusDecodeError(Warning_):
-    """A software access hit an address no decoder range claims."""
-
-    kind = "bus-decode"
-
-
-class DanglingAddress(Warning_):
-    """A script address that maps to no known register."""
-
-    kind = "dangling-address"

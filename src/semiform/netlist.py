@@ -50,13 +50,6 @@ class RegisterDecl:
     width: int
     bits: tuple[str, ...]
     init: int | None  # None means unknown at power-up
-    software_visible: bool = False
-    instance: str = ""
-
-    def init_bit(self, i: int) -> int | None:
-        if self.init is None:
-            return None
-        return (self.init >> i) & 1
 
 
 @dataclass(frozen=True)
@@ -231,13 +224,7 @@ class FlatRegister:
     width: int
     bits: tuple[str, ...]  # canonical net names
     init: int | None
-    software_visible: bool
     instance: str
-
-    def init_bit(self, i: int) -> int | None:
-        if self.init is None:
-            return None
-        return (self.init >> i) & 1
 
 
 @dataclass
@@ -481,7 +468,6 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
     node_instance: list[str] = []
     registers: dict[str, FlatRegister] = {}
     signals: dict[str, tuple[str, ...]] = {}
-    sw_map = set(design.bus.regmap.values())
 
     for inst, mod in insts:
         ip = library[mod]
@@ -511,7 +497,6 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
                 name=fname, width=r.width,
                 bits=tuple(cn(f"{inst}.{b}") for b in r.bits),
                 init=r.init,
-                software_visible=fname in sw_map,
                 instance=inst)
 
     aliases = {k: v for k, v in canon.items() if k != v}
@@ -645,7 +630,6 @@ class FanoutCone:
     register: str
     elements: tuple[int, ...]  # node indices in model.nodes
     paths: int
-    edges: tuple[tuple[int, int], ...] = ()
 
     @property
     def element_count(self) -> int:
@@ -675,7 +659,6 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
     seen_nodes: set[int] = set()
     seen_nets: set[str] = set()
     frontier = list(reg.bits)
-    edges: list[tuple[int, int]] = []
     while frontier:
         net = frontier.pop()
         if net in seen_nets:
@@ -686,13 +669,6 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
                 continue
             seen_nodes.add(ci)
             frontier.append(model.nodes[ci].output)
-    for i in sorted(seen_nodes):
-        node = model.nodes[i]
-        if node.kind == "DFF":
-            continue
-        for ci in cons.get(node.output, ()):
-            if ci in seen_nodes:
-                edges.append((i, ci))
 
     # path count: combinational DP, per connection edge
     bit_owner: dict[str, str] = {}
@@ -724,4 +700,4 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
     # DFF nodes reached across boundaries do not restart path counting.
     total_paths = sum(paths_from(b) for b in reg.bits)
     return FanoutCone(register=register, elements=tuple(sorted(seen_nodes)),
-                      paths=total_paths, edges=tuple(edges))
+                      paths=total_paths)

@@ -287,8 +287,8 @@ def sig_nets(model: FlatModel, e) -> tuple[str, ...]:
     return tuple(model.resolve(b) for b in bits)
 
 
-def check_prop_nets(model: FlatModel, prop, index) -> None:
-    """Raise SemiformError when `prop` reads a net missing from `index`.
+def check_prop_nets(model: FlatModel, prop, index) -> list[str]:
+    """The nets `prop` reads; SemiformError when one is missing from `index`.
 
     `index` is keyed by `model.nets`, which leaves out a declared wire
     that no gate drives or reads.
@@ -308,6 +308,7 @@ def check_prop_nets(model: FlatModel, prop, index) -> None:
         if net not in index:
             raise SemiformError(f"property {prop.name} reads net {net}, "
                                 "which nothing drives or reads")
+    return nets
 
 
 def _bits3(model: FlatModel, cm, frame, e):

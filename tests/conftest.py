@@ -208,6 +208,20 @@ def random_regular_edges(v: int, rng: random.Random):
             return sorted(edges)
 
 
+def _random_gates(rng: random.Random, lines: list[str], nets: list[str],
+                  numbers) -> None:
+    """Append a random 1-bit gate `n<g>` over `nets` for each g in `numbers`;
+    each new net joins `nets`."""
+    for g in numbers:
+        kind = rng.choice(("AND", "OR", "XOR", "NOT", "MUX"))
+        n_in = {"NOT": 1, "MUX": 3}.get(kind, 2)
+        ins = [rng.choice(nets) for _ in range(n_in)]
+        out = f"n{g}"
+        lines.append(f".wire {out} 1")
+        lines.append(f".gate {kind} {out} " + " ".join(ins))
+        nets.append(out)
+
+
 def random_dag_module(rng: random.Random, n_regs=2, n_inputs=2, n_gates=20,
                       n_outputs=2, uninit=False) -> str:
     """Random combinational DAG over a few 1-bit registers and inputs."""
@@ -224,15 +238,7 @@ def random_dag_module(rng: random.Random, n_regs=2, n_inputs=2, n_gates=20,
         nets.append(f"R{r}")
     for j in range(n_outputs):
         lines.append(f".output o{j} 1")
-    kinds = ["AND", "OR", "XOR", "NOT", "MUX"]
-    for g in range(n_gates):
-        kind = rng.choice(kinds)
-        n_in = {"NOT": 1, "MUX": 3}.get(kind, 2)
-        ins = [rng.choice(nets) for _ in range(n_in)]
-        out = f"n{g}"
-        lines.append(f".wire {out} 1")
-        lines.append(f".gate {kind} {out} " + " ".join(ins))
-        nets.append(out)
+    _random_gates(rng, lines, nets, range(n_gates))
     # outputs tap late nets; next-state functions tap anywhere
     for j in range(n_outputs):
         src = rng.choice(nets[-max(4, n_gates // 2):])
@@ -241,6 +247,36 @@ def random_dag_module(rng: random.Random, n_regs=2, n_inputs=2, n_gates=20,
         lines.append(f".wire d{r} 1")
         lines.append(f".gate NOT d{r} {rng.choice(nets)}")
         lines.append(f".dff R{r} d{r}")
+    lines.append(".endmodule")
+    return "\n".join(lines) + "\n"
+
+
+def pipeline_module(rng: random.Random, n_regs=3, n_inputs=2,
+                    stage_gates=4) -> str:
+    """Random feed-forward pipeline of 1-bit registers, some uninitialised.
+
+    Register r's next state is a random gate DAG over the inputs and the
+    registers below r, or one of those registers, so the cone of R<r> is
+    at most r + 1 flops deep.  About one register in eight has no `.dff`
+    and holds its value: the only loops are these flops reading themselves.
+    """
+    lines = [".module pipe", ".input rst 1"]
+    nets = []
+    for i in range(n_inputs):
+        lines.append(f".input in{i} 1")
+        nets.append(f"in{i}")
+    for r in range(n_regs):
+        init = "" if rng.random() < 0.3 else f" init={rng.randrange(2)}"
+        lines.append(f".reg R{r} 1{init}")
+    for r in range(n_regs):
+        _random_gates(rng, lines, nets,
+                      range(r * stage_gates, (r + 1) * stage_gates))
+        d = rng.choice(nets[-stage_gates:])
+        if r and rng.random() < 0.3:
+            d = f"R{rng.randrange(r)}"  # a plain shift
+        if rng.random() >= 0.125:
+            lines.append(f".dff R{r} {d}")
+        nets.append(f"R{r}")
     lines.append(".endmodule")
     return "\n".join(lines) + "\n"
 

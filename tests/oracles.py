@@ -107,8 +107,9 @@ def eval_nets3(model, state: dict[str, int], inputs: dict[str, int]):
     """Settle all nets of a FlatModel in three-valued logic.
 
     `state` maps each DFF output net to its current value; `inputs` maps
-    driverless nets to driven values (missing entries read X).  Returns a
-    dict net -> 0/1/X covering every net.
+    nets to forced values that override their drivers (driverless nets
+    missing from it read X).  Returns a dict net -> 0/1/X covering every
+    net.
     """
     memo: dict[str, int] = {}
 
@@ -117,8 +118,10 @@ def eval_nets3(model, state: dict[str, int], inputs: dict[str, int]):
         if got is not None:
             return got
         node = model.driver_of(net)
-        if node is None:
-            r = inputs.get(net, X)
+        if net in inputs:
+            r = inputs[net]
+        elif node is None:
+            r = X
         elif node.kind == "CONST":
             r = node.value
         elif node.kind == "DFF":
@@ -193,15 +196,21 @@ def eval_prop3(model, netval: dict[str, int], expr) -> int:
     return ev(expr)
 
 
-def explicit_check(model, prop, bound: int):
+def explicit_check(model, prop, bound: int, cut=(), pinned=None):
     """Earliest frame with a definite property violation, or None.
 
     Breadth-first exploration of three-valued register states.  Primary
     inputs branch over {0, 1} each cycle (the environment drives them to
-    known values); uninitialized registers start at X.
+    known values); uninitialized registers start at X.  Nets in `cut`
+    ignore their drivers and branch over {0, 1, X} each cycle; nets in
+    `pinned` (net -> 0/1) ignore their drivers and read that constant.
     """
+    pinned = pinned or {}
     dffs = [n for n in model.nodes if n.kind == "DFF"]
-    input_nets = list(model.inputs)
+    cut = sorted(set(cut) - set(pinned))
+    free = [n for n in model.inputs if n not in cut and n not in pinned]
+    choices = [(0, 1)] * len(free) + [(0, 1, X)] * len(cut)
+    free += cut
     init = tuple(X if n.init is None else n.init for n in dffs)
 
     trans: dict[tuple, tuple[bool, tuple]] = {}
@@ -209,12 +218,14 @@ def explicit_check(model, prop, bound: int):
     for frame in range(bound + 1):
         nxt = set()
         for st in frontier:
-            for iv in product((0, 1), repeat=len(input_nets)):
+            for iv in product(*choices):
                 key = (st, iv)
                 got = trans.get(key)
                 if got is None:
                     state = {n.output: s for n, s in zip(dffs, st)}
-                    netval = eval_nets3(model, state, dict(zip(input_nets, iv)))
+                    drive = dict(zip(free, iv))
+                    drive.update(pinned)
+                    netval = eval_nets3(model, state, drive)
                     viol = eval_prop3(model, netval, prop.expr) == 0
                     nstate = tuple(netval[n.inputs[0]] for n in dffs)
                     got = (viol, nstate)

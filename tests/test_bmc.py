@@ -10,8 +10,8 @@ from semiform.sat import import_dimacs, solve
 
 import oracles
 from conftest import (FAIL_TRACES, UNUSED_WIRE_TEXT, build_model,
-                      hard_block_module, props_for, random_dag_module,
-                      random_prop, record_fails)
+                      hard_block_module, pipeline_module, props_for,
+                      random_dag_module, random_prop, record_fails)
 
 UNINIT_TEXT = """\
 .module holdx
@@ -21,6 +21,45 @@ UNINIT_TEXT = """\
 .reg R 1
 .dff R d
 .gate NOT q R
+.endmodule
+"""
+
+# R starts unknown and `w = ~R` is the net a stopat cuts
+CUT_NOT_TEXT = """\
+.module cutnot
+.input rst 1
+.input a 1
+.reg R 1
+.dff R a
+.wire w 1
+.gate NOT w R
+.wire g 1
+.gate AND g w a
+.endmodule
+"""
+
+# a three-flop shift register: R2 shows in0 three cycles late
+SHIFT3_TEXT = """\
+.module shift3
+.input rst 1
+.input in0 1
+.reg R0 1 init=0
+.reg R1 1 init=0
+.reg R2 1 init=0
+.dff R0 in0
+.dff R1 R0
+.dff R2 R1
+.endmodule
+"""
+
+# H has no `.dff`, so it holds its init=1 by reading its own Q; S shows
+# it one cycle late
+HOLD_TEXT = """\
+.module hold
+.input rst 1
+.reg H 1 init=1
+.reg S 1 init=0
+.dff S H
 .endmodule
 """
 
@@ -261,6 +300,112 @@ def test_check_matches_explicit_oracle(chunk):
             want = ("PASS", None) if frame is None else ("FAIL", frame)
             o = run.outcomes[prop.name]
             assert (o.status, o.frame) == want, (seed, prop.name)
+
+
+def test_stopat_on_not_output_frees_only_that_net():
+    # cutting w = ~R must leave R's own known rail alone (p: R is unknown
+    # at frame 0) and reach w's readers (q: g = w & a is 1 at frame 0)
+    model, design, lib = build_model(CUT_NOT_TEXT)
+    props = props_for("prop p : m0.R\nprop q : ~m0.g\n", design, lib)
+    run = bmc.check(model, props, constraints=bmc.create_stopats(["m0.w"]),
+                    k=3)
+    for prop, frame in zip(props, (1, 0)):
+        assert oracles.explicit_check(model, prop, 3, cut=["m0.w"]) == frame
+        o = run.outcomes[prop.name]
+        assert (o.status, o.frame) == ("FAIL", frame), prop.name
+        assert bmc.replay_counterexample(model, prop, o.trace)
+    record_fails(model, props, run)
+
+
+def test_stopat_on_unused_wire_is_an_error():
+    model, design, lib = build_model(UNUSED_WIRE_TEXT)
+    props = props_for("prop p : ~m0.R\n", design, lib)
+    with pytest.raises(errors.SemiformError, match="stopat m0.w .* m0.w"):
+        bmc.check(model, props, constraints=bmc.create_stopats(["m0.w"]),
+                  k=2)
+
+
+def _forced_nets(model, signals):
+    return [model.resolve(model.signal_bits(s)[0]) for s in signals]
+
+
+def _match_oracle(seed, model, props, k, constraints=(), cut=(), pinned=None):
+    run = bmc.check(model, props, constraints=constraints, k=k)
+    for prop in props:
+        frame = oracles.explicit_check(model, prop, k, cut, pinned)
+        want = ("PASS", k, None) if frame is None else ("FAIL", None, frame)
+        o = run.outcomes[prop.name]
+        assert (o.status, o.bound, o.frame) == want, (seed, prop.name)
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_constrained_check_matches_explicit_oracle(chunk):
+    # stopats on registers and wires, NOT outputs among them, and assumes
+    # on some cut registers, against the oracle's forced nets
+    for seed in range(chunk * 40, (chunk + 1) * 40):
+        rng = random.Random(seed)
+        n_regs = rng.choice((2, 3))
+        model, design, lib = build_model(
+            random_dag_module(rng, n_regs=n_regs, uninit=True))
+        text = "".join(f"prop p{j} : {random_prop(rng, n_regs)}\n"
+                       for j in range(3))
+        props = props_for(text, design, lib)
+        names = [f"m0.R{r}" for r in range(n_regs)] + \
+            [f"m0.n{g}" for g in range(20)]
+        cuts = rng.sample(names, rng.randint(1, 2))
+        pins = {c: rng.randrange(2) for c in cuts
+                if ".R" in c and rng.random() < 0.5}
+        cons = bmc.create_stopats(cuts)
+        cons += bmc.create_assumes(pins, cons)
+        pinned = dict(zip(_forced_nets(model, pins), pins.values()))
+        _match_oracle(seed, model, props, rng.randint(1, 4), cons,
+                      _forced_nets(model, cuts), pinned)
+
+
+def test_feed_forward_pipelines_match_explicit_oracle():
+    # bounds above the cone depth, so the cutoff decides every PASS whose
+    # cone has no hold register
+    for seed in range(150):
+        rng = random.Random(seed)
+        model, design, lib = build_model(pipeline_module(rng))
+        text = "".join(f"prop p{j} : {random_prop(rng, 3)}\n"
+                       for j in range(3))
+        props = props_for(text, design, lib)
+        _match_oracle(seed, model, props, rng.randint(4, 6))
+
+
+def test_fail_at_the_cone_depth_is_found():
+    # R2's cone is three flops deep and R2 first shows in0 at frame 3
+    model, design, lib = build_model(SHIFT3_TEXT)
+    props = props_for("prop p : ~m0.R2\n", design, lib)
+    run = bmc.check(model, props, k=8)
+    o = run.outcomes["p"]
+    assert (o.status, o.frame) == ("FAIL", 3)
+    assert oracles.explicit_check(model, props[0], 8) == 3
+    record_fails(model, props, run)
+
+
+def test_hold_register_closes_a_loop():
+    # a register without `.dff` is a DFF reading itself: a loop, not a leaf
+    model, design, lib = build_model(HOLD_TEXT)
+    props = props_for("prop p : ~m0.S\n", design, lib)
+    run = bmc.check(model, props, k=4)
+    o = run.outcomes["p"]
+    assert (o.status, o.frame) == ("FAIL", 1)
+    assert oracles.explicit_check(model, props[0], 4) == 1
+    record_fails(model, props, run)
+
+
+def test_combinational_cone_is_solved_at_frame_zero_only():
+    # every later frame is a renamed copy of frame 0: a deeper bound adds
+    # no variable, clause or conflict
+    model, design, lib = build_model(hard_block_module(8, 3, gated=False))
+    props = props_for("prop quiet : ~(m0.bad)\n", design, lib)
+    runs = [bmc.check(model, props, k=k) for k in (1, 6)]
+    assert [r.outcomes["quiet"].bound for r in runs] == [1, 6]
+    assert all(r.outcomes["quiet"].status == "PASS" for r in runs)
+    assert [(r.n_vars, r.n_clauses, r.n_conflicts) for r in runs] == \
+        [(runs[0].n_vars, runs[0].n_clauses, runs[0].n_conflicts)] * 2
 
 
 def test_fail_traces_registry_replay():

@@ -117,6 +117,18 @@ def test_bmc_stopat_assume_and_trace(tmp_path, capsys):
     assert (tmp_path / "cex.p.trace").exists()
 
 
+def test_bmc_stopat_on_unused_wire_exits_3(tmp_path, capsys):
+    from conftest import UNUSED_WIRE_TEXT
+    ip = tmp_path / "t.net"
+    ip.write_text(UNUSED_WIRE_TEXT)
+    props = tmp_path / "p.prop"
+    props.write_text("prop p : ~t0.R\n")
+    code = main(["bmc", "--ip", str(ip), "--props", str(props),
+                 "--stopat", "t0.w"])
+    assert code == 3
+    assert "stopat t0.w names net t0.w" in capsys.readouterr().err
+
+
 def test_bmc_xprop_generation(tmp_path, capsys):
     ip = tmp_path / "c.net"
     from conftest import COUNTER_TEXT
