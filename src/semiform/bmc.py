@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import MissingStopat, SemiformError
-from .frontend import PropertyAst
+from .frontend import PropertyAst, serialize_props
 from .netlist import FlatModel, blackbox
 from .sat import Cnf, Solver, export_dimacs
 from . import sim as simlib
@@ -495,6 +495,40 @@ class Unroller:
                 worst = max(worst, d[root])
         return worst
 
+    def shape(self, nets) -> tuple[tuple, tuple]:
+        """Canonical form of the cones of the net lists in `nets`.
+
+        Nodes are numbered as the walk first meets them, the nets' value
+        and known rails first, and recorded as (kind in `kind`, inputs'
+        numbers, DFF init).  Returns the rails' numbers per list and the
+        records; equal forms translate to the same clauses up to names.
+        """
+        index, known, partner = self.dual.index, self.dual.known, self.partner
+        abc = self.dual.a, self.dual.b, self.dual.c
+        num: dict[int, int] = {}
+        order: list[int] = []
+
+        def see(i: int) -> int:
+            if i not in num:
+                num[i] = len(order)
+                order.append(i)
+            return num[i]
+
+        roots = tuple(tuple(see(r) for n in ns
+                            for r in (index[n], known[index[n]]))
+                      for ns in nets)
+        cone = []
+        for i in order:  # grows as the walk meets new nodes
+            k = self.kind[i]
+            if k == PAIR:  # reads its other rail; init 1 on the known side
+                side = int(i in partner)
+                ins, init = (partner[i] if side else known[i],), side
+            else:
+                ins = [x[i] for x in abc[:_ARITY[k]]]
+                init = abc[1][i] if k == DFF else 0
+            cone.append((k, tuple(see(j) for j in ins), init))
+        return roots, tuple(cone)
+
 
 # ---------------------------------------------------------------------------
 # property translation
@@ -617,7 +651,8 @@ class BmcRun:
 
 
 def check(model: FlatModel, props, constraints=(), k: int = 20,
-          budget: float | None = None, dump_cnf: str | None = None) -> BmcRun:
+          budget: float | None = None, dump_cnf: str | None = None,
+          reuse: dict | None = None) -> BmcRun:
     """Bounded check of `props` on `model` under `constraints`.
 
     The budget is split evenly over the unresolved properties and
@@ -628,7 +663,16 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     `min(k, max(first frame, cone depth))` (see `Unroller.depth`); when
     those frames hold it passes with bound `k`, since every later frame
     is a renamed copy of the last one solved.
+
+    With `reuse`, a run where a property ran out of budget is stored,
+    keyed by `k`, the budget, the property lines, the names blackboxing
+    made vacuous and `Unroller.shape` of the rails the others read.  A
+    check with a stored key returns that run and charges what it did.
+    Under a seconds budget that stands in for a rerun of the same
+    clauses at the same budget; under a work limit it would be exact.
     """
+    if k < 0 or (budget is not None and budget < 0):
+        raise ValueError(f"bound and budget must be >= 0, got {k}, {budget}")
     start = time.perf_counter()
     stopats = tuple(c for c in constraints if isinstance(c, Stopat))
     assumes = tuple(c for c in constraints if isinstance(c, Assume))
@@ -646,7 +690,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
 
     run = BmcRun(k=k)
     pending: list[PropertyAst] = []
-    for prop in sorted(props, key=lambda p: p.name):
+    props = sorted(props, key=lambda p: p.name)
+    for prop in props:
         dead = sorted(prop.scope & model.blackboxed) + \
             sorted(i for i in prop.scope if i not in model.instances)
         if dead:
@@ -665,12 +710,22 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
     enc = Unroller(dual, assumes, track_problem=dump_cnf is not None)
+    nets = {p.name: simlib.check_prop_nets(model, p, dual.index)
+            for p in pending}
+    key = None
+    if reuse is not None:
+        key = (k, repr(budget), serialize_props(props),
+               tuple(n for n, o in sorted(run.outcomes.items())
+                     if o.status == "VACUOUS"),
+               *enc.shape([nets[p.name] for p in pending]))
+        if key in reuse:
+            return reuse[key]
     total_deadline = None if budget is None else start + budget
     next_frame = {p.name: (p.settle if p.kind == "xprop" else 0)
                   for p in pending}
     last = {}
     for p in pending:
-        d = enc.depth(simlib.check_prop_nets(model, p, dual.index))
+        d = enc.depth(nets[p.name])
         last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))
     spent: dict[str, float] = {p.name: 0.0 for p in pending}
 
@@ -709,6 +764,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     run.n_vars = enc.solver.num_vars
     run.n_clauses = enc.n_clauses
     run.n_conflicts = enc.solver.n_conflicts
+    if key and any(o.reason == "timeout" for o in run.outcomes.values()):
+        reuse[key] = run  # a PASS or FAIL ends its loop anyway
     return run
 
 

@@ -74,9 +74,7 @@ def _flow_config(args, phases=None) -> flow.FlowConfig:
         subsystem_time_limit=args.sub_limit,
         blackbox_failing_ips=args.blackbox_failing,
         bound=args.bound,
-        seed=args.seed,
         phases=tuple(phases) if phases else (1, 2, 3, 4, 5),
-        jobs=args.jobs,
         dump_cnf=args.dump_cnf,
         dump_trace=args.dump_trace,
     )
@@ -93,8 +91,6 @@ def _add_flow_args(p: argparse.ArgumentParser):
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--blackbox-failing", default=True,
                    action=argparse.BooleanOptionalAction)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--dump-cnf")

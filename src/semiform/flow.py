@@ -14,7 +14,13 @@ exhausted.
 
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges
-zero) so identical runs serialize identically.
+zero) so identical runs serialize identically.  Checks that ran out of
+budget are kept (`bmc.check`'s `reuse`), keyed by bound, budget,
+property lines, vacuous properties and the canonical form of the cones
+with constraints written in.  A later check with that key, as after a
+pin outside every cone, is not solved again and charges what the first
+one charged.  Under seconds budgets this stands in for a rerun of the
+same clauses at the same budget; under work limits it would be exact.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from dataclasses import dataclass, field
 from . import bmc, sim, sra
 from .errors import ExhaustedRegisters, SemiformError
 from .frontend import divide_props
-from .netlist import (Design, FlatModel, IpNetlist, connection_scores,
-                      elaborate, list_unique_ips, rank_ips_by_connection)
+from .netlist import (Design, FlatModel, IpNetlist, elaborate,
+                      list_unique_ips, rank_ips_by_connection)
 
 RESULT_FINISHED = "Finished"
 RESULT_TIMEOUT = "Timeout"
@@ -48,9 +54,7 @@ class FlowConfig:
     bound: int = 20
     w_paths: int = 100
     w_elements: int = 1
-    seed: int = 0
     phases: tuple[int, ...] = (1, 2, 3, 4, 5)
-    jobs: int = 1
     dump_cnf: str | None = None
     dump_trace: str | None = None
 
@@ -59,8 +63,6 @@ class FlowConfig:
             raise ValueError("time limits must be positive")
         if self.bound < 0:
             raise ValueError("bound must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         bad = set(self.phases) - {1, 2, 3, 4, 5}
         if bad:
             raise ValueError(f"unknown phases {sorted(bad)}")
@@ -74,29 +76,31 @@ class FlowConfig:
             "w_paths": self.w_paths,
             "w_elements": self.w_elements,
             "phases": sorted(set(self.phases) | {1}),
-            "jobs": self.jobs,
         }
 
 
 @dataclass
 class FlowState:
-    phase: int = 1
     marked: list[str] = field(default_factory=list)
     ranked_ips: list[str] = field(default_factory=list)
     subsys: list[str] = field(default_factory=list)
     carryover: list[str] = field(default_factory=list)
     blackboxed: set[str] = field(default_factory=set)
-    iterations: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
 class Row:
+    """One architecture's record, updated as the flow runs."""
     name: str
-    engine: str
-    result: str
-    elapsed: float
-    iterations: int
-    properties: dict[str, str]
+    engine: str = "formal"
+    result: str = RESULT_SKIPPED
+    elapsed: float = 0.0
+    iterations: int = 0
+    properties: dict[str, str] = field(default_factory=dict)
+
+    def note(self, run: bmc.BmcRun):
+        for pname, o in run.outcomes.items():
+            self.properties[pname] = o.status
 
     @property
     def resolved(self) -> int:
@@ -117,7 +121,6 @@ class VerifReport:
     design: str
     status: str
     rows: list[Row]
-    seed: int
     config: dict
     warnings: list[str]
 
@@ -146,7 +149,6 @@ class VerifReport:
         doc = {
             "design": self.design,
             "status": self.status,
-            "seed": self.seed,
             "config": self.config,
             "coverage": self.coverage,
             "abstracted": self.abstracted,
@@ -208,21 +210,6 @@ def _charge(run: bmc.BmcRun, budget: float | None) -> float:
     return 0.0
 
 
-@dataclass
-class _Arch:
-    """Mutable per-architecture record; becomes one report row."""
-    name: str
-    engine: str = "formal"
-    result: str = RESULT_SKIPPED
-    elapsed: float = 0.0
-    iterations: int = 0
-    properties: dict[str, str] = field(default_factory=dict)
-
-    def note(self, run: bmc.BmcRun):
-        for pname, o in run.outcomes.items():
-            self.properties[pname] = o.status
-
-
 class Flow:
     def __init__(self, design: Design, library: dict[str, IpNetlist],
                  regmap, script, props, config: FlowConfig | None = None):
@@ -237,8 +224,9 @@ class Flow:
         self._ip_models: dict[str, FlatModel] = {}
         self._sub_models: dict[int, FlatModel] = {}
         self._full: FlatModel | None = None
-        self._arch: dict[str, _Arch] = {}
+        self._arch: dict[str, Row] = {}
         self._aborted = False
+        self._reuse: dict = {}  # bmc.check's store of runs out of budget
 
     # -- shared model builders ------------------------------------------------
 
@@ -271,38 +259,40 @@ class Flow:
     def _group(self, key: str):
         return self.groups.get(key, [])
 
+    def _check(self, arch: Row, model: FlatModel, group, constraints,
+               budget: float) -> bmc.BmcRun:
+        run = bmc.check(model, group, constraints=constraints,
+                        k=self.config.bound, budget=budget,
+                        dump_cnf=self.config.dump_cnf, reuse=self._reuse)
+        arch.elapsed += _charge(run, budget)
+        arch.note(run)
+        return run
+
     # -- phase 1 ---------------------------------------------------------------
 
     def phase1_preprocess(self):
-        self.state.phase = 1
         self.unique_ips = list_unique_ips(self.design)
         self.state.ranked_ips = rank_ips_by_connection(self.design,
                                                        self.library)
-        self.scores = connection_scores(self.design, self.library)
         self.groups = divide_props(self.props, self.design, self.library)
-        self.poi_candidates = []
-        for idx, kind, addr in self.script.accesses():
-            reg = self.regmap.register_at(addr)
-            if reg is None:
+        for idx, _, addr in self.script.accesses():
+            if self.regmap.register_at(addr) is None:
                 self.warnings.append(
                     f"dangling-address: script statement {idx} accesses "
                     f"unmapped address 0x{addr:x}")
-            else:
-                self.poi_candidates.append((idx, kind, addr, reg))
         for module in self.unique_ips:
-            self._arch[module] = _Arch(module)
+            self._arch[module] = Row(module)
             for p in self._group(module):
                 self._arch[module].properties[p.name] = "UNDETERMINED"
         for k in range(1, max(len(self.state.ranked_ips), 1)):
             name = f"subsystem-{k}"
-            self._arch[name] = _Arch(name)
+            self._arch[name] = Row(name)
             for p in self._group(name):
                 self._arch[name].properties[p.name] = "UNDETERMINED"
 
     # -- phase 2 ---------------------------------------------------------------
 
     def phase2_formal_ips(self):
-        self.state.phase = 2
         cfg = self.config
         done_modules = set()
         for inst in self.state.ranked_ips:
@@ -317,19 +307,15 @@ class Flow:
                 sub = [p for p in group if p.scope <= {bearer}]
                 if not sub:
                     continue
-                run = bmc.check(self.ip_model(bearer), sub, k=cfg.bound,
-                                budget=cfg.ip_time_limit,
-                                dump_cnf=cfg.dump_cnf)
-                arch.elapsed += _charge(run, cfg.ip_time_limit)
-                arch.note(run)
+                run = self._check(arch, self.ip_model(bearer), sub, (),
+                                  cfg.ip_time_limit)
                 if run.status == "INCOMPLETE":
                     complete = False
+            arch.engine = "formal"
             if complete:
-                arch.engine = "formal"
                 arch.result = RESULT_FINISHED
                 arch.iterations = 1 if group else 0
             else:
-                arch.engine = "formal"
                 arch.result = RESULT_TIMEOUT
                 self.state.marked.append(module)
 
@@ -364,19 +350,14 @@ class Flow:
             cons = bmc.create_stopats(pinned)
             vals = {r: cap.values[r] for r in pinned if r in cap.values}
             cons = cons + bmc.create_assumes(vals, cons)
-            run = bmc.check(model, group, constraints=cons, k=cfg.bound,
-                            budget=cfg.ip_time_limit, dump_cnf=cfg.dump_cnf)
-            arch.elapsed += _charge(run, cfg.ip_time_limit)
-            arch.note(run)
+            run = self._check(arch, model, group, cons, cfg.ip_time_limit)
             if run.status != "INCOMPLETE":
                 arch.iterations = iters
-                for r in pinned:
-                    if r not in self.state.carryover:
-                        self.state.carryover.append(r)
+                self.state.carryover += [r for r in pinned
+                                         if r not in self.state.carryover]
                 return True
 
     def phase3_semiformal_ips(self):
-        self.state.phase = 3
         cfg = self.config
         trace = None
         if cfg.dump_trace:
@@ -412,7 +393,6 @@ class Flow:
 
     def phase4_formal_subsystems(self) -> str:
         """Returns FORMAL_COMPLETE or the subsystem index to hand to 5."""
-        self.state.phase = 4
         cfg = self.config
         n_sub = len(self.state.ranked_ips) - 1
         if n_sub < 1:
@@ -423,20 +403,16 @@ class Flow:
             name = f"subsystem-{k}"
             arch = self._arch[name]
             group = self._group(name)
+            arch.engine = "formal"
             if group:
                 cons = [bmc.Blackbox(i) for i in sorted(
                     self.state.blackboxed & set(self.state.subsys))]
-                run = bmc.check(self.sub_model(k), group, constraints=cons,
-                                k=cfg.bound, budget=cfg.subsystem_time_limit,
-                                dump_cnf=cfg.dump_cnf)
-                arch.elapsed += _charge(run, cfg.subsystem_time_limit)
-                arch.note(run)
-                arch.engine = "formal"
+                run = self._check(arch, self.sub_model(k), group, cons,
+                                  cfg.subsystem_time_limit)
                 if run.status == "INCOMPLETE":
                     arch.result = RESULT_TIMEOUT
                     return name
                 arch.iterations = 1
-            arch.engine = "formal"
             arch.result = RESULT_FINISHED
             if k == n_sub:
                 return STATUS_FORMAL_COMPLETE
@@ -481,10 +457,7 @@ class Flow:
                 cap = sim.collect_sim_values(session, order)
                 if iters == 0:
                     pinned = [r for r in order if r in carry]
-                    if not pinned or order[0] not in carry:
-                        pinned = pinned + list(
-                            sra.combine_regs(ranked, 1, already=pinned))
-                else:
+                if iters or not pinned or order[0] not in carry:
                     try:
                         pinned = pinned + list(
                             sra.combine_regs(ranked, 1, already=pinned))
@@ -497,23 +470,18 @@ class Flow:
                 vals = {r: cap.values[r] for r in pinned if r in cap.values}
                 cons = cons_bb + list(cons) + list(
                     bmc.create_assumes(vals, cons))
-                run = bmc.check(model, group, constraints=cons, k=cfg.bound,
-                                budget=cfg.subsystem_time_limit,
-                                dump_cnf=cfg.dump_cnf)
-                arch.elapsed += _charge(run, cfg.subsystem_time_limit)
-                arch.note(run)
+                run = self._check(arch, model, group, cons,
+                                  cfg.subsystem_time_limit)
                 if run.status != "INCOMPLETE":
                     arch.result = RESULT_FINISHED
                     arch.iterations = iters
-                    for r in pinned:
-                        if r not in self.state.carryover:
-                            self.state.carryover.append(r)
+                    self.state.carryover += [r for r in pinned
+                                             if r not in self.state.carryover]
                     return True
         finally:
             session.close()
 
     def phase5_semiformal_subsystems(self, from_name: str) -> str:
-        self.state.phase = 5
         k = int(from_name.split("-")[1])
         n_sub = len(self.state.ranked_ips) - 1
         while True:
@@ -563,14 +531,9 @@ class Flow:
                 module_rows.append(module)
         names = module_rows + [f"subsystem-{k}" for k in
                                range(1, max(len(self.state.ranked_ips), 1))]
-        rows = []
-        for n in names:
-            a = self._arch[n]
-            rows.append(Row(name=a.name, engine=a.engine, result=a.result,
-                            elapsed=a.elapsed, iterations=a.iterations,
-                            properties=dict(a.properties)))
+        rows = [self._arch[n] for n in names]
         return VerifReport(design=self.design.name, status=status, rows=rows,
-                           seed=self.config.seed, config=self.config.echo(),
+                           config=self.config.echo(),
                            warnings=list(self.warnings))
 
 

@@ -711,13 +711,25 @@ def parse_props(text: str, path: str | None = None,
         if not body:
             continue
         m = re.match(r"prop\s+([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.+)$", body)
-        if not m:
-            raise ParseError("property line is: prop NAME : EXPR", ln, 1, path)
-        name, expr_text = m.group(1), m.group(2)
+        x = re.match(r"xprop\s+([A-Za-z_]\w*)\s*:\s*known\((\w+)\.(\w+)\)"
+                     r"\s+after\s+(\d+)$", body)
+        if not (m or x):
+            raise ParseError("property line is: prop NAME : EXPR, or "
+                             "xprop NAME : known(REG) after N", ln, 1, path)
+        name = (m or x).group(1)
         if name in names:
             raise ParseError(f"duplicate property name {name}", ln, 1, path)
         names.add(name)
-        toks = _tokenize_expr(expr_text, ln, path)
+        if x:  # a generated obligation, as `serialize_props` writes it
+            inst, reg = x.group(2), x.group(3)
+            mod = dict(design.instances).get(inst) if design else None
+            if design and (mod is None or reg not in
+                           {r.name for r in library[mod].registers}):
+                raise UnknownSignal(f"no register {inst}.{reg}", ln, 1, path)
+            props.append(PropertyAst(name, "xprop", None, frozenset({inst}),
+                                     f"{inst}.{reg}", int(x.group(4))))
+            continue
+        toks = _tokenize_expr(m.group(2), ln, path)
         expr = _ExprParser(toks, ln, path).parse()
         _check_expr(expr, design, library, ln, path, boolean=True)
         props.append(PropertyAst(name=name, kind="user", expr=expr,
@@ -750,6 +762,8 @@ def serialize_props(props: list[PropertyAst]) -> str:
 def gen_xprop(design: Design, library: dict[str, IpNetlist],
               settle: int = 4) -> list[PropertyAst]:
     """One known-after-settle obligation per register of every instance."""
+    if settle < 0:
+        raise ValueError(f"settle must be >= 0, got {settle}")
     props = []
     for inst, mod in design.instances:
         for r in library[mod].registers:

@@ -28,8 +28,7 @@ propagation, whether or not the visit touched the clause.
 
 The solver object is incremental: clauses may be added between `solve`
 calls and learned clauses are kept (they are implied by the database, so
-they stay valid when assumptions change).  The `seed` parameter of the
-one-shot `solve()` is accepted for interface stability and ignored.
+they stay valid when assumptions change).
 """
 
 from __future__ import annotations
@@ -488,9 +487,9 @@ class SolveOutcome:
     elapsed: float
 
 
-def solve(cnf: Cnf, assumptions=(), budget: float | None = None,
-          seed: int = 0) -> SolveOutcome:
-    """Solve a CNF; `seed` is accepted for interface parity and unused."""
+def solve(cnf: Cnf, assumptions=(),
+          budget: float | None = None) -> SolveOutcome:
+    """Solve a CNF on a fresh solver."""
     start = time.perf_counter()
     s = Solver()
     s.ensure_vars(cnf.num_vars)

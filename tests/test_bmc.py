@@ -5,7 +5,9 @@ import random
 import pytest
 
 from semiform import bmc, errors
-from semiform.frontend import PropertyAst, gen_xprop
+from semiform.frontend import (PropertyAst, gen_xprop, parse_design,
+                               parse_netlist)
+from semiform.netlist import elaborate
 from semiform.sat import import_dimacs, solve
 
 import oracles
@@ -406,6 +408,144 @@ def test_combinational_cone_is_solved_at_frame_zero_only():
     assert all(r.outcomes["quiet"].status == "PASS" for r in runs)
     assert [(r.n_vars, r.n_clauses, r.n_conflicts) for r in runs] == \
         [(runs[0].n_vars, runs[0].n_clauses, runs[0].n_conflicts)] * 2
+
+
+# -- reusing checks that ran out of budget -----------------------------------
+
+# R and S hold an input for one cycle; their widths are the parameters
+FEED_TEXT = """\
+.module feed
+.input rst 1
+.input x 1
+.input r {0}
+.input s {1}
+.output o 1
+.reg R {0} init=0
+.reg S {1} init=0
+.dff R r
+.dff S s
+.gate OR o x x
+.endmodule
+"""
+
+# h0 reads f0's output; h1 is a separate copy of h0's module
+TRIO_DSN = """\
+.design trio
+.instance hard h0
+.instance hard h1
+.instance feed f0
+.connect f0.o h0.sel
+"""
+
+QUIET_H0 = "prop quiet : ~(h0.bad)\n"
+
+
+def _trio(live=".gate OR live CFG[0] sel", init=0, widths=(1, 1)):
+    """`hard_block_module`'s parity block, with `bad` also reading `live`.
+
+    `bad` stays identically 0, so a check of QUIET_H0 runs out of any
+    small budget, whatever pins, inits or wiring `live` brings in.
+    """
+    lines = hard_block_module(20, 7, gated=False).splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(".gate AND bad"))
+    lines[i] = f".wire live 1\n{live}\n.gate AND bad {lines[i].split()[3]} live"
+    text = "\n".join(lines).replace(".input we 1", ".input we 1\n.input sel 1")
+    lib = {"hard": parse_netlist(text.replace(".reg CFG 4 init=0",
+                                              f".reg CFG 4 init={init}")),
+           "feed": parse_netlist(FEED_TEXT.format(*widths))}
+    design = parse_design(TRIO_DSN)
+    return elaborate(design, lib), design, lib
+
+
+def _pin(reg, value):
+    cons = bmc.create_stopats([reg])
+    return cons + bmc.create_assumes({reg: value}, cons)
+
+
+def _two_checks(first, second):
+    """Run two (model, props, constraints, k, budget) checks on one store."""
+    reuse = {}
+    runs = [bmc.check(m, props, constraints=cons, k=k, budget=budget,
+                      reuse=reuse) for m, props, cons, k, budget in
+            (first, second)]
+    return runs, reuse
+
+
+@pytest.mark.parametrize("pin", [None, "h1.CFG"])
+def test_timed_out_check_is_solved_once(pin):
+    # a pin outside the cone shifts the dual-rail ids but not the problem
+    model, design, lib = _trio()
+    props = props_for(QUIET_H0, design, lib)
+    cons = _pin(pin, 9) if pin else ()
+    (r1, r2), reuse = _two_checks((model, props, (), 20, 0.05),
+                                  (model, props, cons, 20, 0.05))
+    assert r1.outcomes["quiet"].reason == "timeout"
+    assert r2 is r1 and len(reuse) == 1
+
+
+XOR_LIVE = ".wire p 1\n.wire q 1\n.gate XOR p e0 e1\n" \
+    ".gate XOR q {} e2\n.gate AND live p q"
+
+
+@pytest.mark.parametrize("change", ["assume", "init", "wiring", "cone_box",
+                                    "scope_box", "name", "split", "bound",
+                                    "budget"])
+def test_checks_that_differ_are_solved_twice(change):
+    model, design, lib = _trio()
+    props = props_for(QUIET_H0, design, lib)
+    a, b = [model, props, (), 20, 0.05], [model, props, (), 20, 0.05]
+    if change == "assume":  # CFG[0] is 1, then 0; both leave `bad` live
+        a[2], b[2] = _pin("h0.CFG", 1), _pin("h0.CFG", 2)
+    elif change == "init":
+        b[0] = _trio(init=1)[0]
+    elif change == "wiring":  # the same kinds, read in another order
+        a[0] = _trio(live=XOR_LIVE.format("e1"))[0]
+        b[0] = _trio(live=XOR_LIVE.format("e0"))[0]
+    elif change == "cone_box":  # frees h0.sel
+        b[2] = [bmc.Blackbox("f0")]
+    elif change == "scope_box":  # only the xprop's outcome changes
+        a[1] = b[1] = props + props_for(
+            "xprop hold : known(h1.CFG) after 30\n", design, lib)
+        b[2] = [bmc.Blackbox("h1")]
+    elif change == "name":
+        b[1] = props_for(QUIET_H0.replace("quiet", "calm"), design, lib)
+    elif change == "split":  # six rails, read 4 + 2 and then 2 + 4
+        a[1] = b[1] = props + props_for(
+            "prop ra : f0.R == 0\nprop sb : f0.S == 0\n", design, lib)
+        a[0], b[0] = _trio(widths=(2, 1))[0], _trio(widths=(1, 2))[0]
+    elif change == "bound":
+        b[3] = 19
+    else:
+        b[4] = 0.06
+    (r1, r2), reuse = _two_checks(a, b)
+    assert r2 is not r1 and len(reuse) == 2
+    for r, (_, props, _, _, _) in ((r1, a), (r2, b)):
+        assert set(r.outcomes) == {p.name for p in props}
+        assert any(o.reason == "timeout" for o in r.outcomes.values())
+    if change == "scope_box":
+        assert r1.outcomes["hold"].reason == "bound"
+        assert r2.outcomes["hold"].status == "VACUOUS"
+
+
+def test_pass_and_fail_are_not_stored(counter):
+    model, design, lib = counter
+    props = props_for("prop a : m0.CNT != 3\nprop b : m0.CNT != 12\n",
+                      design, lib)
+    reuse = {}
+    runs = [bmc.check(model, props, k=5, reuse=reuse) for _ in range(2)]
+    assert runs[0].outcomes["a"].status == "FAIL"
+    assert runs[0].outcomes["b"].status == "PASS"
+    assert runs[1] is not runs[0] and reuse == {}
+    record_fails(model, props, runs[1])
+
+
+def test_negative_bound_or_budget_is_an_error(counter):
+    model, design, lib = counter
+    props = props_for("prop p : m0.CNT != 3\n", design, lib)
+    with pytest.raises(ValueError):
+        bmc.check(model, props, k=-1)
+    with pytest.raises(ValueError):
+        bmc.check(model, props, k=5, budget=-1.0)
 
 
 def test_fail_traces_registry_replay():

@@ -170,6 +170,26 @@ def test_gen_xprop_command(mini_files, tmp_path, capsys):
     assert "xprop_b0_GAIN" in text
 
 
+def test_gen_xprop_output_feeds_bmc(hard_gated, tmp_path, capsys):
+    d = hard_gated[0]
+    props = tmp_path / "x.prop"
+    code = main(["gen-xprop", "--design", str(d / "solo.dsn"),
+                 "--settle", "2", "--out", str(props)])
+    assert code == 0
+    code = main(["bmc", "--ip", str(d / "hard.net"), "--instance", "h0",
+                 "--props", str(props), "--bound", "3"])
+    assert code == 0
+    assert "PASS         xprop_h0_CFG" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("numbers", [["--settle", "-3", "--bound", "2"],
+                                     ["--bound", "-1"], ["--budget", "-1"]])
+def test_bmc_negative_numbers_exit_3(numbers, capsys):
+    code = main(["bmc", "--ip", str(CORPUS / "ram.net"), "--xprop"] + numbers)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_import_loads_no_numpy():
     # the package is pure Python; numpy would add its import time to every run
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -104,6 +104,51 @@ def test_hard_ungated_gets_blackboxed(hard_ungated):
     assert report.coverage == 0.0 and report.abstracted == 1.0
 
 
+def _spy_checks(monkeypatch) -> list:
+    """Record every run `bmc.check` returns to the flow."""
+    from semiform import bmc
+    runs, check = [], bmc.check
+
+    def spy(*args, **kw):
+        runs.append(check(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(bmc, "check", spy)
+    return runs
+
+
+def test_pin_outside_the_cone_reuses_the_timed_out_check(hard_ungated,
+                                                         monkeypatch):
+    # CFG gates nothing in the ungated block, so pinning it leaves the
+    # phase-2 problem as it was: its stored run comes back unsolved
+    from semiform.sat import Solver
+    _, design, lib, regmap, script, props = hard_ungated
+    runs = _spy_checks(monkeypatch)
+    solvers, solve = [], Solver.solve
+
+    def spy_solve(self, *args, **kw):
+        solvers.append(self)
+        return solve(self, *args, **kw)
+
+    monkeypatch.setattr(Solver, "solve", spy_solve)
+    report = run_flow(design, lib, regmap, script, props, _fast())
+    row = report.rows[0]
+    assert row.result == "Blackboxed" and row.iterations == 1
+    assert row.elapsed == pytest.approx(1.2)
+    assert len(runs) == 2 and runs[1] is runs[0]
+    assert len({id(s) for s in solvers}) == 1
+
+
+def test_pin_inside_the_cone_is_solved(hard_gated, monkeypatch):
+    _, design, lib, regmap, script, props = hard_gated
+    runs = _spy_checks(monkeypatch)
+    report = run_flow(design, lib, regmap, script, props, _fast())
+    assert report.rows[0].properties == {"quiet": "PASS"}
+    assert len(runs) == 2 and runs[1] is not runs[0]
+    assert runs[0].outcomes["quiet"].reason == "timeout"
+    assert runs[1].outcomes["quiet"].status == "PASS"
+
+
 def test_hard_ungated_abort_without_blackboxing(hard_ungated):
     _, design, lib, regmap, script, props = hard_ungated
     report = run_flow(design, lib, regmap, script, props,
@@ -133,8 +178,6 @@ def test_config_validation():
         FlowConfig(bound=-1)
     with pytest.raises(ValueError):
         FlowConfig(phases=(2, 9))
-    with pytest.raises(ValueError):
-        FlowConfig(jobs=0)
 
 
 def test_charge_model():

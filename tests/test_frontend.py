@@ -164,6 +164,24 @@ def test_gen_xprop(mini_parsed):
     assert "known(a0.CFG) after 4" in text
 
 
+def test_gen_xprop_reads_back(mini_parsed):
+    design, lib, _, _, _ = mini_parsed
+    xs = gen_xprop(design, lib, settle=7)
+    text = serialize_props(xs) + "prop p : a0.CFG == 1\n"
+    assert parse_props(text, design=design, library=lib)[:2] == xs
+    assert parse_props(serialize_props(xs)) == xs  # no design to check
+    for bad in ("a0.NOPE", "z9.CFG"):
+        with pytest.raises(errors.UnknownSignal):
+            parse_props(f"xprop x : known({bad}) after 4\n", design=design,
+                        library=lib)
+    for bad in ("known(a0.CFG) after -1", "known(CFG) after 4"):
+        with pytest.raises(errors.ParseError):
+            parse_props(f"xprop x : {bad}\n", design=design, library=lib)
+    with pytest.raises(errors.ParseError):  # names are shared with props
+        parse_props("prop x : a0.CFG == 1\n"
+                    "xprop x : known(a0.CFG) after 4\n")
+
+
 def test_divide_props_corpus(gateway):
     design, lib, _, _, props = gateway
     groups = divide_props(props, design, lib)
