@@ -12,6 +12,13 @@ step hands over to Phase 5, which applies the same semiformal loop at
 subsystem scale until the full design is covered or a register list is
 exhausted.
 
+One method, `Flow._refine`, is that loop at both scales.  An IP ranks
+its own mapped registers, and all marked IPs share one simulation
+session.  A subsystem ranks the registers of its instances that are
+not blackboxed, opens a session of its own, keeps its blackboxed
+instances cut, and starts from the registers earlier refinements
+pinned (`FlowState.carryover`).
+
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges
 zero) so identical runs serialize identically.  Checks that ran out of
@@ -26,13 +33,14 @@ same clauses at the same budget; under work limits it would be exact.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from . import bmc, sim, sra
-from .errors import ExhaustedRegisters, SemiformError
+from .errors import ExhaustedRegisters
 from .frontend import divide_props
 from .netlist import (Design, FlatModel, IpNetlist, elaborate,
-                      list_unique_ips, rank_ips_by_connection)
+                      rank_ips_by_connection)
 
 RESULT_FINISHED = "Finished"
 RESULT_TIMEOUT = "Timeout"
@@ -52,8 +60,6 @@ class FlowConfig:
     subsystem_time_limit: float = 5400.0
     blackbox_failing_ips: bool = True
     bound: int = 20
-    w_paths: int = 100
-    w_elements: int = 1
     phases: tuple[int, ...] = (1, 2, 3, 4, 5)
     dump_cnf: str | None = None
     dump_trace: str | None = None
@@ -73,8 +79,6 @@ class FlowConfig:
             "subsystem_time_limit": self.subsystem_time_limit,
             "blackbox_failing_ips": self.blackbox_failing_ips,
             "bound": self.bound,
-            "w_paths": self.w_paths,
-            "w_elements": self.w_elements,
             "phases": sorted(set(self.phases) | {1}),
         }
 
@@ -83,7 +87,6 @@ class FlowConfig:
 class FlowState:
     marked: list[str] = field(default_factory=list)
     ranked_ips: list[str] = field(default_factory=list)
-    subsys: list[str] = field(default_factory=list)
     carryover: list[str] = field(default_factory=list)
     blackboxed: set[str] = field(default_factory=set)
 
@@ -224,14 +227,27 @@ class Flow:
         self._ip_models: dict[str, FlatModel] = {}
         self._sub_models: dict[int, FlatModel] = {}
         self._full: FlatModel | None = None
-        self._arch: dict[str, Row] = {}
-        self._aborted = False
+        self._arch: dict[str, Row] = {}  # in report order
         self._reuse: dict = {}  # bmc.check's store of runs out of budget
 
     # -- shared model builders ------------------------------------------------
 
     def _instances_of(self, module: str) -> list[str]:
         return [i for i, m in self.design.instances if m == module]
+
+    def _scoped(self, module: str) -> list[tuple[str, list]]:
+        """Instances of `module` bearing properties, each with its own."""
+        out = []
+        for inst in self._instances_of(module):
+            group = [p for p in self._group(module) if p.scope <= {inst}]
+            if group:
+                out.append((inst, group))
+        return out
+
+    def _blackboxes(self, k: int) -> list[bmc.Blackbox]:
+        """Constraints for the blackboxed IPs inside subsystem `k`."""
+        return [bmc.Blackbox(i) for i in sorted(
+            self.state.blackboxed & set(self.state.ranked_ips[:k + 1]))]
 
     def ip_model(self, instance: str) -> FlatModel:
         if instance not in self._ip_models:
@@ -251,6 +267,14 @@ class Flow:
             self._full = elaborate(self.design, self.library)
         return self._full
 
+    def _simulator(self, tag: str) -> sim.Simulator:
+        """A boot-script session, tracing to `<dump>.<tag>.trace`."""
+        trace = None
+        if self.config.dump_trace:
+            trace = f"{self.config.dump_trace}.{tag}.trace"
+        return sim.Simulator(self.full_model(), self.design, self.script,
+                             trace_path=trace)
+
     def _mapped_regs(self, instances) -> list[str]:
         pfx = tuple(i + "." for i in instances)
         return sorted(r for r in self.regmap.registers()
@@ -268,271 +292,186 @@ class Flow:
         arch.note(run)
         return run
 
-    # -- phase 1 ---------------------------------------------------------------
+    def _refine(self, session: sim.Simulator, arch: Row, model: FlatModel,
+                group, candidates: list[str], budget: float,
+                blackboxes=(), carry=()) -> bool:
+        """Pin, capture and prove again until `group` resolves.
 
-    def phase1_preprocess(self):
-        self.unique_ips = list_unique_ips(self.design)
-        self.state.ranked_ips = rank_ips_by_connection(self.design,
-                                                       self.library)
-        self.groups = divide_props(self.props, self.design, self.library)
-        for idx, _, addr in self.script.accesses():
-            if self.regmap.register_at(addr) is None:
-                self.warnings.append(
-                    f"dangling-address: script statement {idx} accesses "
-                    f"unmapped address 0x{addr:x}")
-        for module in self.unique_ips:
-            self._arch[module] = Row(module)
-            for p in self._group(module):
-                self._arch[module].properties[p.name] = "UNDETERMINED"
-        for k in range(1, max(len(self.state.ranked_ips), 1)):
-            name = f"subsystem-{k}"
-            self._arch[name] = Row(name)
-            for p in self._group(name):
-                self._arch[name].properties[p.name] = "UNDETERMINED"
+        The `candidates` are ranked by SRA on `model`.  Each iteration
+        runs `session` to the next PoI, captures the ranked registers,
+        pins one more of them (cut plus assume of the captured value)
+        and checks `group` again.  Returns True once a check finishes,
+        and False when no candidate is left; `arch.iterations` counts
+        the checks made.  The pins of a check that finishes join
+        `state.carryover`.
 
-    # -- phase 2 ---------------------------------------------------------------
-
-    def phase2_formal_ips(self):
-        cfg = self.config
-        done_modules = set()
-        for inst in self.state.ranked_ips:
-            module = dict(self.design.instances)[inst]
-            if module in done_modules:
-                continue
-            done_modules.add(module)
-            arch = self._arch[module]
-            group = self._group(module)
-            complete = True
-            for bearer in self._instances_of(module):
-                sub = [p for p in group if p.scope <= {bearer}]
-                if not sub:
-                    continue
-                run = self._check(arch, self.ip_model(bearer), sub, (),
-                                  cfg.ip_time_limit)
-                if run.status == "INCOMPLETE":
-                    complete = False
-            arch.engine = "formal"
-            if complete:
-                arch.result = RESULT_FINISHED
-                arch.iterations = 1 if group else 0
-            else:
-                arch.result = RESULT_TIMEOUT
-                self.state.marked.append(module)
-
-    # -- phase 3 ---------------------------------------------------------------
-
-    def _semiformal_ip(self, session, module: str, inst: str) -> bool:
-        """One marked IP; returns True when its group got resolved."""
-        cfg = self.config
-        arch = self._arch[module]
-        group = [p for p in self._group(module) if p.scope <= {inst}]
-        model = self.ip_model(inst)
-        mapped = self._mapped_regs([inst])
-        if not mapped:
+        The two scales differ only in what the caller passes.  An IP
+        ranks its own mapped registers.  A subsystem ranks those of its
+        non-blackboxed instances, puts `blackboxes` first among the
+        constraints, and passes the carryover as `carry`: its first
+        iteration pins the ranked registers in `carry` and adds a pick
+        only when the top-ranked one is not among them.  With nothing
+        carried both scales pick alike.  The caller sets `arch.result`.
+        """
+        if not candidates:
             arch.iterations = 0
             return False
-        ranked = sra.do_sra(model, mapped, w_paths=cfg.w_paths,
-                            w_elements=cfg.w_elements)
-        order = list(ranked.order)
+        ranked = sra.do_sra(model, candidates)
+        order = ranked.order
         pois = sim.set_pois(self.regmap, order, self.script)
-        pinned: list[str] = []
+        pinned = [r for r in order if r in carry]
         iters = 0
         while True:
             sim.run_until_poi(session, pois)
             cap = sim.collect_sim_values(session, order)
-            try:
-                pinned = pinned + list(
-                    sra.combine_regs(ranked, 1, already=pinned))
-            except ExhaustedRegisters:
-                arch.iterations = iters
-                return False
+            if iters or order[0] not in pinned:
+                try:
+                    pinned += sra.combine_regs(ranked, 1, already=pinned)
+                except ExhaustedRegisters:
+                    arch.iterations = iters
+                    return False
             iters += 1
             cons = bmc.create_stopats(pinned)
             vals = {r: cap.values[r] for r in pinned if r in cap.values}
-            cons = cons + bmc.create_assumes(vals, cons)
-            run = self._check(arch, model, group, cons, cfg.ip_time_limit)
+            cons = [*blackboxes, *cons, *bmc.create_assumes(vals, cons)]
+            run = self._check(arch, model, group, cons, budget)
             if run.status != "INCOMPLETE":
                 arch.iterations = iters
                 self.state.carryover += [r for r in pinned
                                          if r not in self.state.carryover]
                 return True
 
-    def phase3_semiformal_ips(self):
+    # -- phase 1 ---------------------------------------------------------------
+
+    def phase1_preprocess(self):
+        ranked = self.state.ranked_ips = rank_ips_by_connection(
+            self.design, self.library)
+        self.groups = divide_props(self.props, self.design, self.library)
+        for idx, _, addr in self.script.accesses():
+            if self.regmap.register_at(addr) is None:
+                self.warnings.append(
+                    f"dangling-address: script statement {idx} accesses "
+                    f"unmapped address 0x{addr:x}")
+        self.modules = list(dict.fromkeys(self.design.module_of(i)
+                                          for i in ranked))
+        for name in [*self.modules, *(f"subsystem-{k}"
+                                      for k in range(1, len(ranked)))]:
+            self._arch[name] = Row(name, properties={
+                p.name: "UNDETERMINED" for p in self._group(name)})
+
+    # -- phase 2 ---------------------------------------------------------------
+
+    def phase2_formal_ips(self):
+        for module in self.modules:
+            arch = self._arch[module]
+            complete = True
+            for inst, group in self._scoped(module):
+                run = self._check(arch, self.ip_model(inst), group, (),
+                                  self.config.ip_time_limit)
+                if run.status == "INCOMPLETE":
+                    complete = False
+            if complete:
+                arch.result = RESULT_FINISHED
+                arch.iterations = 1 if self._group(module) else 0
+            else:
+                arch.result = RESULT_TIMEOUT
+                self.state.marked.append(module)
+
+    # -- phase 3 ---------------------------------------------------------------
+
+    def phase3_semiformal_ips(self) -> bool:
+        """Refine each marked IP; False when one fails and the flow stops."""
         cfg = self.config
-        trace = None
-        if cfg.dump_trace:
-            trace = f"{cfg.dump_trace}.phase3.trace"
-        session = sim.Simulator(self.full_model(), self.design, self.script,
-                                trace_path=trace)
-        try:
+        with closing(self._simulator("phase3")) as session:
             for module in list(self.state.marked):
                 arch = self._arch[module]
                 arch.engine = "semiformal"
                 ok = True
-                for inst in self._instances_of(module):
-                    if any(p.scope <= {inst} for p in self._group(module)):
-                        ok = self._semiformal_ip(session, module, inst) and ok
+                for inst, group in self._scoped(module):
+                    ok = self._refine(session, arch, self.ip_model(inst),
+                                      group, self._mapped_regs([inst]),
+                                      cfg.ip_time_limit) and ok
                 if ok:
                     arch.result = RESULT_FINISHED
-                    self.state.marked.remove(module)
                 elif cfg.blackbox_failing_ips:
                     arch.result = RESULT_BLACKBOXED
-                    for inst in self._instances_of(module):
-                        self.state.blackboxed.add(inst)
+                    self.state.blackboxed.update(self._instances_of(module))
                     for p in self._group(module):
                         arch.properties[p.name] = "VACUOUS"
-                    self.state.marked.remove(module)
                 else:
                     arch.result = RESULT_SEMIFORMAL_FAIL
-                    self._aborted = True
-                    return
-        finally:
-            session.close()
+                    return False
+                self.state.marked.remove(module)
+        return True
 
     # -- phase 4 ---------------------------------------------------------------
 
-    def phase4_formal_subsystems(self) -> str:
-        """Returns FORMAL_COMPLETE or the subsystem index to hand to 5."""
-        cfg = self.config
-        n_sub = len(self.state.ranked_ips) - 1
-        if n_sub < 1:
-            return STATUS_FORMAL_COMPLETE
-        self.state.subsys = list(self.state.ranked_ips[:2])
-        k = 1
-        while True:
-            name = f"subsystem-{k}"
-            arch = self._arch[name]
-            group = self._group(name)
-            arch.engine = "formal"
+    def phase4_formal_subsystems(self) -> int | None:
+        """Index of the first subsystem left open, for phase 5, or None."""
+        for k in range(1, len(self.state.ranked_ips)):
+            arch = self._arch[f"subsystem-{k}"]
+            group = self._group(arch.name)
             if group:
-                cons = [bmc.Blackbox(i) for i in sorted(
-                    self.state.blackboxed & set(self.state.subsys))]
-                run = self._check(arch, self.sub_model(k), group, cons,
-                                  cfg.subsystem_time_limit)
+                run = self._check(arch, self.sub_model(k), group,
+                                  self._blackboxes(k),
+                                  self.config.subsystem_time_limit)
                 if run.status == "INCOMPLETE":
                     arch.result = RESULT_TIMEOUT
-                    return name
+                    return k
                 arch.iterations = 1
             arch.result = RESULT_FINISHED
-            if k == n_sub:
-                return STATUS_FORMAL_COMPLETE
-            self.state.subsys.append(self.state.ranked_ips[k + 1])
-            k += 1
+        return None
 
     # -- phase 5 ---------------------------------------------------------------
 
-    def _semiformal_subsystem(self, k: int) -> bool:
-        cfg = self.config
-        name = f"subsystem-{k}"
-        arch = self._arch[name]
-        arch.engine = "semiformal"
-        group = self._group(name)
-        if not group:
+    def phase5_semiformal_subsystems(self, first: int) -> str:
+        """Refine subsystems `first`.. in turn; the status they reach."""
+        ranked = self.state.ranked_ips
+        for k in range(first, len(ranked)):
+            arch = self._arch[f"subsystem-{k}"]
+            arch.engine = "semiformal"
+            group = self._group(arch.name)
+            if group:
+                live = [i for i in ranked[:k + 1]
+                        if i not in self.state.blackboxed]
+                with closing(self._simulator(arch.name)) as session:
+                    ok = self._refine(session, arch, self.sub_model(k), group,
+                                      self._mapped_regs(live),
+                                      self.config.subsystem_time_limit,
+                                      self._blackboxes(k),
+                                      self.state.carryover)
+                if not ok:
+                    arch.result = RESULT_SEMIFORMAL_FAIL
+                    return STATUS_SEMIFORMAL_FAIL
             arch.result = RESULT_FINISHED
-            return True
-        model = self.sub_model(k)
-        cons_bb = [bmc.Blackbox(i) for i in sorted(
-            self.state.blackboxed & set(self.state.subsys))]
-        candidates = self._mapped_regs(
-            [i for i in self.state.subsys if i not in self.state.blackboxed])
-        if not candidates:
-            arch.result = RESULT_SEMIFORMAL_FAIL
-            arch.iterations = 0
-            return False
-        ranked = sra.do_sra(model, candidates, w_paths=cfg.w_paths,
-                            w_elements=cfg.w_elements)
-        order = list(ranked.order)
-        pois = sim.set_pois(self.regmap, order, self.script)
-        trace = None
-        if cfg.dump_trace:
-            trace = f"{cfg.dump_trace}.{name}.trace"
-        session = sim.Simulator(self.full_model(), self.design, self.script,
-                                trace_path=trace)
-        carry = set(self.state.carryover)
-        pinned: list[str] = []
-        iters = 0
-        try:
-            while True:
-                sim.run_until_poi(session, pois)
-                cap = sim.collect_sim_values(session, order)
-                if iters == 0:
-                    pinned = [r for r in order if r in carry]
-                if iters or not pinned or order[0] not in carry:
-                    try:
-                        pinned = pinned + list(
-                            sra.combine_regs(ranked, 1, already=pinned))
-                    except ExhaustedRegisters:
-                        arch.result = RESULT_SEMIFORMAL_FAIL
-                        arch.iterations = iters
-                        return False
-                iters += 1
-                cons = bmc.create_stopats(pinned)
-                vals = {r: cap.values[r] for r in pinned if r in cap.values}
-                cons = cons_bb + list(cons) + list(
-                    bmc.create_assumes(vals, cons))
-                run = self._check(arch, model, group, cons,
-                                  cfg.subsystem_time_limit)
-                if run.status != "INCOMPLETE":
-                    arch.result = RESULT_FINISHED
-                    arch.iterations = iters
-                    self.state.carryover += [r for r in pinned
-                                             if r not in self.state.carryover]
-                    return True
-        finally:
-            session.close()
-
-    def phase5_semiformal_subsystems(self, from_name: str) -> str:
-        k = int(from_name.split("-")[1])
-        n_sub = len(self.state.ranked_ips) - 1
-        while True:
-            if not self._semiformal_subsystem(k):
-                self._aborted = True
-                return STATUS_SEMIFORMAL_FAIL
-            if k == n_sub:
-                return STATUS_SEMIFORMAL_COMPLETE
-            self.state.subsys.append(self.state.ranked_ips[k + 1])
-            k += 1
+        return STATUS_SEMIFORMAL_COMPLETE
 
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> VerifReport:
         phases = set(self.config.phases) | {1}
         self.phase1_preprocess()
-        status = STATUS_FORMAL_COMPLETE
         if 2 in phases:
             self.phase2_formal_ips()
         if 3 in phases and self.state.marked:
-            self.phase3_semiformal_ips()
-            if self._aborted:
+            if not self.phase3_semiformal_ips():
                 return self.emit_report(STATUS_SEMIFORMAL_FAIL)
+        status = STATUS_FORMAL_COMPLETE
         if 4 in phases:
-            outcome = self.phase4_formal_subsystems()
-            if outcome != STATUS_FORMAL_COMPLETE:
-                if 5 in phases:
-                    status = self.phase5_semiformal_subsystems(outcome)
-                else:
-                    status = STATUS_INCOMPLETE
-            else:
-                status = STATUS_FORMAL_COMPLETE
-        elif self.state.marked:
-            status = STATUS_INCOMPLETE
+            k = self.phase4_formal_subsystems()
+            if k is not None:
+                status = (self.phase5_semiformal_subsystems(k)
+                          if 5 in phases else STATUS_INCOMPLETE)
+        if status != STATUS_SEMIFORMAL_FAIL and self.state.marked:
+            status = STATUS_INCOMPLETE  # timed-out IPs no phase 3 resolved
         if status == STATUS_FORMAL_COMPLETE and any(
                 a.engine == "semiformal" for a in self._arch.values()):
             status = STATUS_SEMIFORMAL_COMPLETE
         return self.emit_report(status)
 
     def emit_report(self, status: str) -> VerifReport:
-        module_rows = []
-        seen = set()
-        for inst in self.state.ranked_ips:
-            module = dict(self.design.instances)[inst]
-            if module not in seen:
-                seen.add(module)
-                module_rows.append(module)
-        names = module_rows + [f"subsystem-{k}" for k in
-                               range(1, max(len(self.state.ranked_ips), 1))]
-        rows = [self._arch[n] for n in names]
-        return VerifReport(design=self.design.name, status=status, rows=rows,
+        return VerifReport(design=self.design.name, status=status,
+                           rows=list(self._arch.values()),
                            config=self.config.echo(),
                            warnings=list(self.warnings))
 

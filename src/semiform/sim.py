@@ -250,11 +250,8 @@ class Simulator:
             self._trace_file = None
 
 
-def run_until_poi(sim: Simulator, pois: PoiSet,
-                  from_state: SimState | None = None):
+def run_until_poi(sim: Simulator, pois: PoiSet):
     """Advance statement by statement until a PoI completes or script ends."""
-    if from_state is not None:
-        sim.restore(from_state)
     watch = pois.statement_indices()
     by_stmt = {i: (i, a, r) for i, a, r in pois.watched}
     while sim.script_pc < len(sim.script.statements):

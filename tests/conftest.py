@@ -552,3 +552,35 @@ def hard_gated(tmp_path_factory):
 @pytest.fixture(scope="session")
 def hard_ungated(tmp_path_factory):
     return _hard_setup(tmp_path_factory, False, "hardu")
+
+
+# two gated hard blocks on one bus: a property over both instances lands
+# in subsystem-1, where pinning the right CFG folds it
+PAIR_DSN = """\
+.design pair
+.instance hard h0
+.instance hard h1
+.top rst h0.rst
+.top rst h1.rst
+.bus reset rst
+.bus range 0x0 0x10 addr=h0.addr wdata=h0.wdata we=h0.we
+.bus range 0x10 0x10 addr=h1.addr wdata=h1.wdata we=h1.we
+.bus map 0x0 h0.CFG
+.bus map 0x10 h1.CFG
+"""
+
+PAIR_ESW = """\
+reset 2
+write 0x0 0x2
+write 0x10 0x2
+wait 2
+"""
+
+
+@pytest.fixture(scope="session")
+def hard_pair():
+    lib = {"hard": parse_netlist(hard_block_module(20, 7, gated=True))}
+    design = parse_design(PAIR_DSN)
+    regmap = parse_regmap("0x0 h0.CFG\n0x10 h1.CFG\n", design=design,
+                          library=lib)
+    return design, lib, regmap, parse_esw(PAIR_ESW)

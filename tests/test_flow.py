@@ -171,6 +171,54 @@ def test_hard_formal_only_times_out(hard_ungated):
     assert row.properties == {"quiet": "UNDETERMINED"}
 
 
+@pytest.mark.parametrize("phases", [(1, 2, 4), (1, 2, 4, 5)])
+def test_timed_out_ip_keeps_the_run_incomplete(hard_ungated, phases):
+    # without phase 3 nothing resolves the marked IP, so subsystems that
+    # finish formally must not make the run read complete
+    _, design, lib, regmap, script, props = hard_ungated
+    report = run_flow(design, lib, regmap, script, props,
+                      _fast(phases=phases))
+    assert report.status == STATUS_INCOMPLETE
+    assert exit_code(report) == 2
+    row = report.rows[0]
+    assert row.result == "Timeout" and row.engine == "formal"
+    assert row.properties == {"quiet": "UNDETERMINED"}
+
+
+def _rows(report) -> list:
+    return [(r.name, r.engine, r.result, r.elapsed, r.iterations,
+             r.properties) for r in report.rows]
+
+
+def test_subsystem_resolves_semiformally(hard_pair):
+    # phase 4 times out on subsystem-1; phase 5 pins h0.CFG, its top pick
+    design, lib, regmap, script = hard_pair
+    props = props_for("prop both : ~(h0.bad & h1.bad)\n", design, lib)
+    report = run_flow(design, lib, regmap, script, props, _fast())
+    assert report.status == STATUS_SEMIFORMAL_COMPLETE
+    assert exit_code(report) == 0
+    assert _rows(report) == [
+        ("hard", "formal", "Finished", 0.0, 0, {}),
+        ("subsystem-1", "semiformal", "Finished", 0.6, 1, {"both": "PASS"}),
+    ]
+
+
+def test_subsystem_starts_from_the_ip_pins(hard_pair):
+    # phase 3 pins h1.CFG; subsystem-1's first iteration starts from that
+    # pin and adds h0.CFG, the top pick, so one iteration folds `cross`.
+    # Pinning h0.CFG alone leaves h1's parity block to refute.
+    design, lib, regmap, script = hard_pair
+    props = props_for("prop solo : ~(h1.bad)\n"
+                      "prop cross : ~(h1.bad & ~h0.bad)\n", design, lib)
+    report = run_flow(design, lib, regmap, script, props, _fast())
+    assert report.status == STATUS_SEMIFORMAL_COMPLETE
+    assert exit_code(report) == 0
+    assert _rows(report) == [
+        ("hard", "semiformal", "Finished", 0.6, 1, {"solo": "PASS"}),
+        ("subsystem-1", "semiformal", "Finished", 0.6, 1, {"cross": "PASS"}),
+    ]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(ip_time_limit=0)
