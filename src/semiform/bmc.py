@@ -108,8 +108,7 @@ class DualModel:
     drives to a known value) and PAIR a free (value, known) pair.
     """
 
-    base: FlatModel
-    index: dict[str, int]  # value-rail id of each net
+    base: FlatModel  # `base.index` gives each net's value-rail id
     known: list[int]  # known-rail id of each value-rail id
     kind: list[int]
     a: list[int]
@@ -125,8 +124,7 @@ def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
     the known rails and the helper nodes that compute them follow.  Nets
     in `cut` become free pairs and their drivers are left out.
     """
-    nets = model.nets
-    index = {net: i for i, net in enumerate(nets)}
+    nets, index = model.nets, model.index
     n = len(nets)
     kind, a, b, c = [INPUT] * n, [0] * n, [0] * n, [0] * n
 
@@ -198,7 +196,7 @@ def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
             gate(ko, OR, t1, t3)
         else:
             raise SemiformError(f"unexpected node kind {k}")
-    return DualModel(model, index, known, kind, a, b, c, free_pairs)
+    return DualModel(model, known, kind, a, b, c, free_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +230,7 @@ class Unroller:
     def __init__(self, dual: DualModel, assumes=(),
                  track_problem: bool = False):
         self.dual = dual
+        self.index = dual.base.index
         self.n = len(dual.kind)
         self.solver = Solver()
         self.solver.ensure_vars(1)
@@ -253,7 +252,7 @@ class Unroller:
                 raise SemiformError(
                     f"assume value {asm.value:#x} overflows {asm.register}")
             for i, bit in enumerate(reg.bits):
-                v = dual.index[base.resolve(bit)]  # cut, so checked already
+                v = self.index[base.resolve(bit)]  # cut, so checked already
                 kind[v] = ONE if (asm.value >> i) & 1 else ZERO
                 kind[known[v]] = ONE
         self._depth: list[int | None] = [_UNSEEN] * self.n
@@ -438,16 +437,16 @@ class Unroller:
 
     def pair(self, net: str, frame: int) -> tuple[int, int]:
         """(value, known) literals of a base-model net."""
-        i = self.dual.index[net]
+        i = self.index[net]
         return self.lit(i, frame), self.lit(self.dual.known[i], frame)
 
     def known(self, net: str, frame: int) -> int:
         """Known-rail literal of a base-model net."""
-        return self.lit(self.dual.known[self.dual.index[net]], frame)
+        return self.lit(self.dual.known[self.index[net]], frame)
 
     def peek(self, net: str, frame: int) -> tuple[int, int]:
         """(value, known) literals of a net if translated, else 0s."""
-        i = self.dual.index[net]
+        i = self.index[net]
         base = frame * self.n
         if base >= len(self.memo):
             return 0, 0
@@ -467,7 +466,7 @@ class Unroller:
         abc = self.dual.a, self.dual.b, self.dual.c
         worst = 0
         for net in nets:
-            i = self.dual.index[net]
+            i = self.index[net]
             for root in (i, self.dual.known[i]):
                 stack = [root]
                 while stack:
@@ -503,7 +502,7 @@ class Unroller:
         numbers, DFF init).  Returns the rails' numbers per list and the
         records; equal forms translate to the same clauses up to names.
         """
-        index, known, partner = self.dual.index, self.dual.known, self.partner
+        index, known, partner = self.index, self.dual.known, self.partner
         abc = self.dual.a, self.dual.b, self.dual.c
         num: dict[int, int] = {}
         order: list[int] = []
@@ -624,14 +623,12 @@ class PropertyOutcome:
     frame: int | None = None
     trace: CexTrace | None = None
     reason: str | None = None
-    elapsed: float = 0.0
 
 
 @dataclass
 class BmcRun:
     outcomes: dict[str, PropertyOutcome] = field(default_factory=dict)
     k: int = 0
-    elapsed: float = 0.0
     n_vars: int = 0
     n_clauses: int = 0
     n_conflicts: int = 0
@@ -706,12 +703,11 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
 
     dual = xprop_encode(model, cut)
     for net, signal in cut.items():
-        if net not in dual.index:
+        if net not in model.index:
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
     enc = Unroller(dual, assumes, track_problem=dump_cnf is not None)
-    nets = {p.name: simlib.check_prop_nets(model, p, dual.index)
-            for p in pending}
+    nets = {p.name: simlib.check_prop_nets(model, p) for p in pending}
     key = None
     if reuse is not None:
         key = (k, repr(budget), serialize_props(props),
@@ -727,7 +723,6 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     for p in pending:
         d = enc.depth(nets[p.name])
         last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))
-    spent: dict[str, float] = {p.name: 0.0 for p in pending}
 
     while pending:
         now = time.perf_counter()
@@ -735,32 +730,25 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
             for prop in pending:
                 run.outcomes[prop.name] = PropertyOutcome(
                     prop.name, "UNDETERMINED", reason="timeout",
-                    bound=max(0, next_frame[prop.name] - 1),
-                    elapsed=spent[prop.name])
+                    bound=max(0, next_frame[prop.name] - 1))
             break
         share = None
         if total_deadline is not None:
             share = (total_deadline - now) / len(pending)
         still = []
         for prop in pending:
-            t0 = time.perf_counter()
             deadline = None if share is None else \
-                min(t0 + share, total_deadline)
+                min(time.perf_counter() + share, total_deadline)
             out = _attempt(enc, model, prop, k, last[prop.name], next_frame,
                            deadline, dump_cnf)
-            spent[prop.name] += time.perf_counter() - t0
             if out is None:
                 still.append(prop)
             else:
-                run.outcomes[prop.name] = PropertyOutcome(
-                    out.prop, out.status, bound=out.bound, frame=out.frame,
-                    trace=out.trace, reason=out.reason,
-                    elapsed=spent[prop.name])
+                run.outcomes[prop.name] = out
         pending = still
         if share is None:
             break  # unbounded: one pass resolves everything
 
-    run.elapsed = time.perf_counter() - start
     run.n_vars = enc.solver.num_vars
     run.n_clauses = enc.n_clauses
     run.n_conflicts = enc.solver.n_conflicts

@@ -52,11 +52,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _design_inputs(args):
+def _design(args) -> tuple[Design, dict[str, IpNetlist]]:
     netlist_dir = args.netlist_dir or os.path.dirname(
         os.path.abspath(args.design))
     library = _load_library(netlist_dir)
-    design = parse_design(_read(args.design), path=args.design)
+    return parse_design(_read(args.design), path=args.design), library
+
+
+def _design_inputs(args):
+    """The design, its library and its register map (`<design>.map`)."""
+    design, library = _design(args)
     regmap_path = args.regmap
     if regmap_path is None:
         regmap_path = os.path.splitext(args.design)[0] + ".map"
@@ -219,7 +224,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_gen_xprop(args) -> int:
-    design, library, _ = _design_inputs(args)
+    design, library = _design(args)
     props = gen_xprop(design, library, settle=args.settle)
     text = serialize_props(props)
     if args.out:
@@ -279,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-xprop", help="emit per-register obligations")
     p.add_argument("--design", required=True)
     p.add_argument("--netlist-dir")
-    p.add_argument("--regmap")
     p.add_argument("--settle", type=int, default=4)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_gen_xprop)

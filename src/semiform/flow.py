@@ -19,6 +19,12 @@ not blackboxed, opens a session of its own, keeps its blackboxed
 instances cut, and starts from the registers earlier refinements
 pinned (`FlowState.carryover`).
 
+Every model the flow checks or simulates comes from `Flow._model(keep)`,
+which flattens the design once per distinct set of kept instances: one
+instance for an IP, the first k+1 ranked instances for subsystem-k, and
+all of them for the boot-script sessions.  The last subsystem and the
+sessions therefore share one model, lowered for the kernel once.
+
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges
 zero) so identical runs serialize identically.  Checks that ran out of
@@ -224,9 +230,7 @@ class Flow:
         self.config = config or FlowConfig()
         self.state = FlowState()
         self.warnings: list[str] = []
-        self._ip_models: dict[str, FlatModel] = {}
-        self._sub_models: dict[int, FlatModel] = {}
-        self._full: FlatModel | None = None
+        self._models: dict[frozenset[str], FlatModel] = {}
         self._arch: dict[str, Row] = {}  # in report order
         self._reuse: dict = {}  # bmc.check's store of runs out of budget
 
@@ -249,31 +253,21 @@ class Flow:
         return [bmc.Blackbox(i) for i in sorted(
             self.state.blackboxed & set(self.state.ranked_ips[:k + 1]))]
 
-    def ip_model(self, instance: str) -> FlatModel:
-        if instance not in self._ip_models:
-            self._ip_models[instance] = elaborate(
-                self.design, self.library, keep={instance})
-        return self._ip_models[instance]
-
-    def sub_model(self, k: int) -> FlatModel:
-        if k not in self._sub_models:
-            keep = set(self.state.ranked_ips[:k + 1])
-            self._sub_models[k] = elaborate(self.design, self.library,
-                                            keep=keep)
-        return self._sub_models[k]
-
-    def full_model(self) -> FlatModel:
-        if self._full is None:
-            self._full = elaborate(self.design, self.library)
-        return self._full
+    def _model(self, keep) -> FlatModel:
+        """The design flattened to the instances in `keep`, built once."""
+        keep = frozenset(keep)
+        if keep not in self._models:
+            self._models[keep] = elaborate(self.design, self.library,
+                                           keep=keep)
+        return self._models[keep]
 
     def _simulator(self, tag: str) -> sim.Simulator:
         """A boot-script session, tracing to `<dump>.<tag>.trace`."""
         trace = None
         if self.config.dump_trace:
             trace = f"{self.config.dump_trace}.{tag}.trace"
-        return sim.Simulator(self.full_model(), self.design, self.script,
-                             trace_path=trace)
+        return sim.Simulator(self._model(self.design.instance_names()),
+                             self.design, self.script, trace_path=trace)
 
     def _mapped_regs(self, instances) -> list[str]:
         pfx = tuple(i + "." for i in instances)
@@ -301,8 +295,9 @@ class Flow:
         runs `session` to the next PoI, captures the ranked registers,
         pins one more of them (cut plus assume of the captured value)
         and checks `group` again.  Returns True once a check finishes,
-        and False when no candidate is left; `arch.iterations` counts
-        the checks made.  The pins of a check that finishes join
+        and False when no candidate is left.  The checks made are added
+        to `arch.iterations`, so a module counts those of all its
+        instances.  The pins of a check that finishes join
         `state.carryover`.
 
         The two scales differ only in what the caller passes.  An IP
@@ -314,29 +309,27 @@ class Flow:
         carried both scales pick alike.  The caller sets `arch.result`.
         """
         if not candidates:
-            arch.iterations = 0
             return False
         ranked = sra.do_sra(model, candidates)
         order = ranked.order
         pois = sim.set_pois(self.regmap, order, self.script)
         pinned = [r for r in order if r in carry]
-        iters = 0
+        carried = order[0] in pinned  # then the first check adds no pick
         while True:
             sim.run_until_poi(session, pois)
             cap = sim.collect_sim_values(session, order)
-            if iters or order[0] not in pinned:
+            if not carried:
                 try:
                     pinned += sra.combine_regs(ranked, 1, already=pinned)
                 except ExhaustedRegisters:
-                    arch.iterations = iters
                     return False
-            iters += 1
+            carried = False
+            arch.iterations += 1
             cons = bmc.create_stopats(pinned)
             vals = {r: cap.values[r] for r in pinned if r in cap.values}
             cons = [*blackboxes, *cons, *bmc.create_assumes(vals, cons)]
             run = self._check(arch, model, group, cons, budget)
             if run.status != "INCOMPLETE":
-                arch.iterations = iters
                 self.state.carryover += [r for r in pinned
                                          if r not in self.state.carryover]
                 return True
@@ -366,7 +359,7 @@ class Flow:
             arch = self._arch[module]
             complete = True
             for inst, group in self._scoped(module):
-                run = self._check(arch, self.ip_model(inst), group, (),
+                run = self._check(arch, self._model([inst]), group, (),
                                   self.config.ip_time_limit)
                 if run.status == "INCOMPLETE":
                     complete = False
@@ -388,7 +381,7 @@ class Flow:
                 arch.engine = "semiformal"
                 ok = True
                 for inst, group in self._scoped(module):
-                    ok = self._refine(session, arch, self.ip_model(inst),
+                    ok = self._refine(session, arch, self._model([inst]),
                                       group, self._mapped_regs([inst]),
                                       cfg.ip_time_limit) and ok
                 if ok:
@@ -408,11 +401,12 @@ class Flow:
 
     def phase4_formal_subsystems(self) -> int | None:
         """Index of the first subsystem left open, for phase 5, or None."""
-        for k in range(1, len(self.state.ranked_ips)):
+        ranked = self.state.ranked_ips
+        for k in range(1, len(ranked)):
             arch = self._arch[f"subsystem-{k}"]
             group = self._group(arch.name)
             if group:
-                run = self._check(arch, self.sub_model(k), group,
+                run = self._check(arch, self._model(ranked[:k + 1]), group,
                                   self._blackboxes(k),
                                   self.config.subsystem_time_limit)
                 if run.status == "INCOMPLETE":
@@ -435,11 +429,11 @@ class Flow:
                 live = [i for i in ranked[:k + 1]
                         if i not in self.state.blackboxed]
                 with closing(self._simulator(arch.name)) as session:
-                    ok = self._refine(session, arch, self.sub_model(k), group,
-                                      self._mapped_regs(live),
-                                      self.config.subsystem_time_limit,
-                                      self._blackboxes(k),
-                                      self.state.carryover)
+                    ok = self._refine(
+                        session, arch, self._model(ranked[:k + 1]), group,
+                        self._mapped_regs(live),
+                        self.config.subsystem_time_limit,
+                        self._blackboxes(k), self.state.carryover)
                 if not ok:
                     arch.result = RESULT_SEMIFORMAL_FAIL
                     return STATUS_SEMIFORMAL_FAIL

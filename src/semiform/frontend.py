@@ -54,6 +54,12 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _BITREF_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\[(\d+)\])?$")
 
 
+def _need(toks, n: int, usage: str, ln: int, path):
+    """Raise ParseError with `usage` when a line has fewer than `n` tokens."""
+    if len(toks) < n:
+        raise ParseError(usage, ln, 1, path)
+
+
 def _check_name(tok: str, ln: int, path):
     if not _NAME_RE.match(tok):
         raise ParseError(f"bad identifier {tok!r}", ln, 1, path)
@@ -105,6 +111,7 @@ def parse_netlist(text: str, path: str | None = None) -> IpNetlist:
         if key == ".module":
             if name is not None:
                 raise ParseError("second .module in file", ln, 1, path)
+            _need(toks, 2, ".module takes NAME", ln, path)
             name = _check_name(toks[1], ln, path)
         elif name is None:
             raise ParseError("directive before .module", ln, 1, path)
@@ -135,6 +142,7 @@ def parse_netlist(text: str, path: str | None = None) -> IpNetlist:
                         raise WidthOverflow(f"init {v} does not fit {w} bits", ln, 1, path)
             reg_decl[n] = (w, init, ln)
         elif key == ".gate":
+            _need(toks, 2, ".gate takes KIND OUT INPUTS", ln, path)
             kind = toks[1]
             if kind not in GATE_ARITY:
                 raise ParseError(f"unknown gate kind {kind}", ln, 1, path)
@@ -288,6 +296,7 @@ def parse_design(text: str, path: str | None = None) -> Design:
         if key == ".design":
             if name is not None:
                 raise ParseError("second .design", ln, 1, path)
+            _need(toks, 2, ".design takes NAME", ln, path)
             name = _check_name(toks[1], ln, path)
         elif name is None:
             raise ParseError("directive before .design", ln, 1, path)
@@ -318,10 +327,14 @@ def parse_design(text: str, path: str | None = None) -> Design:
                 raise UnknownSignal(f"unknown instance {inst}", ln, 1, path)
             tops.append((tp, inst, port))
         elif key == ".bus":
+            _need(toks, 2, ".bus takes reset, range or map", ln, path)
             sub = toks[1]
             if sub == "reset":
+                _need(toks, 3, ".bus reset takes NET", ln, path)
                 bus.reset = toks[2]
             elif sub == "range":
+                _need(toks, 4, ".bus range takes BASE SIZE addr= wdata= we=",
+                      ln, path)
                 base = _parse_int(toks[2], ln, path, "base address")
                 size = _parse_int(toks[3], ln, path, "size")
                 kv = {}
@@ -333,12 +346,13 @@ def parse_design(text: str, path: str | None = None) -> Design:
                     raise ParseError(f".bus range missing {sorted(missing)}", ln, 1, path)
                 bus.ranges.append(BusRange(base, size, kv["addr"], kv["wdata"], kv["we"]))
             elif sub == "map":
+                _need(toks, 4, ".bus map takes ADDR INST.REG", ln, path)
                 addr = _parse_int(toks[2], ln, path, "address")
                 if addr >= (1 << BUS_WIDTH):
                     raise WidthOverflow(f"address 0x{addr:x} exceeds {BUS_WIDTH} bits", ln, 1, path)
                 if addr in bus.regmap:
                     raise DuplicateAddress(f"address 0x{addr:x} mapped twice", ln, 1, path)
-                inst, reg = _dotted(toks[2 + 1], ln, path)
+                inst, reg = _dotted(toks[3], ln, path)
                 if inst not in inst_names:
                     raise UnknownSignal(f"unknown instance {inst}", ln, 1, path)
                 target = f"{inst}.{reg}"

@@ -5,6 +5,14 @@ the `FlatModel` produced by `elaborate`.  Nets are plain strings; inside an
 IP they are `name` or `name[i]`, after elaboration `inst.name[i]`.  Multi-bit
 signals are blasted to one net per bit at parse time, so gates are always
 single-bit.
+
+A flat net's integer id is its place in the sorted `model.nets`, looked up
+in `model.index`; the kernel's value arrays, the dual-rail graph and
+property evaluation all use these ids.  Gates run in `model.comb_order()`,
+one topological order found by an iterative depth-first search when the
+model is elaborated (a combinational cycle raises there).  The kernel
+settles them in that order, and `fanout_cone` counts paths over it in
+reverse.
 """
 
 from __future__ import annotations
@@ -121,7 +129,7 @@ class IpNetlist:
                 raise MultipleDrivers(
                     f"{self.name}: net {n.output} driven by {drivers[n.output]} and {n.kind}")
             drivers[n.output] = n.kind
-        _check_comb_cycles(self.nodes, f"{self.name}: ")
+        _comb_order(self.nodes, f"{self.name}: ")
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,6 @@ class FlatRegister:
 class CompiledModel:
     """Index tuples for `kernels.eval_comb`, gates in topological order."""
 
-    net_names: tuple[str, ...]
     index: dict[str, int]
     gates: tuple[tuple[int, int, int, int, int], ...]  # (kind, a, b, c, out)
     dff_q: tuple[int, ...]
@@ -267,11 +274,13 @@ class FlatModel:
         nets.update(self.inputs)
         nets.update(self.outputs)
         self.nets: tuple[str, ...] = tuple(sorted(nets))
+        self.index: dict[str, int] = {n: i for i, n in enumerate(self.nets)}
         self._driver: dict[str, int] = {}
         for i, n in enumerate(self.nodes):
             if n.output in self._driver:
                 raise MultipleDrivers(f"net {n.output} has multiple drivers")
             self._driver[n.output] = i
+        self._order: tuple[Node, ...] | None = None
         self._compiled: CompiledModel | None = None
         self._consumers: dict[str, list[int]] | None = None
 
@@ -302,52 +311,34 @@ class FlatModel:
             self._consumers = cons
         return self._consumers
 
+    def comb_order(self) -> tuple[Node, ...]:
+        """The gates in topological order, found once per model."""
+        if self._order is None:
+            self._order = _comb_order(self.nodes)
+        return self._order
+
     # -- compilation for the kernel -----------------------------------------
 
     def compile(self) -> CompiledModel:
         if self._compiled is not None:
             return self._compiled
-        names = self.nets
-        index = {n: i for i, n in enumerate(names)}
-        comb = [n for n in self.nodes if n.kind in COMB_KINDS]
-        level: dict[str, int] = {}
-
-        # Iterative levelization; recursion depth can exceed limits on deep chains.
-        for g in comb:
-            stack = [g.output]
-            while stack:
-                net = stack[-1]
-                if net in level:
-                    stack.pop()
-                    continue
-                drv = self.driver_of(net)
-                if drv is None or drv.kind not in COMB_KINDS:
-                    level[net] = 0
-                    stack.pop()
-                    continue
-                missing = [i for i in drv.inputs if i not in level]
-                if missing:
-                    stack.extend(missing)
-                else:
-                    level[net] = 1 + max(level[i] for i in drv.inputs)
-                    stack.pop()
-        order = sorted(comb, key=lambda n: (level[n.output], index[n.output]))
+        index = self.index
 
         def pick(n: Node, j: int) -> int:
             return index[n.inputs[j]] if j < len(n.inputs) else 0
         gates = tuple((KIND_CODE[n.kind], pick(n, 0), pick(n, 1), pick(n, 2),
-                       index[n.output]) for n in order)
+                       index[n.output]) for n in self.comb_order())
 
         dffs = [n for n in self.nodes if n.kind == "DFF"]
         consts = [n for n in self.nodes if n.kind == "CONST"]
         self._compiled = CompiledModel(
-            net_names=names, index=index, gates=gates,
+            index=index, gates=gates,
             dff_q=tuple(index[n.output] for n in dffs),
             dff_d=tuple(index[n.inputs[0]] for n in dffs),
             dff_init=tuple(X if n.init is None else n.init for n in dffs),
             const_idx=tuple(index[n.output] for n in consts),
             const_val=tuple(n.value for n in consts),
-            n_nets=len(names))
+            n_nets=len(self.nets))
         return self._compiled
 
 
@@ -552,42 +543,42 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
         nodes=nodes, node_instance=node_instance,
         registers=registers, inputs=sorted(inputs),
         outputs=sorted(set(outputs)), signals=signals, aliases=aliases)
-    _check_comb_cycles(model.nodes)
+    model.comb_order()  # a cycle raises here
     return model
 
 
-def _check_comb_cycles(nodes, where: str = ""):
-    """Raise CombinationalLoop if the gates among `nodes` form a cycle.
+def _comb_order(nodes, where: str = "") -> tuple[Node, ...]:
+    """The gates among `nodes`, each after the gates that drive it.
 
-    Iterative depth-first search; `where` prefixes the message.
+    Iterative depth-first search, so deep chains do not reach the
+    recursion limit.  Raises CombinationalLoop on a cycle; `where`
+    prefixes the message.
     """
     comb = {n.output: n for n in nodes if n.kind in COMB_KINDS}
     state: dict[str, int] = {}  # 1 on the DFS path, 2 finished
+    order: list[Node] = []
     for start in comb:
-        if state.get(start) == 2:
+        if start in state:
             continue
         stack: list[tuple[str, int]] = [(start, 0)]
         while stack:
             net, idx = stack.pop()
             node = comb[net]
-            if state.get(net) == 2:
-                continue
-            if idx == 0:
-                state[net] = 1
-            advanced = False
+            state[net] = 1
             for j in range(idx, len(node.inputs)):
                 nxt = node.inputs[j]
                 if nxt in comb:
                     if state.get(nxt) == 1:
                         raise CombinationalLoop(
                             f"{where}combinational cycle through {nxt}")
-                    if state.get(nxt) != 2:
+                    if nxt not in state:
                         stack.append((net, j + 1))
                         stack.append((nxt, 0))
-                        advanced = True
                         break
-            if not advanced:
+            else:
                 state[net] = 2
+                order.append(node)
+    return tuple(order)
 
 
 def blackbox(model: FlatModel, instance: str) -> FlatModel:
@@ -680,24 +671,22 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
         if n.kind == "DFF" and n.output in bit_owner:
             dff_reg_of[i] = bit_owner[n.output]
 
-    memo: dict[str, int] = {}
-
-    def paths_from(net: str) -> int:
-        if net in memo:
-            return memo[net]
-        memo[net] = 0  # cycle guard; comb graph is acyclic anyway
+    def path_count(net: str) -> int:
         total = 1 if net in outputs else 0
         for ci in cons.get(net, ()):
             node = model.nodes[ci]
-            if node.kind == "DFF":
-                if dff_reg_of.get(ci) != register:
-                    total += 1
-            else:
-                total += paths_from(node.output)
-        memo[net] = total
+            if node.kind != "DFF":
+                total += paths[node.output]
+            elif dff_reg_of.get(ci) != register:
+                total += 1
         return total
 
-    # DFF nodes reached across boundaries do not restart path counting.
-    total_paths = sum(paths_from(b) for b in reg.bits)
+    # gates in reverse topological order, so each reads settled consumers;
+    # DFF nodes reached across boundaries do not restart path counting
+    paths: dict[str, int] = {}
+    for g in reversed(model.comb_order()):
+        if g.output in seen_nets:
+            paths[g.output] = path_count(g.output)
+    total_paths = sum(path_count(b) for b in reg.bits)
     return FanoutCone(register=register, elements=tuple(sorted(seen_nodes)),
                       paths=total_paths)

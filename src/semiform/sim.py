@@ -241,7 +241,7 @@ class Simulator:
         for i, (v, was) in enumerate(zip(self.frame, self._trace_last)):
             if v != was:
                 self._trace_file.write(
-                    f"{self.cycle} {self.cm.net_names[i]} {'x' if v == X else v}\n")
+                    f"{self.cycle} {self.model.nets[i]} {'x' if v == X else v}\n")
         self._trace_last = self.frame
 
     def close(self):
@@ -284,11 +284,10 @@ def sig_nets(model: FlatModel, e) -> tuple[str, ...]:
     return tuple(model.resolve(b) for b in bits)
 
 
-def check_prop_nets(model: FlatModel, prop, index) -> list[str]:
-    """The nets `prop` reads; SemiformError when one is missing from `index`.
+def check_prop_nets(model: FlatModel, prop) -> list[str]:
+    """The nets `prop` reads; SemiformError when one is not in `model.nets`.
 
-    `index` is keyed by `model.nets`, which leaves out a declared wire
-    that no gate drives or reads.
+    `model.nets` leaves out a declared wire that no gate drives or reads.
     """
     if prop.kind == "xprop":
         reg = model.registers.get(prop.register)
@@ -302,14 +301,14 @@ def check_prop_nets(model: FlatModel, prop, index) -> list[str]:
             elif e[0] != "int":
                 todo.extend(e[1:])
     for net in nets:
-        if net not in index:
+        if net not in model.index:
             raise SemiformError(f"property {prop.name} reads net {net}, "
                                 "which nothing drives or reads")
     return nets
 
 
-def _bits3(model: FlatModel, cm, frame, e):
-    return [frame[cm.index[net]] for net in sig_nets(model, e)]
+def _bits3(model: FlatModel, frame, e):
+    return [frame[model.index[net]] for net in sig_nets(model, e)]
 
 
 _AND = kernels.AND3
@@ -320,14 +319,13 @@ _XOR = kernels.XOR3
 
 def eval_expr3(model: FlatModel, frame, expr) -> int:
     """Evaluate a property expression to 0, 1, or X on one cycle's values."""
-    cm = model.compile()
 
     def ev(e) -> int:
         k = e[0]
         if k == "int":
             return e[1]
         if k == "sig":
-            return _bits3(model, cm, frame, e)[0]
+            return _bits3(model, frame, e)[0]
         if k == "not":
             return _NOT[ev(e[1])]
         if k == "and":
@@ -340,11 +338,11 @@ def eval_expr3(model: FlatModel, frame, expr) -> int:
             a, b = e[1], e[2]
             if a[0] == "int":
                 a, b = b, a
-            abits = _bits3(model, cm, frame, a)
+            abits = _bits3(model, frame, a)
             if b[0] == "int":
                 bbits = [(b[1] >> i) & 1 for i in range(len(abits))]
             else:
-                bbits = _bits3(model, cm, frame, b)
+                bbits = _bits3(model, frame, b)
             acc = 1
             for x, y in zip(abits, bbits):
                 acc = _AND[acc * 3 + _NOT[_XOR[x * 3 + y]]]
@@ -356,13 +354,13 @@ def eval_expr3(model: FlatModel, frame, expr) -> int:
 
 def violated_at(model: FlatModel, frame, prop, cycle: int) -> bool:
     """A property is violated only when it evaluates to a definite 0."""
-    cm = model.compile()
-    check_prop_nets(model, prop, cm.index)
+    check_prop_nets(model, prop)
     if prop.kind == "xprop":
         if cycle < (prop.settle or 0):
             return False
         reg = model.registers.get(prop.register)
         if reg is None:
             return False
-        return any(frame[cm.index[model.resolve(b)]] == X for b in reg.bits)
+        return any(frame[model.index[model.resolve(b)]] == X
+                   for b in reg.bits)
     return eval_expr3(model, frame, prop.expr) == 0

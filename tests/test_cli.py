@@ -170,6 +170,20 @@ def test_gen_xprop_command(mini_files, tmp_path, capsys):
     assert "xprop_b0_GAIN" in text
 
 
+def test_gen_xprop_reads_no_register_map(mini_files, tmp_path):
+    # the obligations come from the design alone, so a broken map next to
+    # it is not read
+    for f in mini_files.glob("*.net"):
+        (tmp_path / f.name).write_text(f.read_text())
+    (tmp_path / "mini.dsn").write_text((mini_files / "mini.dsn").read_text())
+    (tmp_path / "mini.map").write_text("0x0 nope.CFG extra\n")
+    out = tmp_path / "x.prop"
+    code = main(["gen-xprop", "--design", str(tmp_path / "mini.dsn"),
+                 "--out", str(out)])
+    assert code == 0
+    assert "xprop_a0_CFG" in out.read_text()
+
+
 def test_gen_xprop_output_feeds_bmc(hard_gated, tmp_path, capsys):
     d = hard_gated[0]
     props = tmp_path / "x.prop"

@@ -219,6 +219,35 @@ def test_subsystem_starts_from_the_ip_pins(hard_pair):
     ]
 
 
+def test_module_row_counts_every_instance_iterations(hard_pair):
+    # both instances time out in phase 2 and take one pinned check each
+    design, lib, regmap, script = hard_pair
+    props = props_for("prop a : ~(h0.bad)\nprop b : ~(h1.bad)\n",
+                      design, lib)
+    report = run_flow(design, lib, regmap, script, props, _fast())
+    assert _rows(report)[0] == ("hard", "semiformal", "Finished",
+                                pytest.approx(1.2), 2,
+                                {"a": "PASS", "b": "PASS"})
+
+
+def test_each_instance_set_is_elaborated_once(hard_pair, monkeypatch):
+    # subsystem-1 keeps both instances, as the boot-script sessions do
+    from semiform import flow
+    design, lib, regmap, script = hard_pair
+    kept, elaborate = [], flow.elaborate
+
+    def spy(design, library, keep=None):
+        kept.append(frozenset(design.instance_names() if keep is None
+                              else keep))
+        return elaborate(design, library, keep=keep)
+
+    monkeypatch.setattr(flow, "elaborate", spy)
+    props = props_for("prop solo : ~(h1.bad)\n"
+                      "prop cross : ~(h1.bad & ~h0.bad)\n", design, lib)
+    run_flow(design, lib, regmap, script, props, _fast())
+    assert sorted(kept, key=sorted) == [{"h0", "h1"}, {"h1"}]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(ip_time_limit=0)

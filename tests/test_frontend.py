@@ -70,6 +70,21 @@ def test_design_errors():
         parse_design(".design d\n.connect a0.x b0.y\n")  # unknown instance
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_design, ".design\n"),
+    (parse_design, ".design d\n.bus\n"),
+    (parse_design, ".design d\n.bus reset\n"),
+    (parse_design, ".design d\n.bus range 0x0\n"),
+    (parse_design, ".design d\n.bus map 0x0\n"),
+    (parse_netlist, ".module\n"),
+    (parse_netlist, ".module t\n.gate\n"),
+], ids=["design", "bus", "bus_reset", "bus_range", "bus_map", "module",
+        "gate"])
+def test_short_directive_is_a_parse_error(parse, text):
+    with pytest.raises(errors.ParseError):
+        parse(text)
+
+
 # -- register map --------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from semiform.frontend import parse_design, parse_netlist
 from semiform.netlist import (blackbox, connection_scores, elaborate,
                               fanout_cone, list_unique_ips,
                               rank_ips_by_connection)
+from semiform.sra import do_sra
 
 from conftest import COUNTER_TEXT, build_model, random_dag_module
 import oracles
@@ -120,6 +121,20 @@ def test_fanout_cone_crosses_flops():
     assert kinds_a.count("DFF") == 1  # B's flop is an element of A's cone
     assert "NOT" in kinds_a and len(ca.elements) == 3
     assert cb.paths == 1 and cb.element_count == 1
+
+
+def test_fanout_cone_of_a_deep_chain():
+    # R drives 3,000 NOT gates into S's flop: one path, and the chain plus
+    # S's flop as elements, counted without recursing down the chain
+    n = 3000
+    lines = [".module t", ".input d 1", ".reg R 1 init=0", ".reg S 1 init=0"]
+    lines += [f".wire w{i} 1" for i in range(n)]
+    lines += [".gate NOT w0 R"]
+    lines += [f".gate NOT w{i} w{i - 1}" for i in range(1, n)]
+    lines += [".dff R d", f".dff S w{n - 1}", ".endmodule"]
+    model, _, _ = build_model("\n".join(lines) + "\n")
+    ranked = do_sra(model, ["m0.R"])
+    assert (ranked.scores[0].paths, ranked.scores[0].elements) == (1, 3001)
 
 
 def test_fanout_cone_unknown_register(counter):
