@@ -8,10 +8,15 @@ a counterexample found here replays exactly in simulation.
 `xprop_encode` builds both rails as one graph over integer ids, held in
 flat `kind/a/b/c` lists: the value rails of the model's nets first, in
 `model.nets` order, then the known rails and the helper gates that
-compute them.  A NOT gate's output shares its input's known rail.  A
-net a stopat cuts is a free (value, known) pair whose driver is ignored,
-as is a net blackboxing frees; a cut NOT output gets a known rail of its
-own, so freeing it leaves its input's rail alone.
+compute them.  Every net has a known-rail node of its own; a NOT
+output's is the AND of its input's known rail with itself, which
+translates to that rail's literal.  The graph is encoded once per flat
+model and kept on it (`model.dual`), and blackboxed models are kept
+with the model they came from, so a refinement loop that checks one
+model again and again encodes it once.  A check's constraints go into
+its `Unroller`'s copy of `kind`: a net a stopat cuts becomes a free
+(value, known) pair whose driver is ignored, like a net blackboxing
+frees, and an assumed bit a constant.
 
 Encoding is lazy: a node/frame pair is translated to CNF only when some
 property cone reaches it, and constants are folded during translation.
@@ -105,10 +110,10 @@ class DualModel:
     Node `i` is `kind[i]` over the ids `a[i]`, `b[i]`, `c[i]`; a DFF
     reads `a` one frame back and starts at `b` (0/1).  ZERO and ONE are
     constants, INPUT is a fresh variable per frame (a net the environment
-    drives to a known value) and PAIR a free (value, known) pair.
+    drives to a known value) and PAIR a free (value, known) pair.  The
+    model's `index` gives each net's value-rail id.
     """
 
-    base: FlatModel  # `base.index` gives each net's value-rail id
     known: list[int]  # known-rail id of each value-rail id
     kind: list[int]
     a: list[int]
@@ -117,12 +122,13 @@ class DualModel:
     free_pairs: tuple[int, ...]  # value-rail ids whose pair is unconstrained
 
 
-def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
+def xprop_encode(model: FlatModel) -> DualModel:
     """Attach a known rail to every net of the flat model.
 
     Ids `0..len(model.nets)-1` are the value rails in `model.nets` order;
-    the known rails and the helper nodes that compute them follow.  Nets
-    in `cut` become free pairs and their drivers are left out.
+    the known rails and the helper nodes that compute them follow.  Every
+    net has a known-rail node of its own, so a check can free any net by
+    writing its two nodes over (see `Unroller`).
     """
     nets, index = model.nets, model.index
     n = len(nets)
@@ -138,27 +144,16 @@ def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
     def gate(i: int, k: int, x: int, y: int = 0, z: int = 0):
         kind[i], a[i], b[i], c[i] = k, x, y, z
 
-    # a NOT output shares its input's known rail, transitively, unless it
-    # is cut; every other rail starts out known (undriven nets are driven
-    # by the environment)
-    alias = {index[nd.output]: index[nd.inputs[0]] for nd in model.nodes
-             if nd.kind == "NOT" and nd.output not in cut}
-    known = [0 if i in alias else node(ONE) for i in range(n)]
-    for i in alias:
-        root = i
-        while root in alias:
-            root = alias[root]
-        known[i] = known[root]
-    # cut nets, and undriven nets freed by blackboxing, may stay unknown
+    # every rail starts out known (undriven nets are driven by the
+    # environment); undriven nets freed by blackboxing may stay unknown
+    known = [node(ONE) for _ in range(n)]
     driven = {nd.output for nd in model.nodes}
-    free_pairs = tuple(i for i, net in enumerate(nets) if net in cut or
-                       (net in model.free_inputs and net not in driven))
+    free_pairs = tuple(i for i, net in enumerate(nets)
+                       if net in model.free_inputs and net not in driven)
     for v in free_pairs:
         kind[v] = kind[known[v]] = PAIR
 
     for nd in model.nodes:
-        if nd.output in cut:
-            continue
         o = index[nd.output]
         ko = known[o]
         ins = [index[x] for x in nd.inputs]
@@ -169,7 +164,10 @@ def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
             gate(o, DFF, ins[0], nd.init or 0)
             gate(ko, DFF, known[ins[0]], int(nd.init is not None))
         elif k == "NOT":
-            gate(o, NOT, ins[0])  # known rail shared with the input
+            gate(o, NOT, ins[0])
+            # known exactly when the input is; `Unroller.lit` folds the
+            # AND of a rail with itself to that rail's literal
+            gate(ko, AND, known[ins[0]], known[ins[0]])
         elif k == "XOR":
             x, y = ins
             gate(o, XOR, x, y)
@@ -196,7 +194,7 @@ def xprop_encode(model: FlatModel, cut=frozenset()) -> DualModel:
             gate(ko, OR, t1, t3)
         else:
             raise SemiformError(f"unexpected node kind {k}")
-    return DualModel(model, known, kind, a, b, c, free_pairs)
+    return DualModel(known, kind, a, b, c, free_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +205,36 @@ class _EncodeTimeout(Exception):
     pass
 
 
-_ARITY = (2, 2, 2, 1, 3, 1, 0, 0, 0, 0)  # inputs of each node kind
 _UNSEEN, _OPEN = -1, -2  # depth memo entries of nodes not yet done
 
 
 class Unroller:
     """Translates (node id, frame) pairs to solver literals on demand.
 
+    The graph is `model.dual`, encoded by the first Unroller of a model.
+
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
     just integer comparison.  `memo[f * n + id]` holds the literal of
     node `id` at frame `f`, 0 while untranslated, where `n` is the number
     of dual-rail nodes; it grows by one frame of n slots as deeper frames
-    are asked for.  `kind` is the model's kind list with this check's
-    assumes written in: an assumed bit becomes a constant with a ONE
-    known rail.  `partner` maps the known rail of each pair to its value
-    rail.
+    are asked for.  `kind` is this check's copy of the model's kind list
+    with its constraints written in, so the shared graph is never
+    changed: each net in `cut` becomes a free pair (both of its nodes
+    PAIR, its driver unread), and then each assumed bit a constant with a
+    ONE known rail.  `free_pairs` holds the value-rail ids of the model's
+    own free pairs and of the cut nets, and `partner` maps the known rail
+    of each to its value rail.
     """
 
     TRUE = 1
     FALSE = -1
 
-    def __init__(self, dual: DualModel, assumes=(),
+    def __init__(self, model: FlatModel, cut=(), assumes=(),
                  track_problem: bool = False):
-        self.dual = dual
-        self.index = dual.base.index
+        if model.dual is None:
+            model.dual = xprop_encode(model)
+        dual = self.dual = model.dual
+        self.index = model.index
         self.n = len(dual.kind)
         self.solver = Solver()
         self.solver.ensure_vars(1)
@@ -241,18 +245,22 @@ class Unroller:
         self.deadline: float | None = None
         self._ops = 0
 
-        base, known = dual.base, dual.known
+        known = dual.known
         kind = self.kind = dual.kind.copy()
-        self.partner = {known[v]: v for v in dual.free_pairs}
+        self.free_pairs = set(dual.free_pairs).union(
+            self.index[net] for net in cut)
+        for v in self.free_pairs:
+            kind[v] = kind[known[v]] = PAIR
+        self.partner = {known[v]: v for v in self.free_pairs}
         for asm in assumes:
-            reg = base.registers.get(asm.register)
+            reg = model.registers.get(asm.register)
             if reg is None:
                 raise SemiformError(f"assume on unknown register {asm.register}")
             if asm.value >> len(reg.bits):
                 raise SemiformError(
                     f"assume value {asm.value:#x} overflows {asm.register}")
             for i, bit in enumerate(reg.bits):
-                v = self.index[base.resolve(bit)]  # cut, so checked already
+                v = self.index[model.resolve(bit)]  # cut, so checked already
                 kind[v] = ONE if (asm.value >> i) & 1 else ZERO
                 kind[known[v]] = ONE
         self._depth: list[int | None] = [_UNSEEN] * self.n
@@ -463,7 +471,7 @@ class Unroller:
         Unroller, so the properties of one check share it.
         """
         d, kind = self._depth, self.kind
-        abc = self.dual.a, self.dual.b, self.dual.c
+        A, B, C = self.dual.a, self.dual.b, self.dual.c
         worst = 0
         for net in nets:
             i = self.index[net]
@@ -471,23 +479,36 @@ class Unroller:
                 stack = [root]
                 while stack:
                     i = stack[-1]
-                    ins = [x[i] for x in abc[:_ARITY[kind[i]]]]
+                    k = kind[i]
                     if d[i] == _UNSEEN:
+                        if k > DFF:  # a leaf
+                            d[i] = 0
+                            stack.pop()
+                            continue
                         d[i] = _OPEN  # until its inputs are done
-                        got = [d[j] for j in ins]
-                        if None in got or _OPEN in got:
-                            # an input loops, or is open and so on the
-                            # path here (a DFF reading its own Q is open
-                            # already): every open node reaches a loop
-                            for j in stack:
-                                if d[j] == _OPEN:
-                                    d[j] = None
-                            return None
-                        stack.extend(j for j in ins if d[j] == _UNSEEN)
+                        for j in ((A[i],) if k == NOT or k == DFF else
+                                  (A[i], B[i]) if k != MUX else
+                                  (A[i], B[i], C[i])):
+                            dj = d[j]
+                            if dj is None or dj == _OPEN:
+                                # an input loops, or is open and so on
+                                # the path here (a DFF reading its own Q
+                                # is open already): every open node
+                                # reaches a loop
+                                for j in stack:
+                                    if d[j] == _OPEN:
+                                        d[j] = None
+                                return None
+                            if dj == _UNSEEN:
+                                stack.append(j)
                     else:
                         if d[i] == _OPEN:
-                            d[i] = max((d[j] for j in ins), default=0) + \
-                                (kind[i] == DFF)
+                            x = d[A[i]]
+                            if k != NOT and k != DFF:
+                                x = max(x, d[B[i]])
+                                if k == MUX:
+                                    x = max(x, d[C[i]])
+                            d[i] = x + (k == DFF)
                         stack.pop()
                 if d[root] is None:  # found by an earlier call
                     return None
@@ -498,12 +519,14 @@ class Unroller:
         """Canonical form of the cones of the net lists in `nets`.
 
         Nodes are numbered as the walk first meets them, the nets' value
-        and known rails first, and recorded as (kind in `kind`, inputs'
-        numbers, DFF init).  Returns the rails' numbers per list and the
-        records; equal forms translate to the same clauses up to names.
+        and known rails first, and recorded as their kind in `kind`
+        followed by the inputs' numbers, plus the init of a DFF.  A PAIR
+        reads its other rail, with init 1 on its known side.  Returns the
+        rails' numbers per list and the records; equal forms translate to
+        the same clauses up to names.
         """
         index, known, partner = self.index, self.dual.known, self.partner
-        abc = self.dual.a, self.dual.b, self.dual.c
+        kind, A, B, C = self.kind, self.dual.a, self.dual.b, self.dual.c
         num: dict[int, int] = {}
         order: list[int] = []
 
@@ -518,14 +541,21 @@ class Unroller:
                       for ns in nets)
         cone = []
         for i in order:  # grows as the walk meets new nodes
-            k = self.kind[i]
-            if k == PAIR:  # reads its other rail; init 1 on the known side
-                side = int(i in partner)
-                ins, init = (partner[i] if side else known[i],), side
+            k = kind[i]
+            if k == NOT:
+                cone.append((k, see(A[i])))
+            elif k == DFF:
+                cone.append((k, see(A[i]), B[i]))
+            elif k == MUX:
+                cone.append((k, see(A[i]), see(B[i]), see(C[i])))
+            elif k < MUX:
+                cone.append((k, see(A[i]), see(B[i])))
+            elif k == PAIR:
+                side = i in partner
+                cone.append((k, see(partner[i] if side else known[i]),
+                             int(side)))
             else:
-                ins = [x[i] for x in abc[:_ARITY[k]]]
-                init = abc[1][i] if k == DFF else 0
-            cone.append((k, tuple(see(j) for j in ins), init))
+                cone.append((k,))
         return roots, tuple(cone)
 
 
@@ -652,6 +682,10 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
           reuse: dict | None = None) -> BmcRun:
     """Bounded check of `props` on `model` under `constraints`.
 
+    Blackboxing and the dual-rail graph come from caches kept with
+    `model`; stopats and assumes are written into this check's
+    `Unroller` only, so the model is left as it was found.
+
     The budget is split evenly over the unresolved properties and
     redistributed in rounds, so one stubborn property cannot starve the
     rest.  Each property is solved frame by frame on one incremental
@@ -701,12 +735,11 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         else:
             pending.append(prop)
 
-    dual = xprop_encode(model, cut)
     for net, signal in cut.items():
         if net not in model.index:
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
-    enc = Unroller(dual, assumes, track_problem=dump_cnf is not None)
+    enc = Unroller(model, cut, assumes, track_problem=dump_cnf is not None)
     nets = {p.name: simlib.check_prop_nets(model, p) for p in pending}
     key = None
     if reuse is not None:
@@ -810,7 +843,7 @@ def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,
                    frame: int) -> CexTrace:
     nets = sorted(set(model.inputs) | set(model.free_inputs)
-                  | {model.nets[v] for v in enc.dual.free_pairs})
+                  | {model.nets[v] for v in enc.free_pairs})
     rows = []
     mv = enc.solver.model_value
     for t in range(frame + 1):

@@ -24,6 +24,9 @@ which flattens the design once per distinct set of kept instances: one
 instance for an IP, the first k+1 ranked instances for subsystem-k, and
 all of them for the boot-script sessions.  The last subsystem and the
 sessions therefore share one model, lowered for the kernel once.
+Blackboxed models are kept with the model they came from, and each
+model's dual-rail graph with the model, so iterations that check one
+model again reuse both.
 
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges

@@ -191,7 +191,13 @@ def parse_netlist(text: str, path: str | None = None) -> IpNetlist:
                 k, v = t.split("=", 1)
                 if k not in opts:
                     raise ParseError(f"unknown .dff option {k}", ln, 1, path)
+                if not v:
+                    raise ParseError(f".dff option {k} has no value", ln, 1, path)
+                if opts[k] is not None:
+                    raise ParseError(f"second .dff option {k}", ln, 1, path)
                 opts[k] = v
+            if opts["rstval"] is not None and opts["rst"] is None:
+                raise ParseError(".dff rstval needs rst=net", ln, 1, path)
             w = reg_decl[rn][0]
             if d not in widths or widths[d] != w:
                 raise WidthMismatch(

@@ -282,6 +282,8 @@ class FlatModel:
             self._driver[n.output] = i
         self._order: tuple[Node, ...] | None = None
         self._compiled: CompiledModel | None = None
+        self.dual = None  # `bmc.xprop_encode(self)`, set by `bmc.Unroller`
+        self._boxed: dict[str, FlatModel] = {}  # see `blackbox`
         self._consumers: dict[str, list[int]] | None = None
 
     # -- naming ------------------------------------------------------------
@@ -582,9 +584,15 @@ def _comb_order(nodes, where: str = "") -> tuple[Node, ...]:
 
 
 def blackbox(model: FlatModel, instance: str) -> FlatModel:
-    """Remove an instance's internals; its driven nets become free inputs."""
+    """Remove an instance's internals; its driven nets become free inputs.
+
+    The result is built once per model and instance and kept with
+    `model`, so later checks reuse it and its dual-rail graph.
+    """
     if instance not in model.instances:
         raise UnknownInstance(f"model {model.name} has no instance {instance}")
+    if instance in model._boxed:
+        return model._boxed[instance]
     keep_nodes = []
     keep_inst = []
     dropped_outputs: set[str] = set()
@@ -604,7 +612,7 @@ def blackbox(model: FlatModel, instance: str) -> FlatModel:
                  if v.instance != instance}
     inputs = sorted(set(model.inputs) | set(freed))
     free_inputs = set(model.free_inputs) | set(freed)
-    return FlatModel(
+    boxed = model._boxed[instance] = FlatModel(
         name=model.name, instances=model.instances,
         module_of=model.module_of, nodes=keep_nodes,
         node_instance=keep_inst, registers=registers,
@@ -612,6 +620,7 @@ def blackbox(model: FlatModel, instance: str) -> FlatModel:
         aliases=model.aliases,
         blackboxed=model.blackboxed | {instance},
         free_inputs=free_inputs)
+    return boxed
 
 
 @dataclass(frozen=True)

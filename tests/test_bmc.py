@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from semiform import bmc, errors
+from semiform import bmc, errors, netlist
 from semiform.frontend import (PropertyAst, gen_xprop, parse_design,
                                parse_netlist)
 from semiform.netlist import elaborate
@@ -149,6 +149,22 @@ def test_blackbox_vacuous(mini_parsed):
     assert run.outcomes["alpha_quiet"].status == "VACUOUS"
     assert run.outcomes["cross_ok"].status == "VACUOUS"
     assert run.outcomes["beta_quiet"].status in ("PASS", "FAIL")
+
+
+def test_blackboxed_model_is_built_once(mini_parsed, monkeypatch):
+    design, lib, _, _, props = mini_parsed
+    model = elaborate(design, lib)
+    built = []
+    init = netlist.FlatModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(netlist.FlatModel, "__init__", counted)
+    runs = [bmc.check(model, props, constraints=[bmc.Blackbox("a0")], k=4)
+            for _ in range(2)]
+    assert len(built) == 1
+    assert runs[0].outcomes == runs[1].outcomes
 
 
 def test_budget_timeout(hard_ungated):
@@ -340,28 +356,70 @@ def _match_oracle(seed, model, props, k, constraints=(), cut=(), pinned=None):
         assert (o.status, o.bound, o.frame) == want, (seed, prop.name)
 
 
+def _constrained_case(seed):
+    """A random module, three properties, cuts on registers and wires
+    (NOT outputs among them) and pins on some cut registers."""
+    rng = random.Random(seed)
+    n_regs = rng.choice((2, 3))
+    module = random_dag_module(rng, n_regs=n_regs, uninit=True)
+    model, design, lib = build_model(module)
+    text = "".join(f"prop p{j} : {random_prop(rng, n_regs)}\n"
+                   for j in range(3))
+    props = props_for(text, design, lib)
+    names = [f"m0.R{r}" for r in range(n_regs)] + \
+        [f"m0.n{g}" for g in range(20)]
+    cuts = rng.sample(names, rng.randint(1, 2))
+    pins = {c: rng.randrange(2) for c in cuts
+            if ".R" in c and rng.random() < 0.5}
+    return rng, n_regs, module, model, props, cuts, pins
+
+
 @pytest.mark.parametrize("chunk", range(2))
 def test_constrained_check_matches_explicit_oracle(chunk):
     # stopats on registers and wires, NOT outputs among them, and assumes
     # on some cut registers, against the oracle's forced nets
     for seed in range(chunk * 40, (chunk + 1) * 40):
-        rng = random.Random(seed)
-        n_regs = rng.choice((2, 3))
-        model, design, lib = build_model(
-            random_dag_module(rng, n_regs=n_regs, uninit=True))
-        text = "".join(f"prop p{j} : {random_prop(rng, n_regs)}\n"
-                       for j in range(3))
-        props = props_for(text, design, lib)
-        names = [f"m0.R{r}" for r in range(n_regs)] + \
-            [f"m0.n{g}" for g in range(20)]
-        cuts = rng.sample(names, rng.randint(1, 2))
-        pins = {c: rng.randrange(2) for c in cuts
-                if ".R" in c and rng.random() < 0.5}
+        rng, _, _, model, props, cuts, pins = _constrained_case(seed)
         cons = bmc.create_stopats(cuts)
         cons += bmc.create_assumes(pins, cons)
         pinned = dict(zip(_forced_nets(model, pins), pins.values()))
         _match_oracle(seed, model, props, rng.randint(1, 4), cons,
                       _forced_nets(model, cuts), pinned)
+
+
+def _outcome_and_cnf(model, props, cons, k, out):
+    run = bmc.check(model, props, constraints=cons, k=k, dump_cnf=str(out))
+    outcomes = {name: (o.status, o.frame, o.bound, o.trace)
+                for name, o in run.outcomes.items()}
+    cnf = {p.name: p.read_text() for p in sorted(out.glob("*.cnf"))}
+    return outcomes, run.n_vars, run.n_clauses, run.n_conflicts, cnf
+
+
+def test_reused_model_checks_as_a_fresh_one(tmp_path, monkeypatch):
+    # one model through four checks, each against the same check on a
+    # freshly elaborated model: a check must leave the model's cached
+    # dual-rail graph as it found it
+    encoded = []
+    encode = bmc.xprop_encode
+    monkeypatch.setattr(bmc, "xprop_encode",
+                        lambda model: encoded.append(model) or encode(model))
+    for seed in range(40):
+        rng, n_regs, module, model, props, _, _ = _constrained_case(seed)
+        k = rng.randint(1, 4)
+        regs = rng.sample([f"m0.R{r}" for r in range(n_regs)], 2)
+        cut = bmc.create_stopats(regs)
+        # no constraints, a cut NOT output (`d<r> = ~x`), cut registers
+        # with a pin, and no constraints again
+        steps = [(), bmc.create_stopats([f"m0.d{rng.randrange(n_regs)}"]),
+                 cut + bmc.create_assumes({regs[0]: rng.randrange(2)}, cut),
+                 ()]
+        for step, cons in enumerate(steps):
+            warm, cold = (
+                _outcome_and_cnf(m, props, cons, k,
+                                 tmp_path / f"{seed}-{step}-{side}")
+                for side, m in enumerate((model, build_model(module)[0])))
+            assert warm == cold, (seed, step)
+        assert sum(m is model for m in encoded) == 1, seed
 
 
 def test_feed_forward_pipelines_match_explicit_oracle():

@@ -85,6 +85,17 @@ def test_short_directive_is_a_parse_error(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("options", [
+    "en=", "rst=", "rstval=1", "en=e en=a",
+], ids=["empty_en", "empty_rst", "rstval_without_rst", "second_en"])
+def test_dff_option_that_would_be_dropped_is_a_parse_error(options):
+    text = (".module t\n.input a 1\n.input e 1\n.reg R 1\n"
+            f".dff R a {options}\n.endmodule\n")
+    parse_netlist(text.replace(f" {options}", ""))  # valid without them
+    with pytest.raises(errors.ParseError):
+        parse_netlist(text)
+
+
 # -- register map --------------------------------------------------------------
 
 
