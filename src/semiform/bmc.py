@@ -14,9 +14,9 @@ translates to that rail's literal.  The graph is encoded once per flat
 model and kept on it (`model.dual`), and blackboxed models are kept
 with the model they came from, so a refinement loop that checks one
 model again and again encodes it once.  A check's constraints go into
-its `Unroller`'s copy of `kind`: a net a stopat cuts becomes a free
-(value, known) pair whose driver is ignored, like a net blackboxing
-frees, and an assumed bit a constant.
+its own copy of `kind`: a net a stopat cuts becomes a free (value,
+known) pair whose driver is ignored, like a net blackboxing frees, and
+an assumed bit a constant.
 
 Encoding is lazy: a node/frame pair is translated to CNF only when some
 property cone reaches it, and constants are folded during translation.
@@ -26,8 +26,12 @@ register with an assume therefore collapses everything behind its
 decode logic before the solver ever sees it, which is what makes the
 constrain-and-reprove iterations cheap.
 
-Frames are solved one at a time on a single incremental solver, so a
-failing property always reports its earliest reachable frame.
+The properties of a check are split into groups whose cones share no
+node, found by the same walk that finds each cone's depth.  Each group
+has its own `Unroller` and so its own incremental solver, whose heap,
+watch lists and learnt clauses hold only its own cones.  Frames are
+solved one at a time on the group's solver, so a failing property
+always reports its earliest reachable frame.
 
 A property stops at its cone's sequential depth `d`: the most DFF edges
 on any path from the rails it reads to a leaf (an input, a cut or free
@@ -45,6 +49,7 @@ from __future__ import annotations
 import os
 import re
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import MissingStopat, SemiformError
@@ -128,7 +133,7 @@ def xprop_encode(model: FlatModel) -> DualModel:
     Ids `0..len(model.nets)-1` are the value rails in `model.nets` order;
     the known rails and the helper nodes that compute them follow.  Every
     net has a known-rail node of its own, so a check can free any net by
-    writing its two nodes over (see `Unroller`).
+    writing its two nodes over (see `_constrain`).
     """
     nets, index = model.nets, model.index
     n = len(nets)
@@ -205,37 +210,34 @@ class _EncodeTimeout(Exception):
     pass
 
 
-_UNSEEN, _OPEN = -1, -2  # depth memo entries of nodes not yet done
-
-
 class Unroller:
     """Translates (node id, frame) pairs to solver literals on demand.
 
-    The graph is `model.dual`, encoded by the first Unroller of a model.
+    One Unroller, with its own solver, serves each group of a check's
+    properties whose cones share no node with another group's (see
+    `_walk_cones`).  The graph is `model.dual`, read through `kind`: the
+    check's copy of the model's kind list with its constraints written in
+    (see `_constrain`), shared by the check's groups and never changed.
+    `partner` maps the known rail of each free pair, the model's own and
+    the cut nets, to its value rail.
 
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
     just integer comparison.  `memo[f * n + id]` holds the literal of
     node `id` at frame `f`, 0 while untranslated, where `n` is the number
     of dual-rail nodes; it grows by one frame of n slots as deeper frames
-    are asked for.  `kind` is this check's copy of the model's kind list
-    with its constraints written in, so the shared graph is never
-    changed: each net in `cut` becomes a free pair (both of its nodes
-    PAIR, its driver unread), and then each assumed bit a constant with a
-    ONE known rail.  `free_pairs` holds the value-rail ids of the model's
-    own free pairs and of the cut nets, and `partner` maps the known rail
-    of each to its value rail.
+    are asked for.
     """
 
     TRUE = 1
     FALSE = -1
 
-    def __init__(self, model: FlatModel, cut=(), assumes=(),
-                 track_problem: bool = False):
-        if model.dual is None:
-            model.dual = xprop_encode(model)
-        dual = self.dual = model.dual
+    def __init__(self, model: FlatModel, kind: list[int],
+                 partner: dict[int, int], track_problem: bool = False):
+        self.dual = model.dual
         self.index = model.index
-        self.n = len(dual.kind)
+        self.kind = kind
+        self.partner = partner
+        self.n = len(kind)
         self.solver = Solver()
         self.solver.ensure_vars(1)
         self.problem: list[tuple[int, ...]] | None = [] if track_problem else None
@@ -244,26 +246,6 @@ class Unroller:
         self.memo: list[int] = []
         self.deadline: float | None = None
         self._ops = 0
-
-        known = dual.known
-        kind = self.kind = dual.kind.copy()
-        self.free_pairs = set(dual.free_pairs).union(
-            self.index[net] for net in cut)
-        for v in self.free_pairs:
-            kind[v] = kind[known[v]] = PAIR
-        self.partner = {known[v]: v for v in self.free_pairs}
-        for asm in assumes:
-            reg = model.registers.get(asm.register)
-            if reg is None:
-                raise SemiformError(f"assume on unknown register {asm.register}")
-            if asm.value >> len(reg.bits):
-                raise SemiformError(
-                    f"assume value {asm.value:#x} overflows {asm.register}")
-            for i, bit in enumerate(reg.bits):
-                v = self.index[model.resolve(bit)]  # cut, so checked already
-                kind[v] = ONE if (asm.value >> i) & 1 else ZERO
-                kind[known[v]] = ONE
-        self._depth: list[int | None] = [_UNSEEN] * self.n
 
     # -- clause emission -----------------------------------------------------
 
@@ -460,103 +442,167 @@ class Unroller:
             return 0, 0
         return self.memo[base + i], self.memo[base + self.dual.known[i]]
 
-    # -- sequential depth ---------------------------------------------------
 
-    def depth(self, nets) -> int | None:
-        """Most DFF edges on any path from the nets' rails to a leaf.
+# ---------------------------------------------------------------------------
+# a check's cones
 
-        Leaves are the INPUT, PAIR, ONE and ZERO nodes of this check's
-        `kind`, so cut, pinned and blackboxed nets end paths.  None when a
-        DFF closes a loop in the cone.  The memo lives as long as the
-        Unroller, so the properties of one check share it.
-        """
-        d, kind = self._depth, self.kind
-        A, B, C = self.dual.a, self.dual.b, self.dual.c
+
+def _constrain(model: FlatModel, cut, assumes) -> tuple[list[int],
+                                                      dict[int, int]]:
+    """This check's copy of `model.dual.kind` with its constraints in.
+
+    Each net in `cut` becomes a free pair (both of its nodes PAIR, its
+    driver unread), and then each assumed bit a constant with a ONE known
+    rail.  Also returns `partner`, which maps the known rail of each free
+    pair, the model's own and the cut nets, to its value rail.
+    """
+    index, known = model.index, model.dual.known
+    kind = model.dual.kind.copy()
+    pairs = set(model.dual.free_pairs).union(index[net] for net in cut)
+    for v in pairs:
+        kind[v] = kind[known[v]] = PAIR
+    for asm in assumes:
+        for i, bit in enumerate(model.registers[asm.register].bits):
+            v = index[model.resolve(bit)]  # cut, so checked already
+            kind[v] = ONE if (asm.value >> i) & 1 else ZERO
+            kind[known[v]] = ONE
+    return kind, {known[v]: v for v in pairs}
+
+
+_UNSEEN, _OPEN, _LOOP = -1, -2, float("inf")  # depth memo marks
+
+
+def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
+                nets: list[list[str]], shape: bool):
+    """Depth, group and, with `shape`, canonical form of the cones.
+
+    The cone of property `p` is every node of this check's `kind` that
+    the two rails of each net in `nets[p]` reach.  One depth-first walk
+    per property, all sharing one memo, finds:
+
+    - its sequential depth: the most DFF edges on any path from the
+      rails to a leaf, or None when a DFF closes a loop in the cone.
+      Leaves are the INPUT, PAIR, ONE and ZERO nodes, so cut, pinned and
+      blackboxed nets end paths.  A loop marks its nodes and the walk
+      goes on, so every node of the cone is met.
+    - its group: nodes are numbered as the walks first meet them, each
+      property's rails first, so a node numbered below the first number
+      of the current walk was met by an earlier property's walk, and the
+      two groups merge.  A pair's two rails are one leaf, as
+      `Unroller.lit` allocates them together.  Properties of different
+      groups share no node.  A group is named by its smallest property
+      index.
+    - with `shape`, the form of all the cones together: each node's
+      number and kind followed by its inputs' numbers, plus the init of
+      a DFF, in the order the walks reach them.  A PAIR reads its other
+      rail, with init 1 on its known side.  Equal forms translate to the
+      same clauses up to names.
+
+    Returns the depths, the groups and the form: the rails' numbers per
+    property and the records, or None without `shape`.
+    """
+    dual = model.dual
+    index, known, A, B, C = model.index, dual.known, dual.a, dual.b, dual.c
+    unseen, open_, loop = _UNSEEN, _OPEN, _LOOP
+    d = [unseen] * len(kind)
+    # nodes are numbered as the walks first meet them, so the nodes a
+    # walk meets first are those numbered from its `starts` entry on
+    num = [-1] * len(kind)
+    starts: list[int] = []
+    group = list(range(len(nets)))  # union-find parents
+    cone: list[tuple] = []  # with `shape`, (number, kind, inputs...)
+    roots, depths = [], []
+    count = 0
+
+    def find(p: int) -> int:
+        while group[p] != p:
+            p = group[p]
+        return p
+
+    def merge(p: int, x: int):
+        """Merge group p with that of the walk that numbered node x."""
+        p, q = find(p), find(bisect_right(starts, x) - 1)
+        group[max(p, q)] = min(p, q)
+
+    for p, ns in enumerate(nets):
+        start = count
+        starts.append(start)
+        rails = [r for net in ns for r in (index[net], known[index[net]])]
+        for r in rails:
+            if num[r] < 0:
+                num[r] = count
+                count += 1
+            elif num[r] < start:
+                merge(p, num[r])
+        if shape:
+            roots.append(tuple(num[r] for r in rails))
         worst = 0
-        for net in nets:
-            i = self.index[net]
-            for root in (i, self.dual.known[i]):
-                stack = [root]
-                while stack:
-                    i = stack[-1]
-                    k = kind[i]
-                    if d[i] == _UNSEEN:
-                        if k > DFF:  # a leaf
-                            d[i] = 0
-                            stack.pop()
-                            continue
-                        d[i] = _OPEN  # until its inputs are done
-                        for j in ((A[i],) if k == NOT or k == DFF else
-                                  (A[i], B[i]) if k != MUX else
-                                  (A[i], B[i], C[i])):
-                            dj = d[j]
-                            if dj is None or dj == _OPEN:
-                                # an input loops, or is open and so on
-                                # the path here (a DFF reading its own Q
-                                # is open already): every open node
-                                # reaches a loop
-                                for j in stack:
-                                    if d[j] == _OPEN:
-                                        d[j] = None
-                                return None
-                            if dj == _UNSEEN:
-                                stack.append(j)
+        for root in rails:
+            stack = [root]
+            while stack:
+                i = stack[-1]
+                di = d[i]
+                if di != unseen:  # done, or open with its inputs done
+                    stack.pop()
+                    if di == open_:
+                        k = kind[i]
+                        x = d[A[i]]
+                        if k != NOT and k != DFF:
+                            y = d[B[i]]
+                            if y > x:
+                                x = y
+                            if k == MUX and d[C[i]] > x:
+                                x = d[C[i]]
+                        d[i] = x + 1 if k == DFF else x
+                    continue
+                k = kind[i]
+                if k > DFF:  # a leaf; a pair closes both of its rails
+                    stack.pop()
+                    d[i] = 0
+                    if k == PAIR:
+                        side = i in partner
+                        j = partner[i] if side else known[i]
+                        d[j] = 0
+                        if num[j] < 0:
+                            num[j] = count
+                            count += 1
+                        if shape:
+                            cone.append((num[i], k, num[j], int(side)))
+                            cone.append((num[j], k, num[i], int(not side)))
+                    elif shape:
+                        cone.append((num[i], k))
+                    continue
+                ins = ((A[i],) if k == NOT or k == DFF else
+                       (A[i], B[i]) if k != MUX else (A[i], B[i], C[i]))
+                d[i] = open_  # until its inputs are done
+                for j in ins:
+                    dj = d[j]
+                    if dj == unseen:
+                        stack.append(j)
+                        if num[j] < 0:
+                            num[j] = count
+                            count += 1
+                    elif dj == open_:
+                        # open, so on the path here (a DFF reading its
+                        # own Q is open already): a loop
+                        d[i] = loop
+                    elif num[j] < start:
+                        merge(p, num[j])
+                if shape:
+                    if k == NOT:
+                        cone.append((num[i], k, num[ins[0]]))
+                    elif k == DFF:
+                        cone.append((num[i], k, num[ins[0]], B[i]))
+                    elif k == MUX:
+                        cone.append((num[i], k, num[ins[0]], num[ins[1]],
+                                     num[ins[2]]))
                     else:
-                        if d[i] == _OPEN:
-                            x = d[A[i]]
-                            if k != NOT and k != DFF:
-                                x = max(x, d[B[i]])
-                                if k == MUX:
-                                    x = max(x, d[C[i]])
-                            d[i] = x + (k == DFF)
-                        stack.pop()
-                if d[root] is None:  # found by an earlier call
-                    return None
-                worst = max(worst, d[root])
-        return worst
-
-    def shape(self, nets) -> tuple[tuple, tuple]:
-        """Canonical form of the cones of the net lists in `nets`.
-
-        Nodes are numbered as the walk first meets them, the nets' value
-        and known rails first, and recorded as their kind in `kind`
-        followed by the inputs' numbers, plus the init of a DFF.  A PAIR
-        reads its other rail, with init 1 on its known side.  Returns the
-        rails' numbers per list and the records; equal forms translate to
-        the same clauses up to names.
-        """
-        index, known, partner = self.index, self.dual.known, self.partner
-        kind, A, B, C = self.kind, self.dual.a, self.dual.b, self.dual.c
-        num: dict[int, int] = {}
-        order: list[int] = []
-
-        def see(i: int) -> int:
-            if i not in num:
-                num[i] = len(order)
-                order.append(i)
-            return num[i]
-
-        roots = tuple(tuple(see(r) for n in ns
-                            for r in (index[n], known[index[n]]))
-                      for ns in nets)
-        cone = []
-        for i in order:  # grows as the walk meets new nodes
-            k = kind[i]
-            if k == NOT:
-                cone.append((k, see(A[i])))
-            elif k == DFF:
-                cone.append((k, see(A[i]), B[i]))
-            elif k == MUX:
-                cone.append((k, see(A[i]), see(B[i]), see(C[i])))
-            elif k < MUX:
-                cone.append((k, see(A[i]), see(B[i])))
-            elif k == PAIR:
-                side = i in partner
-                cone.append((k, see(partner[i] if side else known[i]),
-                             int(side)))
-            else:
-                cone.append((k,))
-        return roots, tuple(cone)
+                        cone.append((num[i], k, num[ins[0]], num[ins[1]]))
+            if d[root] > worst:
+                worst = d[root]
+        depths.append(None if worst == loop else worst)
+    form = (tuple(roots), tuple(cone)) if shape else None
+    return depths, [find(p) for p in range(len(nets))], form
 
 
 # ---------------------------------------------------------------------------
@@ -683,22 +729,26 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     """Bounded check of `props` on `model` under `constraints`.
 
     Blackboxing and the dual-rail graph come from caches kept with
-    `model`; stopats and assumes are written into this check's
-    `Unroller` only, so the model is left as it was found.
+    `model`; stopats and assumes are written into this check's copy of
+    the node kinds only, so the model is left as it was found.  A check
+    with no property left to solve returns before the graph is encoded.
 
-    The budget is split evenly over the unresolved properties and
-    redistributed in rounds, so one stubborn property cannot starve the
-    rest.  Each property is solved frame by frame on one incremental
-    solver; a FAIL therefore carries its earliest reachable frame.  A
-    property whose cone has no loop through a flop is solved only up to
-    `min(k, max(first frame, cone depth))` (see `Unroller.depth`); when
-    those frames hold it passes with bound `k`, since every later frame
-    is a renamed copy of the last one solved.
+    The pending properties are split into groups whose cones share no
+    node (see `_walk_cones`), and each group gets its own `Unroller` and
+    so its own solver; `n_vars`, `n_clauses` and `n_conflicts` are sums
+    over the groups.  The budget is split evenly over the unresolved
+    properties and redistributed in rounds, so one stubborn property
+    cannot starve the rest.  Each property is solved frame by frame on
+    its group's incremental solver; a FAIL therefore carries its
+    earliest reachable frame.  A property whose cone has no loop through
+    a flop is solved only up to `min(k, max(first frame, cone depth))`;
+    when those frames hold it passes with bound `k`, since every later
+    frame is a renamed copy of the last one solved.
 
     With `reuse`, a run where a property ran out of budget is stored,
     keyed by `k`, the budget, the property lines, the names blackboxing
-    made vacuous and `Unroller.shape` of the rails the others read.  A
-    check with a stored key returns that run and charges what it did.
+    made vacuous and the canonical form of the cones the others read.
+    A check with a stored key returns that run and charges what it did.
     Under a seconds budget that stands in for a rerun of the same
     clauses at the same budget; under a work limit it would be exact.
     """
@@ -739,23 +789,38 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         if net not in model.index:
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
-    enc = Unroller(model, cut, assumes, track_problem=dump_cnf is not None)
-    nets = {p.name: simlib.check_prop_nets(model, p) for p in pending}
+    for a in assumes:
+        reg = model.registers.get(a.register)
+        if reg is None:
+            raise SemiformError(f"assume on unknown register {a.register}")
+        if a.value >> len(reg.bits):
+            raise SemiformError(
+                f"assume value {a.value:#x} overflows {a.register}")
+    if not pending:
+        return run
+    nets = [simlib.check_prop_nets(model, p) for p in pending]
+    if model.dual is None:
+        model.dual = xprop_encode(model)
+    kind, partner = _constrain(model, cut, assumes)
+    depths, groups, form = _walk_cones(model, kind, partner, nets,
+                                       shape=reuse is not None)
     key = None
     if reuse is not None:
         key = (k, repr(budget), serialize_props(props),
                tuple(n for n, o in sorted(run.outcomes.items())
-                     if o.status == "VACUOUS"),
-               *enc.shape([nets[p.name] for p in pending]))
+                     if o.status == "VACUOUS"), *form)
         if key in reuse:
             return reuse[key]
     total_deadline = None if budget is None else start + budget
     next_frame = {p.name: (p.settle if p.kind == "xprop" else 0)
                   for p in pending}
-    last = {}
-    for p in pending:
-        d = enc.depth(nets[p.name])
+    last, encs, units = {}, {}, {}
+    for p, d, g in zip(pending, depths, groups):
         last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))
+        if g not in units:
+            units[g] = Unroller(model, kind, partner,
+                                track_problem=dump_cnf is not None)
+        encs[p.name] = units[g]
 
     while pending:
         now = time.perf_counter()
@@ -772,8 +837,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         for prop in pending:
             deadline = None if share is None else \
                 min(time.perf_counter() + share, total_deadline)
-            out = _attempt(enc, model, prop, k, last[prop.name], next_frame,
-                           deadline, dump_cnf)
+            out = _attempt(encs[prop.name], model, prop, k, last[prop.name],
+                           next_frame, deadline, dump_cnf)
             if out is None:
                 still.append(prop)
             else:
@@ -782,9 +847,10 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         if share is None:
             break  # unbounded: one pass resolves everything
 
-    run.n_vars = enc.solver.num_vars
-    run.n_clauses = enc.n_clauses
-    run.n_conflicts = enc.solver.n_conflicts
+    for enc in units.values():
+        run.n_vars += enc.solver.num_vars
+        run.n_clauses += enc.n_clauses
+        run.n_conflicts += enc.solver.n_conflicts
     if key and any(o.reason == "timeout" for o in run.outcomes.values()):
         reuse[key] = run  # a PASS or FAIL ends its loop anyway
     return run
@@ -843,7 +909,7 @@ def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,
                    frame: int) -> CexTrace:
     nets = sorted(set(model.inputs) | set(model.free_inputs)
-                  | {model.nets[v] for v in enc.free_pairs})
+                  | {model.nets[v] for v in enc.partner.values()})
     rows = []
     mv = enc.solver.model_value
     for t in range(frame + 1):

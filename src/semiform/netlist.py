@@ -282,7 +282,7 @@ class FlatModel:
             self._driver[n.output] = i
         self._order: tuple[Node, ...] | None = None
         self._compiled: CompiledModel | None = None
-        self.dual = None  # `bmc.xprop_encode(self)`, set by `bmc.Unroller`
+        self.dual = None  # `bmc.xprop_encode(self)`, set by `bmc.check`
         self._boxed: dict[str, FlatModel] = {}  # see `blackbox`
         self._consumers: dict[str, list[int]] | None = None
 

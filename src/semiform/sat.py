@@ -24,7 +24,8 @@ watch list, so propagation never meets a deleted clause.
 
 Counters: `n_conflicts`, `n_learnts` (learnt clauses recorded, not counting
 units), and `n_propagations`, the number of watch entries visited during
-propagation, whether or not the visit touched the clause.
+propagation, whether or not the visit touched the clause: an entry
+skipped for its true blocker counts as visited.
 
 The solver object is incremental: clauses may be added between `solve`
 calls and learned clauses are kept (they are implied by the database, so
@@ -58,6 +59,14 @@ def _enc(lit: int) -> int:
 
 
 class Solver:
+    """One incremental CDCL problem; see the module docstring.
+
+    Nothing is shared between instances, so separate problems get
+    separate solvers: `bmc.check` gives each group of properties whose
+    cones share no node its own, with a heap, watch lists and learnt
+    clauses over that group's variables only.
+    """
+
     RESTART_BASE = 128
     REDUCE_INTERVAL = 8192  # learnt clauses between database reductions
     VAR_DECAY = 1.0 / 0.95
@@ -219,26 +228,41 @@ class Solver:
                     wl[j + 1] = first
                     j += 2
                     continue
-                for k in range(2, len(c)):
-                    x = c[k]
+                # look for a new literal to watch; a three-literal clause,
+                # the most common, has one candidate and skips the loop
+                n_c = len(c)
+                if n_c == 3:
+                    x = c[2]
                     if value[x] != -1:
                         c[1] = x
-                        c[k] = false_lit
+                        c[2] = false_lit
                         watches[x] += (ci, first)
-                        break
-                else:
-                    wl[j] = ci
-                    wl[j + 1] = first
-                    j += 2
-                    if value[first] == -1:
-                        confl = c
-                        break
-                    value[first] = 1
-                    value[first ^ 1] = -1
-                    v = first >> 1
-                    level[v] = lvl
-                    reason[v] = ci
-                    trail.append(first)
+                        continue
+                elif n_c > 3:
+                    for k in range(2, n_c):
+                        x = c[k]
+                        if value[x] != -1:
+                            c[1] = x
+                            c[k] = false_lit
+                            watches[x] += (ci, first)
+                            break
+                    else:
+                        k = 0  # nothing to move to (a break leaves k >= 2)
+                    if k:
+                        continue
+                # none: the clause is unit or conflicting
+                wl[j] = ci
+                wl[j + 1] = first
+                j += 2
+                if value[first] == -1:
+                    confl = c
+                    break
+                value[first] = 1
+                value[first ^ 1] = -1
+                v = first >> 1
+                level[v] = lvl
+                reason[v] = ci
+                trail.append(first)
             visited += i
             if confl is not None:
                 del wl[j:i]
@@ -257,18 +281,6 @@ class Solver:
             activity[i] *= 1e-100
         self.var_inc *= 1e-100
 
-    def _bump_clause(self, ci: int):
-        # only learnt clauses live in cla_act; originals are never deletable,
-        # which matters with incremental add_clause interleaved between solves
-        act = self.cla_act.get(ci)
-        if act is None:
-            return
-        self.cla_act[ci] = act + self.cla_inc
-        if self.cla_act[ci] > 1e20:
-            for k in self.cla_act:
-                self.cla_act[k] *= 1e-20
-            self.cla_inc *= 1e-20
-
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         seen = self.seen
         level = self.level
@@ -276,22 +288,21 @@ class Solver:
         trail = self.trail
         reason = self.reason
         clauses = self.clauses
+        cla_act = self.cla_act
         var_inc = self.var_inc
         learnt = [0]
         counter = 0
-        p = -1
+        pv = 0  # the variable resolved on; none yet, and var 0 is never seen
         idx = len(trail) - 1
         cur_level = len(self.trail_lim)
-        touched = []
         c = confl
         while True:
+            # pv stays seen while its reason clause is read, which skips
+            # the clause's own literal of pv
             for q in c:
-                if q == p:
-                    continue
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    touched.append(v)
                     a = activity[v] + var_inc
                     activity[v] = a
                     if a > 1e100:
@@ -301,28 +312,43 @@ class Solver:
                         counter += 1
                     else:
                         learnt.append(q)
+            seen[pv] = False
             while not seen[trail[idx] >> 1]:
                 idx -= 1
             p = trail[idx]
             idx -= 1
-            v = p >> 1
-            seen[v] = False
+            pv = p >> 1
             counter -= 1
             if counter == 0:
                 break
-            ci = reason[v]
-            self._bump_clause(ci)
+            ci = reason[pv]
+            # only learnt clauses live in cla_act; originals are never
+            # deletable, which matters with incremental add_clause
+            # interleaved between solves
+            act = cla_act.get(ci)
+            if act is not None:
+                act += self.cla_inc
+                cla_act[ci] = act
+                if act > 1e20:
+                    for k in cla_act:
+                        cla_act[k] *= 1e-20
+                    self.cla_inc *= 1e-20
             c = clauses[ci]
         learnt[0] = p ^ 1
-        for v in touched:
-            seen[v] = False
-        if len(learnt) == 1:
-            bt = 0
-        else:
-            # move the second-highest-level literal to position 1
-            mi = max(range(1, len(learnt)), key=lambda i: level[learnt[i] >> 1])
+        seen[pv] = False
+        # every other seen variable of the current level was unmarked as
+        # the walk passed it; the rest are the learnt clause's
+        bt = 0
+        mi = 1
+        for i in range(1, len(learnt)):
+            q = learnt[i]
+            seen[q >> 1] = False
+            lv = level[q >> 1]
+            if lv > bt:  # the first literal of the highest level below
+                bt = lv
+                mi = i
+        if mi > 1:  # it goes to position 1, to be watched
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            bt = level[learnt[1] >> 1]
         return learnt, bt
 
     def _record_learnt(self, learnt: list[int]):
@@ -384,6 +410,9 @@ class Solver:
         if assumed:
             self.ensure_vars(max(assumed) >> 1)
         value = self.value
+        level = self.level
+        reason = self.reason
+        phase = self.phase
         trail = self.trail
         trail_lim = self.trail_lim
         propagate = self._propagate
@@ -444,7 +473,12 @@ class Solver:
                 self._cancel_until(0)
                 return "timeout"
             trail_lim.append(len(trail))
-            self._enqueue((v << 1) | self.phase[v], -1)
+            x = (v << 1) | phase[v]  # `_enqueue`, inlined
+            value[x] = 1
+            value[x ^ 1] = -1
+            level[v] = len(trail_lim)
+            reason[v] = -1
+            trail.append(x)
 
     def _verify_model(self, assumptions):
         for lit in assumptions:

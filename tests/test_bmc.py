@@ -11,9 +11,10 @@ from semiform.netlist import elaborate
 from semiform.sat import import_dimacs, solve
 
 import oracles
-from conftest import (FAIL_TRACES, UNUSED_WIRE_TEXT, build_model,
-                      hard_block_module, pipeline_module, props_for,
-                      random_dag_module, random_prop, record_fails)
+from conftest import (COUNTER_TEXT, FAIL_TRACES, UNUSED_WIRE_TEXT,
+                      build_model, hard_block_module, pipeline_module,
+                      props_for, random_dag_module, random_prop,
+                      record_fails)
 
 UNINIT_TEXT = """\
 .module holdx
@@ -466,6 +467,136 @@ def test_combinational_cone_is_solved_at_frame_zero_only():
     assert all(r.outcomes["quiet"].status == "PASS" for r in runs)
     assert [(r.n_vars, r.n_clauses, r.n_conflicts) for r in runs] == \
         [(runs[0].n_vars, runs[0].n_clauses, runs[0].n_conflicts)] * 2
+
+
+
+# -- one solver per group of properties whose cones share no node ------------
+
+# two copies of a parity block, each refuted with real solver work, and a
+# counter that reaches 3 through a trace; no instance reads another
+DUO_DSN = """\
+.design duo
+.instance hard h0
+.instance hard h1
+.instance counter c0
+"""
+
+DUO_PROPS = "prop quiet0 : ~(h0.bad)\nprop quiet1 : ~(h1.bad)\n" \
+    "prop three : c0.CNT != 3\n"
+
+# H holds its init by reading its own Q.  x's walk meets that loop
+# before it meets s and, behind s, the input a; w reads the loop, and y
+# reads a only
+LOOP_SHARE_TEXT = """\
+.module share
+.input rst 1
+.input a 1
+.input b 1
+.reg H 1 init=1
+.wire s 1
+.gate XOR s a b
+.wire x 1
+.gate AND x s H
+.wire w 1
+.gate OR w b H
+.wire y 1
+.gate OR y a a
+.endmodule
+"""
+
+
+def _duo():
+    lib = {"hard": parse_netlist(hard_block_module(8, 3, gated=False)),
+           "counter": parse_netlist(COUNTER_TEXT)}
+    design = parse_design(DUO_DSN)
+    return elaborate(design, lib), props_for(DUO_PROPS, design, lib)
+
+
+def _count_unrollers(monkeypatch):
+    built = []
+
+    class Counted(bmc.Unroller):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(bmc, "Unroller", Counted)
+    return built
+
+
+def test_disjoint_cones_check_as_separate_checks(monkeypatch):
+    model, props = _duo()
+    built = _count_unrollers(monkeypatch)
+    joint = bmc.check(model, props, k=4)
+    assert len(built) == 3
+    solo = [bmc.check(model, [p], k=4) for p in props]
+    for prop, run in zip(props, solo):
+        assert joint.outcomes[prop.name] == run.outcomes[prop.name]
+    three = joint.outcomes["three"]
+    assert (three.status, three.frame) == ("FAIL", 3)
+    assert bmc.replay_counterexample(model, props[2], three.trace)
+    assert {joint.outcomes[n].status for n in ("quiet0", "quiet1")} == \
+        {"PASS"}
+    assert all(run.n_conflicts > 0 for run in solo[:2])
+    for count in ("n_vars", "n_clauses", "n_conflicts"):
+        assert getattr(joint, count) == sum(getattr(r, count) for r in solo)
+    record_fails(model, props, joint)
+
+
+@pytest.mark.parametrize("other", ["prop q : m0.w\n",  # the loop itself
+                                   "prop q : m0.y == m0.a\n"])  # behind it
+def test_cones_that_meet_at_or_behind_a_loop_share_a_solver(other,
+                                                             monkeypatch):
+    model, design, lib = build_model(LOOP_SHARE_TEXT)
+    props = props_for("prop p : ~m0.x\n" + other, design, lib)
+    built = _count_unrollers(monkeypatch)
+    joint = bmc.check(model, props, k=3)
+    assert len(built) == 1
+    solo = [bmc.check(model, [p], k=3) for p in props]
+    # one solver translates the shared nodes once; two solvers would each
+    # translate them, and each pins its own true literal
+    assert joint.n_vars < solo[0].n_vars + solo[1].n_vars
+    assert [joint.outcomes[p.name] for p in props] == \
+        [r.outcomes[p.name] for p, r in zip(props, solo)]
+    assert (joint.outcomes["p"].status, joint.outcomes["p"].frame) == \
+        ("FAIL", 0)
+    assert joint.outcomes["q"].status == "PASS"
+    record_fails(model, props, joint)
+
+
+def test_dumped_cnf_holds_only_the_group_clauses(tmp_path):
+    model, props = _duo()
+    quiet = props[:2]
+    run = bmc.check(model, quiet, k=2, dump_cnf=str(tmp_path / "joint"))
+    headers = []
+    for prop in quiet:
+        text = (tmp_path / "joint" / f"{prop.name}.cnf").read_text()
+        bmc.check(model, [prop], k=2, dump_cnf=str(tmp_path / prop.name))
+        assert text == (tmp_path / prop.name / f"{prop.name}.cnf").read_text()
+        headers.append(int(text.split("\n")[0].split()[3]))
+    assert run.n_clauses == sum(headers)
+
+
+def test_vacuous_check_encodes_nothing(counter, monkeypatch):
+    model, design, lib = counter
+    encoded = []
+    monkeypatch.setattr(bmc, "xprop_encode", encoded.append)
+    prop = PropertyAst(name="p", kind="user", expr=("int", 1),
+                       scope=frozenset({"zz"}))
+    run = bmc.check(model, [prop], k=2)
+    assert run.outcomes["p"].status == "VACUOUS"
+    assert (run.n_vars, run.n_clauses, run.n_conflicts) == (0, 0, 0)
+    cut = bmc.create_stopats(["m0.CNT"])
+    with pytest.raises(errors.SemiformError, match="overflows m0.CNT"):
+        bmc.check(model, [prop], k=2,
+                  constraints=cut + (bmc.Assume("m0.CNT", 16),))
+    cut = bmc.create_stopats(["m0.c0"])
+    with pytest.raises(errors.SemiformError,
+                       match="assume on unknown register m0.c0"):
+        bmc.check(model, [prop], k=2,
+                  constraints=cut + (bmc.Assume("m0.c0", 1),))
+    with pytest.raises(errors.MissingStopat):
+        bmc.check(model, [prop], k=2, constraints=[bmc.Assume("m0.CNT", 1)])
+    assert encoded == [] and model.dual is None
 
 
 # -- reusing checks that ran out of budget -----------------------------------

@@ -132,11 +132,17 @@ def test_originals_added_after_learning_are_never_deleted():
     s.add_clause([-1, -3, 4])
     assert s.solve(assumptions=[-4]) == "unsat"  # produces learnt clauses
     n_before = len(s.clauses)
-    s.add_clause([2, 3, 4])  # original, lands above any learnt index
-    assert n_before not in s.cla_act  # not registered as deletable
-    s._bump_clause(n_before)
-    assert n_before not in s.cla_act
-    assert all(ci < n_before for ci in s.cla_act)
+    # originals that land above the learnt indices, on fresh variables,
+    # and that take part in conflicts as reasons (an UNSAT 3-SAT set)
+    for c in _random_3sat(3, 40, ratio=6):
+        s.add_clause([l + (4 if l > 0 else -4) for l in c])
+    n_after = len(s.clauses)
+    assert s.cla_act and max(s.cla_act) < n_before
+    conflicts = s.n_conflicts
+    assert s.solve() == "unsat"
+    assert s.n_conflicts - conflicts > 10
+    # conflict analysis bumped the new originals without registering them
+    assert not set(s.cla_act) & set(range(n_before, n_after))
 
 
 def test_luby_restart_sequence_shape():
@@ -284,3 +290,28 @@ def test_solver_is_deterministic(seed):
         runs.append((status, s.n_conflicts, s.n_propagations, model))
     assert runs[0] == runs[1]
     assert runs[0][1] > 100  # real search, not unit propagation alone
+
+
+@pytest.mark.parametrize("inc, limit", [("var_inc", 1e100),
+                                        ("cla_inc", 1e20)])
+def test_activity_rescale_keeps_answers(inc, limit):
+    # the bump starts just below the point where activities are scaled
+    # down, so the first conflicts rescale them mid-search
+    rescaled = 0
+    for seed in range(120):
+        nv = 8 + seed % 5
+        clauses = _random_3sat(seed, nv)
+        s = Solver()
+        s.ensure_vars(nv)
+        setattr(s, inc, 0.9 * limit)
+        ok = all([s.add_clause(list(c)) for c in clauses])
+        n_orig = len(s.clauses)
+        got = s.solve() if ok else "unsat"
+        want = oracles.brute_force_sat(nv, clauses)
+        assert got == ("sat" if want else "unsat"), seed
+        if got == "sat":
+            _check_model(s, clauses)
+        rescaled += getattr(s, inc) < limit * 1e-10
+        # conflict analysis bumps learnt clauses only
+        assert min(s.cla_act, default=n_orig) >= n_orig
+    assert rescaled >= 20
