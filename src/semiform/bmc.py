@@ -18,30 +18,37 @@ its own copy of `kind`: a net a stopat cuts becomes a free (value,
 known) pair whose driver is ignored, like a net blackboxing frees, and
 an assumed bit a constant.
 
-Encoding is lazy: a node/frame pair is translated to CNF only when some
-property cone reaches it, and constants are folded during translation.
-The `Unroller` memoises literals in one frame-major list,
-`memo[f * n + id]`, with 0 for a pair not yet translated.  Pinning a
-register with an assume therefore collapses everything behind its
-decode logic before the solver ever sees it, which is what makes the
-constrain-and-reprove iterations cheap.
+Before any frame is translated, one walk over a check's cones
+(`_walk_cones`) folds what its constraints decide in every frame: a
+node over constants, an AND/OR that meets its controlling constant or
+a DFF whose init equals its constant D becomes a ONE or ZERO of the
+check's `kind`, and logic that only such a node reads is never met.
+Pinning a register with an assume thus collapses everything behind its
+decode logic once per check, before the solver ever sees it, which is
+what makes the constrain-and-reprove iterations cheap.  Encoding is
+then lazy: a node/frame pair is translated to CNF only when some
+property cone reaches it, and constants of one frame, such as a flop's
+initial value, are folded during translation.  The `Unroller` memoises
+literals in one frame-major list, `memo[f * n + id]`, with 0 for a pair
+not yet translated.
 
 The properties of a check are split into groups whose cones share no
-node, found by the same walk that finds each cone's depth.  Each group
-has its own `Unroller` and so its own incremental solver, whose heap,
-watch lists and learnt clauses hold only its own cones.  Frames are
-solved one at a time on the group's solver, so a failing property
-always reports its earliest reachable frame.
+node, found by the same walk.  Each group has its own `Unroller` and so
+its own incremental solver, whose heap, watch lists and learnt clauses
+hold only its own cones.  Frames are solved one at a time on the
+group's solver, so a failing property always reports its earliest
+reachable frame.
 
 A property stops at its cone's sequential depth `d`: the most DFF edges
 on any path from the rails it reads to a leaf (an input, a cut or free
-pair, or a constant) of this check's graph, with stopats and assumes
-written in.  When no DFF closes a loop in the cone, a frame `f >= d`
-reads no flop's initial value, and inputs and pairs take fresh variables
-every frame, so frame `f + 1` is a renamed copy of frame `f`.  Frames
-`max(first, d)` and beyond thus hold or fail together, and proving the
-first of them proves the bound (Biere et al., "Symbolic Model Checking
-without BDDs", TACAS 1999).
+pair, or a constant, folded ones included) of this check's live cone.
+A folded node is the same constant in every frame, so a pin that cuts
+a loop leaves a finite depth.  When no DFF closes a loop in the live
+cone, a frame `f >= d` reads no flop's initial value, and inputs and
+pairs take fresh variables every frame, so frame `f + 1` is a renamed
+copy of frame `f`.  Frames `max(first, d)` and beyond thus hold or fail
+together, and proving the first of them proves the bound (Biere et al.,
+"Symbolic Model Checking without BDDs", TACAS 1999).
 """
 
 from __future__ import annotations
@@ -216,8 +223,8 @@ class Unroller:
     One Unroller, with its own solver, serves each group of a check's
     properties whose cones share no node with another group's (see
     `_walk_cones`).  The graph is `model.dual`, read through `kind`: the
-    check's copy of the model's kind list with its constraints written in
-    (see `_constrain`), shared by the check's groups and never changed.
+    check's copy of the model's kinds with its constraints and folds in
+    (see `_constrain` and `_walk_cones`), which its groups share.
     `partner` maps the known rail of each free pair, the model's own and
     the cut nets, to its value rail.
 
@@ -331,7 +338,10 @@ class Unroller:
         Depth first: a node whose inputs are not all translated pushes
         the first missing one and is looked at again once it is done.
         AND/OR stop at the first input with the controlling value, and a
-        MUX with a constant select visits only the branch it picks.
+        MUX with a constant select visits only the branch it picks.  A
+        node the walk folded is a ONE or ZERO of `kind` and costs one
+        step; what folds here is what holds in frame `f` alone, such as
+        a flop's init at frame 0.
         """
         n, memo = self.n, self.memo
         key = f * n + i
@@ -435,8 +445,11 @@ class Unroller:
         return self.lit(self.dual.known[self.index[net]], frame)
 
     def peek(self, net: str, frame: int) -> tuple[int, int]:
-        """(value, known) literals of a net if translated, else 0s."""
+        """(value, known) literals of a net if translated, else 0s; a
+        pinned net, which a fold may leave untranslated, as its constant."""
         i = self.index[net]
+        if self.kind[i] == ONE or self.kind[i] == ZERO:
+            return (1 if self.kind[i] == ONE else -1), 1
         base = frame * self.n
         if base >= len(self.memo):
             return 0, 0
@@ -469,41 +482,52 @@ def _constrain(model: FlatModel, cut, assumes) -> tuple[list[int],
     return kind, {known[v]: v for v in pairs}
 
 
-_UNSEEN, _OPEN, _LOOP = -1, -2, float("inf")  # depth memo marks
+_UNSEEN, _LOOP = -1, 1 << 40  # walk marks: not met yet; a loop's depth
+_FIRST, _REST = _LOOP + 1, _LOOP + 2  # open: first input pushed, rest pushed
 
 
 def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                 nets: list[list[str]], shape: bool):
-    """Depth, group and, with `shape`, canonical form of the cones.
+    """Fold, depth, group and, with `shape`, canonical form of the cones.
 
-    The cone of property `p` is every node of this check's `kind` that
-    the two rails of each net in `nets[p]` reach.  One depth-first walk
-    per property, all sharing one memo, finds:
+    The cone of property `p` is what the two rails of each net in
+    `nets[p]` reach in this check's `kind`, walked as `Unroller.lit`
+    translates it but over the constants that hold in every frame.  An
+    AND/OR visits its second input only when its first is not the
+    controlling constant, a MUX with a constant select only the branch
+    it picks, and dead logic, which no visit reaches, is never met.  A
+    node its visited inputs decide folds: NOT, XOR and MUX over
+    constants, an AND/OR that meets its controlling constant, a DFF
+    whose init equals its constant D.  The walk writes ONE or ZERO over
+    its kind, so `lit` returns it at once.  One depth-first walk per
+    property, all sharing one memo, finds:
 
     - its sequential depth: the most DFF edges on any path from the
       rails to a leaf, or None when a DFF closes a loop in the cone.
-      Leaves are the INPUT, PAIR, ONE and ZERO nodes, so cut, pinned and
-      blackboxed nets end paths.  A loop marks its nodes and the walk
-      goes on, so every node of the cone is met.
+      Leaves are the INPUT, PAIR, ONE and ZERO nodes, folds included, so
+      cut, pinned and blackboxed nets end paths and a fold ends a loop.
+      A node is open from its first visit to its close, when its depth
+      is taken from its visited inputs: one still open is on the path
+      to it, which closes a loop.
     - its group: nodes are numbered as the walks first meet them, each
       property's rails first, so a node numbered below the first number
       of the current walk was met by an earlier property's walk, and the
-      two groups merge.  A pair's two rails are one leaf, as
-      `Unroller.lit` allocates them together.  Properties of different
-      groups share no node.  A group is named by its smallest property
-      index.
-    - with `shape`, the form of all the cones together: each node's
-      number and kind followed by its inputs' numbers, plus the init of
-      a DFF, in the order the walks reach them.  A PAIR reads its other
-      rail, with init 1 on its known side.  Equal forms translate to the
-      same clauses up to names.
+      two groups merge.  A pair's two rails are one leaf, as `lit`
+      allocates them together.  Properties of different groups share no
+      node.  A group is named by its smallest property index.
+    - with `shape`, the form of all the cones together: as each node
+      closes, its number and kind followed by its visited inputs'
+      numbers, plus the init of a DFF; a fold is a ONE or ZERO leaf.  A
+      PAIR reads its other rail, with init 1 on its known side.  Equal
+      forms translate to the same clauses up to names.
 
     Returns the depths, the groups and the form: the rails' numbers per
     property and the records, or None without `shape`.
     """
     dual = model.dual
     index, known, A, B, C = model.index, dual.known, dual.a, dual.b, dual.c
-    unseen, open_, loop = _UNSEEN, _OPEN, _LOOP
+    unseen, loop, first, rest = _UNSEEN, _LOOP, _FIRST, _REST
+    ctrl = (ZERO, ONE, -1, -1, -1, -1)  # an AND's, an OR's; -1 is no kind
     d = [unseen] * len(kind)
     # nodes are numbered as the walks first meet them, so the nodes a
     # walk meets first are those numbered from its `starts` entry on
@@ -542,62 +566,104 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
             while stack:
                 i = stack[-1]
                 di = d[i]
-                if di != unseen:  # done, or open with its inputs done
-                    stack.pop()
-                    if di == open_:
-                        k = kind[i]
-                        x = d[A[i]]
-                        if k != NOT and k != DFF:
-                            y = d[B[i]]
-                            if y > x:
-                                x = y
-                            if k == MUX and d[C[i]] > x:
-                                x = d[C[i]]
-                        d[i] = x + 1 if k == DFF else x
-                    continue
-                k = kind[i]
-                if k > DFF:  # a leaf; a pair closes both of its rails
-                    stack.pop()
-                    d[i] = 0
-                    if k == PAIR:
-                        side = i in partner
-                        j = partner[i] if side else known[i]
-                        d[j] = 0
-                        if num[j] < 0:
-                            num[j] = count
-                            count += 1
-                        if shape:
-                            cone.append((num[i], k, num[j], int(side)))
-                            cone.append((num[j], k, num[i], int(not side)))
-                    elif shape:
-                        cone.append((num[i], k))
-                    continue
-                ins = ((A[i],) if k == NOT or k == DFF else
-                       (A[i], B[i]) if k != MUX else (A[i], B[i], C[i]))
-                d[i] = open_  # until its inputs are done
-                for j in ins:
-                    dj = d[j]
-                    if dj == unseen:
+                if di == unseen:
+                    if num[i] < 0:
+                        num[i] = count
+                        count += 1
+                    k = kind[i]
+                    if k > DFF:  # a leaf; a pair closes both of its rails
+                        stack.pop()
+                        d[i] = 0
+                        if k == PAIR:
+                            side = i in partner
+                            j = partner[i] if side else known[i]
+                            d[j] = 0
+                            if num[j] < 0:
+                                num[j] = count
+                                count += 1
+                            if shape:
+                                cone.append((num[i], k, num[j], int(side)))
+                                cone.append((num[j], k, num[i],
+                                             int(not side)))
+                        elif shape:
+                            cone.append((num[i], k))
+                        continue
+                    d[i] = first
+                    j = A[i]
+                    if d[j] == unseen:
                         stack.append(j)
-                        if num[j] < 0:
-                            num[j] = count
-                            count += 1
-                    elif dj == open_:
-                        # open, so on the path here (a DFF reading its
-                        # own Q is open already): a loop
-                        d[i] = loop
-                    elif num[j] < start:
+                        continue
+                    if num[j] < start:
                         merge(p, num[j])
-                if shape:
-                    if k == NOT:
-                        cone.append((num[i], k, num[ins[0]]))
-                    elif k == DFF:
-                        cone.append((num[i], k, num[ins[0]], B[i]))
-                    elif k == MUX:
-                        cone.append((num[i], k, num[ins[0]], num[ins[1]],
-                                     num[ins[2]]))
+                elif di <= loop:  # closed
+                    stack.pop()
+                    continue
+                else:
+                    k = kind[i]
+                a = A[i]
+                x = kind[a]  # the first input is closed, or open on the path
+                if di != rest and k != NOT and k != DFF:
+                    d[i] = rest  # and push the inputs the first leaves live
+                    if k != MUX:
+                        ins = () if x == ctrl[k] else (B[i],)
+                    elif x == ONE or x == ZERO:
+                        ins = (B[i] if x == ONE else C[i],)
                     else:
-                        cone.append((num[i], k, num[ins[0]], num[ins[1]]))
+                        ins = (B[i], C[i])
+                    top = len(stack)
+                    for j in ins:
+                        if d[j] == unseen:
+                            stack.append(j)
+                        elif num[j] < start:
+                            merge(p, num[j])
+                    if len(stack) > top:
+                        continue
+                # close: fold, or take the depth over the visited inputs
+                stack.pop()
+                dx, c, j = d[a], 0, -1  # j: what a constant first leaves live
+                if x == ONE or x == ZERO:
+                    if k == NOT:
+                        c = ONE + ZERO - x
+                    elif k == DFF:
+                        c = x if x == ZERO + B[i] else 0
+                    elif x == ctrl[k]:
+                        c = x
+                    else:
+                        j = B[i] if k != MUX or x == ONE else C[i]
+                        y = kind[j]
+                        if y == ONE or y == ZERO:
+                            c = y if k != XOR else ONE if x != y else ZERO
+                        dx = d[j]
+                elif k != NOT and k != DFF:
+                    y = kind[B[i]]
+                    if d[B[i]] > dx:
+                        dx = d[B[i]]
+                    if k == MUX:
+                        if y == kind[C[i]] and (y == ONE or y == ZERO):
+                            c = y
+                        if d[C[i]] > dx:
+                            dx = d[C[i]]
+                    elif y == ctrl[k]:
+                        c = y
+                if c:
+                    kind[i] = c
+                    d[i] = 0
+                    if shape:
+                        cone.append((num[i], c))
+                    continue
+                if k == DFF and dx < loop:
+                    dx += 1
+                d[i] = dx if dx < loop else loop
+                if not shape:
+                    continue
+                if k == NOT or k == DFF:
+                    cone.append((num[i], k, num[a], B[i] if k == DFF else 0))
+                elif j >= 0:
+                    cone.append((num[i], k, num[a], num[j]))
+                elif k == MUX:
+                    cone.append((num[i], k, num[a], num[B[i]], num[C[i]]))
+                else:
+                    cone.append((num[i], k, num[a], num[B[i]]))
             if d[root] > worst:
                 worst = d[root]
         depths.append(None if worst == loop else worst)
@@ -729,9 +795,10 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     """Bounded check of `props` on `model` under `constraints`.
 
     Blackboxing and the dual-rail graph come from caches kept with
-    `model`; stopats and assumes are written into this check's copy of
-    the node kinds only, so the model is left as it was found.  A check
-    with no property left to solve returns before the graph is encoded.
+    `model`; stopats, assumes and the folds they decide are written into
+    this check's copy of the node kinds only, so the model is left as it
+    was found.  A check with no property left to solve returns before
+    the graph is encoded.
 
     The pending properties are split into groups whose cones share no
     node (see `_walk_cones`), and each group gets its own `Unroller` and
@@ -740,8 +807,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     properties and redistributed in rounds, so one stubborn property
     cannot starve the rest.  Each property is solved frame by frame on
     its group's incremental solver; a FAIL therefore carries its
-    earliest reachable frame.  A property whose cone has no loop through
-    a flop is solved only up to `min(k, max(first frame, cone depth))`;
+    earliest reachable frame.  A property whose live cone has no loop
+    through a flop is solved only up to `min(k, max(first frame, depth))`;
     when those frames hold it passes with bound `k`, since every later
     frame is a renamed copy of the last one solved.
 

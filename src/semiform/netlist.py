@@ -18,6 +18,7 @@ reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     CombinationalLoop,
@@ -60,8 +61,7 @@ class RegisterDecl:
     init: int | None  # None means unknown at power-up
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One gate, constant, or flop.  `inputs` are net names.
 
     DFF nodes carry `init` (0/1/None) and, before desugaring, optional

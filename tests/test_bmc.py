@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from semiform import bmc, errors, netlist
+from semiform import bmc, errors, netlist, sim as simlib
 from semiform.frontend import (PropertyAst, gen_xprop, parse_design,
                                parse_netlist)
 from semiform.netlist import elaborate
-from semiform.sat import import_dimacs, solve
 
 import oracles
 from conftest import (COUNTER_TEXT, FAIL_TRACES, UNUSED_WIRE_TEXT,
                       build_model, hard_block_module, pipeline_module,
                       props_for, random_dag_module, random_prop,
                       record_fails)
+from sat_helpers import import_dimacs, solve
 
 UNINIT_TEXT = """\
 .module holdx
@@ -599,6 +599,192 @@ def test_vacuous_check_encodes_nothing(counter, monkeypatch):
     assert encoded == [] and model.dual is None
 
 
+# -- the cone walk folds what the pins decide --------------------------------
+
+def _pinned_case(seed):
+    """A random module, a feed-forward pipeline for odd seeds, with three
+    properties, one register or more pinned and sometimes a wire cut."""
+    rng = random.Random(seed)
+    n_regs = 3 if seed % 2 else rng.choice((2, 3))
+    model, design, lib = build_model(
+        pipeline_module(rng) if seed % 2 else
+        random_dag_module(rng, n_regs=n_regs, uninit=True))
+    text = "".join(f"prop p{j} : {random_prop(rng, n_regs)}\n"
+                   for j in range(3))
+    props = props_for(text, design, lib)
+    regs = [f"m0.R{r}" for r in range(n_regs)]
+    pins = {r: rng.randrange(2)
+            for r in rng.sample(regs, rng.randint(1, n_regs - 1))}
+    cuts = list(pins) + rng.sample([f"m0.n{g}" for g in range(12)],
+                                   rng.randrange(2))
+    cons = bmc.create_stopats(cuts)
+    cons += bmc.create_assumes(pins, cons)
+    return rng, model, props, cons, _forced_nets(model, cuts), \
+        dict(zip(_forced_nets(model, pins), pins.values()))
+
+
+def _walk(model, props, cut=(), assumes=()):
+    """A check's kind before and after the walk, its pairs and depths."""
+    if model.dual is None:
+        model.dual = bmc.xprop_encode(model)
+    plain, partner = bmc._constrain(model, cut, assumes)
+    kind = plain.copy()
+    nets = [simlib.check_prop_nets(model, p) for p in props]
+    depths = bmc._walk_cones(model, kind, partner, nets, shape=False)[0]
+    return plain, kind, partner, depths
+
+
+def _live_depth(model, kind, rails):
+    """Most DFF edges from `rails` to a leaf over the inputs `kind` leaves
+    live, by plain recursion; None when a cycle is live."""
+    dual, memo, path = model.dual, {}, set()
+
+    def depth(i):
+        k = kind[i]
+        if k > bmc.DFF:
+            return 0
+        if i in path:
+            return None
+        if i not in memo:
+            path.add(i)
+            a, b, c = dual.a[i], dual.b[i], dual.c[i]
+            ins = [a]
+            if k == bmc.MUX:
+                ins += [b] if kind[a] == bmc.ONE else \
+                    [c] if kind[a] == bmc.ZERO else [b, c]
+            elif k in (bmc.AND, bmc.OR):
+                if kind[a] != (bmc.ZERO if k == bmc.AND else bmc.ONE):
+                    ins.append(b)
+            elif k == bmc.XOR:
+                ins.append(b)
+            got = [depth(j) for j in ins]
+            path.discard(i)
+            memo[i] = None if None in got else max(got) + (k == bmc.DFF)
+        return memo[i]
+
+    got = [depth(r) for r in rails]
+    return None if None in got else max(got)
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_folds_hold_in_every_frame(chunk):
+    # each node the walk folds is its constant at every frame of the
+    # unfolded graph, the depth covers every input the folds leave live,
+    # and the verdicts are the oracle's
+    for seed in range(chunk * 60, (chunk + 1) * 60):
+        rng, model, props, cons, cut, pinned = _pinned_case(seed)
+        k = rng.randint(1, 5)
+        _match_oracle(seed, model, props, k, cons, cut, pinned)
+        assumes = [c for c in cons if isinstance(c, bmc.Assume)]
+        plain, kind, partner, depths = _walk(model, props, cut, assumes)
+        folded = [i for i, (x, y) in enumerate(zip(plain, kind)) if x != y]
+        enc = bmc.Unroller(model, plain, partner)
+        for f in range(k + 1):
+            for i in folded:
+                lit = enc.lit(i, f)
+                other = lit if kind[i] == bmc.ZERO else -lit
+                assert enc.solver.solve([other]) == "unsat", (seed, i, f)
+        for prop, d in zip(props, depths):
+            rails = [r for net in simlib.check_prop_nets(model, prop)
+                     for r in (model.index[net],
+                               model.dual.known[model.index[net]])]
+            live = _live_depth(model, kind, rails)
+            assert d is None or (live is not None and d >= live), seed
+
+
+# EN gates H's load: pinned to 1, H takes d each cycle as G does, and the
+# hold loop through H's enable MUX is dead logic.  Z is 0 whatever d is
+# while EN is pinned to 0.
+LATCH_TEXT = """\
+.module latch
+.input rst 1
+.input d 1
+.reg EN 1 init=0
+.reg H 1 init=0
+.reg G 1 init=0
+.reg Z 1 init=0
+.wire z 1
+.gate AND z EN d
+.dff EN d
+.dff H d en=EN
+.dff G d
+.dff Z z
+.endmodule
+"""
+
+
+def test_pin_that_cuts_a_flop_loop_bounds_the_depth():
+    model, design, lib = build_model(LATCH_TEXT)
+    props = props_for("prop same : m0.H == m0.G\n", design, lib)
+    en = _forced_nets(model, ["m0.EN"])
+    pin = _pin("m0.EN", 1)
+    assert _walk(model, props)[3] == [None]
+    assert _walk(model, props, en, pin[1:])[3] == [1]
+    runs = {k: bmc.check(model, props, constraints=pin, k=k) for k in (1, 6)}
+    assert [runs[k].outcomes["same"].status for k in (1, 6)] == ["PASS"] * 2
+    assert runs[6].n_vars == runs[1].n_vars  # frames 2 to 6 are not solved
+    free = bmc.check(model, props, constraints=pin[:1], k=6)
+    assert runs[6].n_vars < free.n_vars
+    assert oracles.explicit_check(model, props[0], 6, en, {en[0]: 1}) is None
+    o = free.outcomes["same"]
+    assert (o.status, o.frame) == \
+        ("FAIL", oracles.explicit_check(model, props[0], 6, en))
+    record_fails(model, props, free)
+
+
+# g = a & ~a is 0 but an AND gate, so R2 shows `a` three cycles late
+# through the second input of an XOR whose first is that AND
+XOR_DEEP_TEXT = """\
+.module xdeep
+.input rst 1
+.input a 1
+.reg R0 1 init=0
+.reg R1 1 init=0
+.reg R2 1 init=0
+.wire na 1
+.gate NOT na a
+.wire g 1
+.gate AND g a na
+.wire x 1
+.gate XOR x g R1
+.dff R0 a
+.dff R1 R0
+.dff R2 x
+.endmodule
+"""
+
+
+def test_the_depth_counts_every_live_input():
+    model, design, lib = build_model(XOR_DEEP_TEXT)
+    props = props_for("prop p : ~m0.R2\n", design, lib)
+    assert _walk(model, props)[3] == [3]
+    run = bmc.check(model, props, k=6)
+    o = run.outcomes["p"]
+    assert (o.status, o.frame) == ("FAIL", 3)
+    assert oracles.explicit_check(model, props[0], 6) == 3
+    record_fails(model, props, run)
+
+
+def test_check_whose_properties_all_fold_calls_no_solver(monkeypatch):
+    model, design, lib = build_model(LATCH_TEXT)
+    props = props_for("prop zero : ~m0.Z\nprop known : m0.Z | ~m0.Z\n",
+                      design, lib)
+    calls = []
+    solve = bmc.Solver.solve
+    monkeypatch.setattr(bmc.Solver, "solve",
+                        lambda self, *a, **kw: calls.append(a) or
+                        solve(self, *a, **kw))
+    run = bmc.check(model, props, constraints=_pin("m0.EN", 0), k=8)
+    assert {o.status for o in run.outcomes.values()} == {"PASS"}
+    assert calls == [] and run.n_vars == 1
+    en = _forced_nets(model, ["m0.EN"])
+    kind = _walk(model, props, en, _pin("m0.EN", 0)[1:])[1]
+    z = model.index["m0.Z"]
+    assert (kind[z], kind[model.dual.known[z]]) == (bmc.ZERO, bmc.ONE)
+    for prop in props:
+        assert oracles.explicit_check(model, prop, 8, en, {en[0]: 0}) is None
+
+
 # -- reusing checks that ran out of budget -----------------------------------
 
 # R and S hold an input for one cycle; their widths are the parameters
@@ -714,6 +900,22 @@ def test_checks_that_differ_are_solved_twice(change):
     if change == "scope_box":
         assert r1.outcomes["hold"].reason == "bound"
         assert r2.outcomes["hold"].status == "VACUOUS"
+
+
+# m is 0 and CFG[1] dead logic when CFG[0] is pinned to 0; with CFG
+# pinned to 3, m and so `live` are 1
+DEAD_LIVE = ".wire m 1\n.gate AND m CFG[0] CFG[1]\n.gate OR live sel m"
+
+
+@pytest.mark.parametrize("second, same", [(2, True), (3, False)])
+def test_pins_count_for_reuse_only_where_the_cone_reads_them(second, same):
+    model, design, lib = _trio(live=DEAD_LIVE)
+    props = props_for(QUIET_H0, design, lib)
+    (r1, r2), reuse = _two_checks(
+        (model, props, _pin("h0.CFG", 0), 20, 0.05),
+        (model, props, _pin("h0.CFG", second), 20, 0.05))
+    assert {r.outcomes["quiet"].reason for r in (r1, r2)} == {"timeout"}
+    assert (r2 is r1) == same and len(reuse) == 2 - same
 
 
 def test_pass_and_fail_are_not_stored(counter):

@@ -7,9 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiform.sat import (Cnf, Solver, export_dimacs, import_dimacs, solve)
+from semiform.sat import Cnf, Solver, export_dimacs
 
 import oracles
+from sat_helpers import import_dimacs, solve
 
 
 def _random_clauses(rng, num_vars, n_clauses, max_len=4):
