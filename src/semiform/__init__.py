@@ -8,7 +8,7 @@ from .netlist import (Design, FlatModel, IpNetlist, blackbox,
                       list_unique_ips, rank_ips_by_connection)
 from .frontend import (divide_props, gen_xprop, parse_design, parse_esw,
                        parse_netlist, parse_props, parse_regmap,
-                       serialize_design, serialize_netlist, serialize_props)
+                       serialize_props)
 from .sim import Simulator, collect_sim_values, run_until_poi, set_pois
 from .sra import combine_regs, cor, do_sra
 from .bmc import (Assume, Blackbox, Stopat, check, create_assumes,
@@ -26,7 +26,6 @@ __all__ = [
     "elaborate", "exit_code", "fanout_cone", "format_trace", "gen_xprop",
     "list_unique_ips", "parse_design", "parse_esw", "parse_netlist",
     "parse_props", "parse_regmap", "rank_ips_by_connection",
-    "replay_counterexample", "run_flow", "run_until_poi",
-    "serialize_design", "serialize_netlist", "serialize_props",
+    "replay_counterexample", "run_flow", "run_until_poi", "serialize_props",
     "set_pois", "__version__",
 ]

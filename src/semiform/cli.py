@@ -18,8 +18,9 @@ import sys
 from . import bmc as bmc_mod
 from . import flow, sim, sra
 from .errors import SemiformError
-from .frontend import (gen_xprop, parse_design, parse_esw, parse_netlist,
-                       parse_props, parse_regmap, serialize_props)
+from .frontend import (RegisterMap, gen_xprop, parse_design, parse_esw,
+                       parse_netlist, parse_props, parse_regmap,
+                       serialize_props)
 from .netlist import Design, IpNetlist, elaborate
 
 EXIT_INPUT = 3
@@ -39,8 +40,7 @@ def _load_library(netlist_dir: str) -> dict[str, IpNetlist]:
     for name in sorted(os.listdir(netlist_dir)):
         if name.endswith(".net"):
             path = os.path.join(netlist_dir, name)
-            with open(path) as fh:
-                ip = parse_netlist(fh.read(), path=path)
+            ip = parse_netlist(_read(path), path=path)
             lib[ip.name] = ip
     if not lib:
         raise SemiformError(f"no .net files in {netlist_dir}")
@@ -60,17 +60,18 @@ def _design(args) -> tuple[Design, dict[str, IpNetlist]]:
 
 
 def _design_inputs(args):
-    """The design, its library and its register map (`<design>.map`)."""
+    """The design, its library and its register map.
+
+    The map is `--regmap`, else `<design>.map`; only that default may be
+    absent, which reads as an empty map.
+    """
     design, library = _design(args)
-    regmap_path = args.regmap
-    if regmap_path is None:
-        regmap_path = os.path.splitext(args.design)[0] + ".map"
-    if os.path.exists(regmap_path):
-        regmap = parse_regmap(_read(regmap_path), regmap_path, design,
-                              library)
-    else:
-        regmap = parse_regmap("", path="<empty>")
-    return design, library, regmap
+    path = args.regmap
+    if path is None:
+        path = os.path.splitext(args.design)[0] + ".map"
+        if not os.path.exists(path):
+            return design, library, RegisterMap(())
+    return design, library, parse_regmap(_read(path), path, design, library)
 
 
 def _flow_config(args, phases=None) -> flow.FlowConfig:
@@ -117,10 +118,6 @@ def _run_flow(args, phases=None) -> int:
     return flow.exit_code(report)
 
 
-def _cmd_run(args) -> int:
-    return _run_flow(args)
-
-
 def _cmd_phase(args) -> int:
     try:
         phases = sorted({int(t) for t in args.phases.split(",") if t})
@@ -137,8 +134,7 @@ def _solo_design(module: str, instance: str) -> Design:
 
 
 def _cmd_sra_rank(args) -> int:
-    with open(args.ip) as fh:
-        ip = parse_netlist(fh.read(), path=args.ip)
+    ip = parse_netlist(_read(args.ip), path=args.ip)
     regmap = parse_regmap(_read(args.regmap), args.regmap)
     regnames = {r.name for r in ip.registers}
     by_inst: dict[str, list[str]] = {}
@@ -161,8 +157,7 @@ def _cmd_sra_rank(args) -> int:
 
 
 def _cmd_bmc(args) -> int:
-    with open(args.ip) as fh:
-        ip = parse_netlist(fh.read(), path=args.ip)
+    ip = parse_netlist(_read(args.ip), path=args.ip)
     instance = args.instance or f"{ip.name}0"
     design = _solo_design(ip.name, instance)
     library = {ip.name: ip}
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full verification flow")
     _add_flow_args(p)
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_run_flow)
 
     p = sub.add_parser("phase", help="run a subset of flow phases")
     p.add_argument("phases", help="comma list, e.g. 2,4")

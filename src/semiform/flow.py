@@ -329,7 +329,7 @@ class Flow:
             carried = False
             arch.iterations += 1
             cons = bmc.create_stopats(pinned)
-            vals = {r: cap.values[r] for r in pinned if r in cap.values}
+            vals = {r: cap[r] for r in pinned if r in cap}
             cons = [*blackboxes, *cons, *bmc.create_assumes(vals, cons)]
             run = self._check(arch, model, group, cons, budget)
             if run.status != "INCOMPLETE":

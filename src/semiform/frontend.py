@@ -1,8 +1,10 @@
-"""Parsers and serializers for the on-disk formats.
+"""Parsers for the on-disk formats, and the property writer.
 
 Five line-oriented formats: netlist (`.net`), design (`.dsn`), register map
 (`.map`), software transaction script (`.esw`), and property file (`.prop`).
-`#` starts a comment anywhere; tokens are whitespace-separated.
+`#` starts a comment anywhere; tokens are whitespace-separated.  The one
+writer, `serialize_props`, keys reused checks and prints `gen-xprop`'s
+obligations.
 """
 
 from __future__ import annotations
@@ -43,11 +45,15 @@ def _lines(text: str):
             yield ln, toks
 
 
-def _parse_int(tok: str, ln: int, path, what="value") -> int:
+def _parse_int(tok: str, ln: int, path, what: str) -> int:
+    """A non-negative integer literal: decimal, or 0x/0o/0b prefixed."""
     try:
-        return int(tok, 0)
+        v = int(tok, 0)
     except ValueError:
         raise ParseError(f"bad {what} {tok!r}", ln, 1, path) from None
+    if v < 0:
+        raise ParseError(f"{what} {tok!r} is negative", ln, 1, path)
+    return v
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -64,6 +70,27 @@ def _check_name(tok: str, ln: int, path):
     if not _NAME_RE.match(tok):
         raise ParseError(f"bad identifier {tok!r}", ln, 1, path)
     return tok
+
+
+def _options(toks, keys, directive: str, ln: int, path) -> dict:
+    """A directive's `key=value` tokens by key, None where not given.
+
+    A token with no `=`, an unknown or repeated key, or an empty value
+    raises ParseError.
+    """
+    opts = dict.fromkeys(keys)
+    for t in toks:
+        k, eq, v = t.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value, got {t!r}", ln, 1, path)
+        if k not in opts:
+            raise ParseError(f"unknown {directive} option {k}", ln, 1, path)
+        if not v:
+            raise ParseError(f"{directive} option {k} has no value", ln, 1, path)
+        if opts[k] is not None:
+            raise ParseError(f"second {directive} option {k}", ln, 1, path)
+        opts[k] = v
+    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +211,7 @@ def parse_netlist(text: str, path: str | None = None) -> IpNetlist:
             if rn in dffs:
                 raise ParseError(f"second .dff for {rn}", ln, 1, path)
             d = toks[2]
-            opts = {"en": None, "rst": None, "rstval": None}
-            for t in toks[3:]:
-                if "=" not in t:
-                    raise ParseError(f"expected key=value, got {t!r}", ln, 1, path)
-                k, v = t.split("=", 1)
-                if k not in opts:
-                    raise ParseError(f"unknown .dff option {k}", ln, 1, path)
-                if not v:
-                    raise ParseError(f".dff option {k} has no value", ln, 1, path)
-                if opts[k] is not None:
-                    raise ParseError(f"second .dff option {k}", ln, 1, path)
-                opts[k] = v
+            opts = _options(toks[3:], ("en", "rst", "rstval"), ".dff", ln, path)
             if opts["rstval"] is not None and opts["rst"] is None:
                 raise ParseError(".dff rstval needs rst=net", ln, 1, path)
             w = reg_decl[rn][0]
@@ -240,43 +256,6 @@ def parse_netlist(text: str, path: str | None = None) -> IpNetlist:
                                   en=spec["en"], rst=spec["rst"], rstval=rv))
         registers.append(RegisterDecl(rn, w, bits, init))
     return IpNetlist(name, ports, wires, registers, nodes)
-
-def serialize_netlist(ip: IpNetlist) -> str:
-    out = [f".module {ip.name}"]
-    for p in ip.ports:
-        out.append(f".{'input' if p.direction == 'in' else 'output'} {p.name} {p.width}")
-    for w, width in ip.wires.items():
-        out.append(f".wire {w} {width}")
-    for r in ip.registers:
-        init = "" if r.init is None else f" init=0x{r.init:x}"
-        if r.init is None:
-            init = " init=x"
-        out.append(f".reg {r.name} {r.width}{init}")
-    for n in ip.nodes:
-        if n.kind == "CONST":
-            out.append(f".const {n.output} {n.value}")
-        elif n.kind != "DFF":
-            out.append(f".gate {n.kind} {n.output} {' '.join(n.inputs)}")
-    for r in ip.registers:
-        head = [n for n in ip.nodes if n.kind == "DFF" and n.output == r.bits[0]]
-        node = head[0]
-        if node.inputs[0] == r.bits[0] and node.en is None and node.rst is None:
-            continue  # implicit hold register
-        d0 = node.inputs[0]
-        dsig = d0[: d0.index("[")] if "[" in d0 else d0
-        parts = [f".dff {r.name} {dsig}"]
-        if node.en:
-            parts.append(f"en={node.en}")
-        if node.rst:
-            rv = 0
-            for i, b in enumerate(r.bits):
-                nd = next(n for n in ip.nodes if n.kind == "DFF" and n.output == b)
-                rv |= (nd.rstval or 0) << i
-            parts.append(f"rst={node.rst}")
-            parts.append(f"rstval=0x{rv:x}")
-        out.append(" ".join(parts))
-    out.append(".endmodule")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +322,11 @@ def parse_design(text: str, path: str | None = None) -> Design:
                       ln, path)
                 base = _parse_int(toks[2], ln, path, "base address")
                 size = _parse_int(toks[3], ln, path, "size")
-                kv = {}
-                for t in toks[4:]:
-                    k, _, v = t.partition("=")
-                    kv[k] = v
-                missing = {"addr", "wdata", "we"} - set(kv)
+                kv = _options(toks[4:], ("addr", "wdata", "we"), ".bus range",
+                              ln, path)
+                missing = [k for k, v in kv.items() if v is None]
                 if missing:
-                    raise ParseError(f".bus range missing {sorted(missing)}", ln, 1, path)
+                    raise ParseError(f".bus range missing {missing}", ln, 1, path)
                 bus.ranges.append(BusRange(base, size, kv["addr"], kv["wdata"], kv["we"]))
             elif sub == "map":
                 _need(toks, 4, ".bus map takes ADDR INST.REG", ln, path)
@@ -377,24 +354,6 @@ def parse_design(text: str, path: str | None = None) -> Design:
     return Design(name, instances, connects, tops, bus)
 
 
-def serialize_design(d: Design) -> str:
-    out = [f".design {d.name}"]
-    for inst, mod in d.instances:
-        out.append(f".instance {mod} {inst}")
-    for ia, pa, ib, pb in d.connects:
-        out.append(f".connect {ia}.{pa} {ib}.{pb}")
-    for tp, inst, port in d.tops:
-        out.append(f".top {tp} {inst}.{port}")
-    if d.bus.reset:
-        out.append(f".bus reset {d.bus.reset}")
-    for r in d.bus.ranges:
-        out.append(f".bus range 0x{r.base:x} 0x{r.size:x} "
-                   f"addr={r.addr_ref} wdata={r.wdata_ref} we={r.we_ref}")
-    for addr, reg in d.bus.regmap.items():
-        out.append(f".bus map 0x{addr:x} {reg}")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # register map
 
@@ -405,12 +364,6 @@ class RegisterMap:
 
     def registers(self) -> list[str]:
         return [r for _, r in self.entries]
-
-    def address_of(self, register: str) -> int | None:
-        for a, r in self.entries:
-            if r == register:
-                return a
-        return None
 
     def register_at(self, addr: int) -> str | None:
         for a, r in self.entries:
@@ -447,10 +400,6 @@ def parse_regmap(text: str, path: str | None = None,
                     raise UnknownSignal(f"module {mod} has no register {reg}", ln, 1, path)
         entries.append((addr, target))
     return RegisterMap(tuple(entries))
-
-
-def serialize_regmap(rm: RegisterMap) -> str:
-    return "".join(f"0x{a:x} {r}\n" for a, r in rm.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +454,6 @@ def parse_esw(text: str, path: str | None = None) -> EswScript:
         raise ParseError("script must start with reset", 1, 1, path)
     return EswScript(tuple(stmts))
 
-
-def serialize_esw(s: EswScript) -> str:
-    out = []
-    for st in s.statements:
-        if st[0] == "write":
-            out.append(f"write 0x{st[1]:x} 0x{st[2]:x}")
-        elif st[0] == "read":
-            out.append(f"read 0x{st[1]:x}")
-        else:
-            out.append(f"{st[0]} {st[1]}")
-    return "\n".join(out) + "\n"
 
 # ---------------------------------------------------------------------------
 # properties

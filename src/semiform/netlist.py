@@ -268,18 +268,15 @@ class FlatModel:
         self.blackboxed: frozenset[str] = frozenset(blackboxed)
         self.free_inputs: frozenset[str] = frozenset(free_inputs)
         nets: set[str] = set()
+        driven: set[str] = set()
         for n in self.nodes:
-            nets.add(n.output)
+            if n.output in driven:
+                raise MultipleDrivers(f"net {n.output} has multiple drivers")
+            driven.add(n.output)
             nets.update(n.inputs)
-        nets.update(self.inputs)
-        nets.update(self.outputs)
+        nets.update(driven, self.inputs, self.outputs)
         self.nets: tuple[str, ...] = tuple(sorted(nets))
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.nets)}
-        self._driver: dict[str, int] = {}
-        for i, n in enumerate(self.nodes):
-            if n.output in self._driver:
-                raise MultipleDrivers(f"net {n.output} has multiple drivers")
-            self._driver[n.output] = i
         self._order: tuple[Node, ...] | None = None
         self._compiled: CompiledModel | None = None
         self.dual = None  # `bmc.xprop_encode(self)`, set by `bmc.check`
@@ -295,14 +292,6 @@ class FlatModel:
         if signal in self.signals:
             return self.signals[signal]
         raise UnknownRegister(f"model {self.name} has no signal {signal}")
-
-    def driver_of(self, net: str) -> Node | None:
-        i = self._driver.get(net)
-        return None if i is None else self.nodes[i]
-
-    @property
-    def state_bits(self) -> int:
-        return sum(r.width for r in self.registers.values())
 
     def consumers(self) -> dict[str, list[int]]:
         if self._consumers is None:
@@ -627,13 +616,8 @@ def blackbox(model: FlatModel, instance: str) -> FlatModel:
 class FanoutCone:
     """Forward cone of a register: reached elements plus output path count."""
 
-    register: str
     elements: tuple[int, ...]  # node indices in model.nodes
     paths: int
-
-    @property
-    def element_count(self) -> int:
-        return len(self.elements)
 
 
 def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
@@ -697,5 +681,4 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
         if g.output in seen_nets:
             paths[g.output] = path_count(g.output)
     total_paths = sum(path_count(b) for b in reg.bits)
-    return FanoutCone(register=register, elements=tuple(sorted(seen_nodes)),
-                      paths=total_paths)
+    return FanoutCone(elements=tuple(sorted(seen_nodes)), paths=total_paths)

@@ -4,8 +4,8 @@ The simulator drives an ESW transaction script through the design's bus
 decoder description, watching for points of interest (script statements
 that touch ranked registers) and capturing fully-known register values.
 State is one byte per net, 0, 1 or 2 for X, held in a `bytearray`; each
-cycle settles through `kernels.eval_comb` with pessimistic X-propagation.
-Frames and saved states are immutable `bytes` snapshots.
+cycle settles through `kernels.eval_comb` with pessimistic X-propagation,
+and `step` returns the settled frame as an immutable `bytes` snapshot.
 
 Bus model: one statement per cycle.  A write forces the matched range's
 address/data/enable nets for that cycle; all other ranges idle at zero.
@@ -15,61 +15,31 @@ usual testbench force semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels
 from .errors import BusDecodeError, SemiformError, UnknownRegister
 from .frontend import EswScript, RegisterMap
+from .kernels import X
 from .netlist import Design, FlatModel
 
-X = 2
 
+def set_pois(regmap: RegisterMap, ranked: list[str],
+             script: EswScript) -> dict[int, tuple[int, int, str]]:
+    """Watch every script access whose address maps to a ranked register.
 
-@dataclass(frozen=True)
-class SimState:
-    cycle: int
-    values: bytes  # one byte per net, post-latch
-    script_pc: int
-
-
-@dataclass(frozen=True)
-class PoiSet:
-    watched: tuple[tuple[int, int, str], ...]  # (statement index, address, register)
-
-    def statement_indices(self) -> frozenset[int]:
-        return frozenset(i for i, _, _ in self.watched)
-
-
-@dataclass(frozen=True)
-class CapturedValues:
-    values: dict[str, int]  # register -> concrete value, X registers omitted
-    cycle: int
-
-
-@dataclass(frozen=True)
-class Triggered:
-    state: SimState
-    poi: tuple[int, int, str]
-
-
-@dataclass(frozen=True)
-class ScriptEnded:
-    state: SimState
-
-
-def set_pois(regmap: RegisterMap, ranked: list[str], script: EswScript) -> PoiSet:
-    """Watch every script access whose address maps to a ranked register."""
+    Maps each watched statement's index to its `(statement, address,
+    register)` PoI.
+    """
     known = set(regmap.registers())
     for r in ranked:
         if r not in known:
             raise UnknownRegister(f"{r} is not in the register map")
     ranked_set = set(ranked)
-    watched = []
+    pois = {}
     for i, _, addr in script.accesses():
         reg = regmap.register_at(addr)
         if reg in ranked_set:
-            watched.append((i, addr, reg))
-    return PoiSet(tuple(watched))
+            pois[i] = (i, addr, reg)
+    return pois
 
 
 class Simulator:
@@ -208,18 +178,7 @@ class Simulator:
             self._step_indices(drive)
         self.script_pc += 1
 
-    def state(self) -> SimState:
-        return SimState(self.cycle, bytes(self.values), self.script_pc)
-
-    def restore(self, state: SimState):
-        self.cycle = state.cycle
-        self.script_pc = state.script_pc
-        self.values[:] = state.values
-
     # -- observation ---------------------------------------------------------
-
-    def net_value(self, net: str) -> int:
-        return self.frame[self.cm.index[self.model.resolve(net)]]
 
     def register_value(self, register: str):
         """Concrete register value from current state, or None if any bit X."""
@@ -250,26 +209,28 @@ class Simulator:
             self._trace_file = None
 
 
-def run_until_poi(sim: Simulator, pois: PoiSet):
-    """Advance statement by statement until a PoI completes or script ends."""
-    watch = pois.statement_indices()
-    by_stmt = {i: (i, a, r) for i, a, r in pois.watched}
+def run_until_poi(sim: Simulator, pois: dict[int, tuple[int, int, str]]):
+    """Advance statement by statement until a PoI of `set_pois` completes.
+
+    Returns the PoI that fired, or None when the script ends first.
+    """
     while sim.script_pc < len(sim.script.statements):
         pc = sim.script_pc
         sim.run_statement()
-        if pc in watch:
-            return Triggered(sim.state(), by_stmt[pc])
-    return ScriptEnded(sim.state())
+        if pc in pois:
+            return pois[pc]
+    return None
 
 
-def collect_sim_values(sim: Simulator, registers: list[str]) -> CapturedValues:
-    """Fully-known register values at the current pause point."""
+def collect_sim_values(sim: Simulator, registers: list[str]) -> dict[str, int]:
+    """Fully-known register values at the current pause point, by name;
+    registers with an X bit are left out."""
     out = {}
     for r in registers:
         v = sim.register_value(r)
         if v is not None:
             out[r] = v
-    return CapturedValues(values=out, cycle=sim.cycle)
+    return out
 
 
 # ---------------------------------------------------------------------------

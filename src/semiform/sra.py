@@ -31,9 +31,6 @@ class RankedRegisters:
     order: tuple[str, ...]
     scores: tuple[CorScore, ...]
 
-    def top(self, n: int) -> tuple[str, ...]:
-        return self.order[:n]
-
 
 def cor(model: FlatModel, register: str, w_paths: int = 100,
         w_elements: int = 1) -> CorScore:

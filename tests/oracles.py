@@ -112,12 +112,13 @@ def eval_nets3(model, state: dict[str, int], inputs: dict[str, int]):
     net.
     """
     memo: dict[str, int] = {}
+    driver = {n.output: n for n in model.nodes}
 
     def val(net: str) -> int:
         got = memo.get(net)
         if got is not None:
             return got
-        node = model.driver_of(net)
+        node = driver.get(net)
         if net in inputs:
             r = inputs[net]
         elif node is None:

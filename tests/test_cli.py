@@ -61,6 +61,31 @@ def test_unreadable_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sim"])
+def test_missing_explicit_regmap_exits_3(mini_files, capsys, command):
+    # a mistyped --regmap must not read as an empty map, which would leave
+    # no register to pin and blackbox every IP that times out
+    args = [command, "--design", str(mini_files / "mini.dsn"),
+            "--esw", str(mini_files / "boot.esw"),
+            "--regmap", str(mini_files / "nope.map")]
+    if command == "run":
+        args += ["--props", str(mini_files / "user.prop")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.map" in err
+
+
+def test_absent_default_regmap_reads_empty(mini_files, tmp_path, capsys):
+    for f in mini_files.glob("*.net"):
+        (tmp_path / f.name).write_text(f.read_text())
+    (tmp_path / "mini.dsn").write_text((mini_files / "mini.dsn").read_text())
+    code = main(["sim", "--design", str(tmp_path / "mini.dsn"),
+                 "--esw", str(mini_files / "boot.esw")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "ran 6 cycles" in out and "a0.CFG" not in out
+
+
 def test_bad_phase_list_exits_3(mini_files, capsys):
     code = main(["phase", "2,x",
                  "--design", str(mini_files / "mini.dsn"),

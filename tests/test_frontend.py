@@ -5,12 +5,12 @@ import pytest
 from semiform import errors
 from semiform.frontend import (divide_props, gen_xprop, parse_design,
                                parse_esw, parse_netlist, parse_props,
-                               parse_regmap, render_expr, serialize_design,
-                               serialize_esw, serialize_netlist,
-                               serialize_props, serialize_regmap)
+                               parse_regmap, render_expr, serialize_props)
 
 from conftest import (COUNTER_TEXT, MINI_DSN, MINI_ESW, MINI_MAP, MINI_PROP,
                       build_model)
+from writers import (serialize_design, serialize_esw, serialize_netlist,
+                     serialize_regmap)
 
 
 # -- netlists ----------------------------------------------------------------
@@ -96,15 +96,49 @@ def test_dff_option_that_would_be_dropped_is_a_parse_error(options):
         parse_netlist(text)
 
 
+@pytest.mark.parametrize("options", [
+    "addr=a wdata=w we=e foo=bar", "addr=a wdata=w we=e addr=b",
+    "addr= wdata=w we=e", "addr=a wdata=w we=e bogus",
+], ids=["unknown_key", "second_key", "empty_value", "no_equals"])
+def test_bad_bus_range_option_is_a_parse_error(options):
+    text = ".design d\n.bus range 0x0 0x10 {}\n"
+    assert parse_design(text.format("addr=a wdata=w we=e")).bus.ranges
+    with pytest.raises(errors.ParseError):
+        parse_design(text.format(options))
+
+
+@pytest.mark.parametrize("parse, text, good, bad", [
+    (parse_netlist, ".module t\n.reg R 4 init={}\n.endmodule\n", "1", "-1"),
+    (parse_netlist, ".module t\n.input a 1\n.input r 1\n.reg R 1\n"
+     ".dff R a rst=r rstval={}\n.endmodule\n", "1", "-1"),
+    (parse_esw, "reset 1\nwrite {} 0x5\n", "0x4", "-4"),
+    (parse_esw, "reset 1\nwrite 0x4 {}\n", "5", "-5"),
+    (parse_esw, "reset 1\nread {}\n", "0x4", "-4"),
+    (parse_regmap, "{} a.B\n", "0x10", "-0x10"),
+    (parse_design, ".design d\n.bus range {} 0x10 addr=a wdata=w we=e\n",
+     "0x10", "-0x10"),
+    (parse_design, ".design d\n.bus range 0x0 {} addr=a wdata=w we=e\n",
+     "0x10", "-1"),
+    (parse_design, ".design d\n.instance m a0\n"
+     ".bus range 0x0 0x10 addr=a0.a wdata=a0.w we=a0.e\n"
+     ".bus map {} a0.R\n", "0x4", "-4"),
+], ids=["reg_init", "dff_rstval", "write_address", "write_value",
+        "read_address", "regmap_address", "bus_range_base", "bus_range_size",
+        "bus_map_address"])
+def test_negative_number_is_a_parse_error(parse, text, good, bad):
+    parse(text.format(good))
+    with pytest.raises(errors.ParseError, match="negative"):
+        parse(text.format(bad))
+
+
 # -- register map --------------------------------------------------------------
 
 
 def test_regmap_lookup(mini_parsed):
     _, _, regmap, _, _ = mini_parsed
-    assert regmap.address_of("a0.CFG") == 0x0
+    assert regmap.register_at(0x0) == "a0.CFG"
     assert regmap.register_at(0x103) == "b0.GAIN"
     assert regmap.register_at(0x55) is None
-    assert regmap.address_of("nope") is None
     assert regmap.registers() == ["a0.CFG", "b0.GAIN"]
     reparsed = parse_regmap(serialize_regmap(regmap))
     assert reparsed.entries == regmap.entries

@@ -18,7 +18,7 @@ def test_example_order(fig_example):
     model, _, _ = fig_example
     ranked = do_sra(model, ["m0.reg1", "m0.reg2"])
     assert ranked.order == ("m0.reg2", "m0.reg1")
-    assert ranked.top(1) == ("m0.reg2",)
+    assert ranked.order[:1] == ("m0.reg2",)
     assert [s.score for s in ranked.scores] == [313, 109]
 
 
