@@ -13,16 +13,24 @@ output's is the AND of its input's known rail with itself, which
 translates to that rail's literal.  The graph is encoded once per flat
 model and kept on it (`model.dual`), and blackboxed models are kept
 with the model they came from, so a refinement loop that checks one
-model again and again encodes it once.  A check's constraints go into
-its own copy of `kind`: a net a stopat cuts becomes a free (value,
-known) pair whose driver is ignored, like a net blackboxing frees, and
-an assumed bit a constant.
+model again and again encodes it once.
+
+An unknown starts only at a free pair or a flop with no init, so a net
+none of them reaches is known in every frame.  The encoding marks this
+once per model: `marked` is `kind` with the known rail of every such
+net written ONE, and its helper gates are never read.  A check's
+constraints go into its own copy of `marked`: a net a stopat cuts
+becomes a free (value, known) pair whose driver is ignored, like a net
+blackboxing frees, and an assumed bit a constant.  A cut no assume pins
+is a new unknown, so the nets it reaches get their known-rail logic
+back first.
 
 Before any frame is translated, one walk over a check's cones
-(`_walk_cones`) folds what its constraints decide in every frame: a
-node over constants, an AND/OR that meets its controlling constant or
-a DFF whose init equals its constant D becomes a ONE or ZERO of the
-check's `kind`, and logic that only such a node reads is never met.
+(`_walk_cones`) folds what its constraints decide in every frame, on
+top of the known rails marked ONE: a node over constants, an AND/OR
+that meets its controlling constant or a DFF whose init equals its
+constant D becomes a ONE or ZERO of the check's `kind`, and logic that
+only such a node reads is never met.
 Pinning a register with an assume thus collapses everything behind its
 decode logic once per check, before the solver ever sees it, which is
 what makes the constrain-and-reprove iterations cheap.  Encoding is
@@ -124,10 +132,16 @@ class DualModel:
     constants, INPUT is a fresh variable per frame (a net the environment
     drives to a known value) and PAIR a free (value, known) pair.  The
     model's `index` gives each net's value-rail id.
+
+    `marked` is `kind` with the known rail of each net that no free pair
+    and no flop without init reaches written ONE: such a net is known in
+    every frame, and its known rail translates to literal 1 in every
+    frame anyway.  Checks start from `marked`.
     """
 
     known: list[int]  # known-rail id of each value-rail id
     kind: list[int]
+    marked: list[int]
     a: list[int]
     b: list[int]
     c: list[int]
@@ -206,7 +220,23 @@ def xprop_encode(model: FlatModel) -> DualModel:
             gate(ko, OR, t1, t3)
         else:
             raise SemiformError(f"unexpected node kind {k}")
-    return DualModel(known, kind, a, b, c, free_pairs)
+
+    # the nets an unknown of the model reaches, over the nets each drives
+    nodes = model.nodes
+    reached = set(free_pairs).union(index[nd.output] for nd in nodes
+                                    if nd.kind == "DFF" and nd.init is None)
+    work = list(reached)
+    while work:
+        for ci in model.consumers().get(nets[work.pop()], ()):
+            o = index[nodes[ci].output]
+            if o not in reached:
+                reached.add(o)
+                work.append(o)
+    marked = kind.copy()
+    for v in range(n):
+        if v not in reached:
+            marked[known[v]] = ONE
+    return DualModel(known, kind, marked, a, b, c, free_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +253,9 @@ class Unroller:
     One Unroller, with its own solver, serves each group of a check's
     properties whose cones share no node with another group's (see
     `_walk_cones`).  The graph is `model.dual`, read through `kind`: the
-    check's copy of the model's kinds with its constraints and folds in
-    (see `_constrain` and `_walk_cones`), which its groups share.
+    check's copy of the model's marked kinds with its constraints and
+    folds in (see `_constrain` and `_walk_cones`), which its groups
+    share.
     `partner` maps the known rail of each free pair, the model's own and
     the cut nets, to its value rail.
 
@@ -462,23 +493,40 @@ class Unroller:
 
 def _constrain(model: FlatModel, cut, assumes) -> tuple[list[int],
                                                       dict[int, int]]:
-    """This check's copy of `model.dual.kind` with its constraints in.
+    """This check's copy of `model.dual.marked` with its constraints in.
 
-    Each net in `cut` becomes a free pair (both of its nodes PAIR, its
-    driver unread), and then each assumed bit a constant with a ONE known
-    rail.  Also returns `partner`, which maps the known rail of each free
-    pair, the model's own and the cut nets, to its value rail.
+    A cut that no assume pins is a new unknown: each net it reaches, up
+    to the next cut net, gets its known-rail node's kind back from
+    `model.dual.kind`.  Then each net in `cut` becomes a free pair (both
+    of its nodes PAIR, its driver unread), and each assumed bit a
+    constant with a ONE known rail.  Also returns `partner`, which maps
+    the known rail of each free pair, the model's own and the cut nets,
+    to its value rail.
     """
-    index, known = model.index, model.dual.known
-    kind = model.dual.kind.copy()
-    pairs = set(model.dual.free_pairs).union(index[net] for net in cut)
-    for v in pairs:
-        kind[v] = kind[known[v]] = PAIR
+    dual = model.dual
+    index, known, orig = model.index, dual.known, dual.kind
+    kind = dual.marked.copy()
+    pairs = set(dual.free_pairs).union(index[net] for net in cut)
+    pins = {}  # value-rail id -> pinned bit; each is cut, so checked already
     for asm in assumes:
         for i, bit in enumerate(model.registers[asm.register].bits):
-            v = index[model.resolve(bit)]  # cut, so checked already
-            kind[v] = ONE if (asm.value >> i) & 1 else ZERO
-            kind[known[v]] = ONE
+            pins[index[model.resolve(bit)]] = (asm.value >> i) & 1
+    # a net whose known rail is already the model's is reached by the
+    # model's unknowns, and so is all it drives
+    nodes, nets = model.nodes, model.nets
+    work = [v for v in (index[net] for net in cut) if v not in pins]
+    while work:
+        for ci in model.consumers().get(nets[work.pop()], ()):
+            o = index[nodes[ci].output]
+            ko = known[o]
+            if kind[ko] != orig[ko] and o not in pairs:
+                kind[ko] = orig[ko]
+                work.append(o)
+    for v in pairs:
+        kind[v] = kind[known[v]] = PAIR
+    for v, bit in pins.items():
+        kind[v] = ONE if bit else ZERO
+        kind[known[v]] = ONE
     return kind, {known[v]: v for v in pairs}
 
 
@@ -499,7 +547,9 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
     node its visited inputs decide folds: NOT, XOR and MUX over
     constants, an AND/OR that meets its controlling constant, a DFF
     whose init equals its constant D.  The walk writes ONE or ZERO over
-    its kind, so `lit` returns it at once.  One depth-first walk per
+    its kind, so `lit` returns it at once.  The known rail of a net no
+    unknown reaches is a ONE leaf already (see `_constrain`), so the
+    helper gates behind it are never met.  One depth-first walk per
     property, all sharing one memo, finds:
 
     - its sequential depth: the most DFF edges on any path from the

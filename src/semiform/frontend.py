@@ -315,7 +315,8 @@ def parse_design(text: str, path: str | None = None) -> Design:
             _need(toks, 2, ".bus takes reset, range or map", ln, path)
             sub = toks[1]
             if sub == "reset":
-                _need(toks, 3, ".bus reset takes NET", ln, path)
+                if len(toks) != 3:
+                    raise ParseError(".bus reset takes NET", ln, 1, path)
                 bus.reset = toks[2]
             elif sub == "range":
                 _need(toks, 4, ".bus range takes BASE SIZE addr= wdata= we=",
@@ -329,7 +330,9 @@ def parse_design(text: str, path: str | None = None) -> Design:
                     raise ParseError(f".bus range missing {missing}", ln, 1, path)
                 bus.ranges.append(BusRange(base, size, kv["addr"], kv["wdata"], kv["we"]))
             elif sub == "map":
-                _need(toks, 4, ".bus map takes ADDR INST.REG", ln, path)
+                if len(toks) != 4:
+                    raise ParseError(".bus map takes ADDR INST.REG", ln, 1,
+                                     path)
                 addr = _parse_int(toks[2], ln, path, "address")
                 if addr >= (1 << BUS_WIDTH):
                     raise WidthOverflow(f"address 0x{addr:x} exceeds {BUS_WIDTH} bits", ln, 1, path)

@@ -351,14 +351,44 @@ def _desugar_dff(node: Node, inst: str, fresh: list[Node]) -> Node:
     return Node("DFF", q, (d,), init=node.init)
 
 
+def _check_bus_refs(design: Design, library: dict[str, IpNetlist]):
+    """Raise on a `.bus reset` or `.bus range` ref that names no top port,
+    no declared instance or no port of that instance's module: the
+    simulator would leave what it drives undriven without a word."""
+    bus = design.bus
+    refs = [("reset ", bus.reset)] if bus.reset else []
+    for r in bus.ranges:
+        refs += [(f"range 0x{r.base:x} {key}=", ref) for key, ref in
+                 (("addr", r.addr_ref), ("wdata", r.wdata_ref),
+                  ("we", r.we_ref))]
+    tops = {tp for tp, _, _ in design.tops}
+    insts = dict(design.instances)
+    for what, ref in refs:
+        inst, dot, port = ref.partition(".")
+        if not dot:
+            if ref not in tops:
+                raise SemiformError(f".bus {what}{ref} names no top port")
+        elif inst not in insts:
+            raise SemiformError(f".bus {what}{ref} names no declared "
+                                "instance")
+        elif insts[inst] not in library:
+            raise UnknownModule(
+                f"instance {inst} references unknown module {insts[inst]}")
+        elif all(p.name != port for p in library[insts[inst]].ports):
+            raise SemiformError(f".bus {what}{ref}: module {insts[inst]} "
+                                f"has no port {port}")
+
+
 def elaborate(design: Design, library: dict[str, IpNetlist],
               keep: set[str] | None = None) -> FlatModel:
     """Flatten `design` against `library`.
 
     `keep` restricts the model to a subset of instances; connections to
     dropped instances turn inputs into unconstrained model inputs and
-    outputs into observable model outputs.
+    outputs into observable model outputs.  A bus ref is checked against
+    the whole design whatever `keep` is.
     """
+    _check_bus_refs(design, library)
     insts = [(i, m) for i, m in design.instances if keep is None or i in keep]
     if keep is not None:
         missing = keep - {i for i, _ in insts}

@@ -202,17 +202,31 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
 
     Breadth-first exploration of three-valued register states.  Primary
     inputs branch over {0, 1} each cycle (the environment drives them to
-    known values); uninitialized registers start at X.  Nets in `cut`
-    ignore their drivers and branch over {0, 1, X} each cycle; nets in
-    `pinned` (net -> 0/1) ignore their drivers and read that constant.
+    known values), and the free inputs a blackboxed instance leaves over
+    {0, 1, X}; uninitialized registers start at X.  Nets in `cut` ignore
+    their drivers and branch over {0, 1, X} each cycle; nets in `pinned`
+    (net -> 0/1) ignore their drivers and read that constant.  An `xprop`
+    property is violated at a frame from its `settle` on where any bit
+    of its register reads X.
     """
     pinned = pinned or {}
     dffs = [n for n in model.nodes if n.kind == "DFF"]
     cut = sorted(set(cut) - set(pinned))
     free = [n for n in model.inputs if n not in cut and n not in pinned]
-    choices = [(0, 1)] * len(free) + [(0, 1, X)] * len(cut)
+    choices = [(0, 1, X) if n in model.free_inputs else (0, 1) for n in free]
+    choices += [(0, 1, X)] * len(cut)
     free += cut
     init = tuple(X if n.init is None else n.init for n in dffs)
+    first = 0
+    if prop.kind == "xprop":
+        first = prop.settle
+        bits = [model.resolve(b) for b in model.registers[prop.register].bits]
+
+        def bad(netval):
+            return any(netval[b] == X for b in bits)
+    else:
+        def bad(netval):
+            return eval_prop3(model, netval, prop.expr) == 0
 
     trans: dict[tuple, tuple[bool, tuple]] = {}
     frontier = {init}
@@ -227,11 +241,10 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
                     drive = dict(zip(free, iv))
                     drive.update(pinned)
                     netval = eval_nets3(model, state, drive)
-                    viol = eval_prop3(model, netval, prop.expr) == 0
                     nstate = tuple(netval[n.inputs[0]] for n in dffs)
-                    got = (viol, nstate)
+                    got = (bad(netval), nstate)
                     trans[key] = got
-                if got[0]:
+                if got[0] and frame >= first:
                     return frame
                 nxt.add(got[1])
         frontier = nxt

@@ -388,6 +388,95 @@ def test_constrained_check_matches_explicit_oracle(chunk):
                       _forced_nets(model, cuts), pinned)
 
 
+@pytest.mark.parametrize("chunk", range(2))
+def test_xprop_check_matches_explicit_oracle(chunk):
+    # user and xprop properties over flops that may have no init, with
+    # unpinned and pinned cuts on registers and wires
+    for seed in range(chunk * 60, (chunk + 1) * 60):
+        rng = random.Random(seed)
+        n_regs = rng.choice((2, 3))
+        model, design, lib = build_model(
+            random_dag_module(rng, n_regs=n_regs, uninit=True))
+        k = rng.randint(1, 4)
+        text = "".join(
+            f"xprop x{j} : known(m0.R{rng.randrange(n_regs)}) after "
+            f"{rng.randint(0, k)}\n" if rng.random() < 0.6 else
+            f"prop p{j} : {random_prop(rng, n_regs)}\n" for j in range(3))
+        props = props_for(text, design, lib)
+        names = [f"m0.R{r}" for r in range(n_regs)] + \
+            [f"m0.n{g}" for g in range(20)]
+        cuts = rng.sample(names, rng.randint(0, 2))
+        pins = {c: rng.randrange(2) for c in cuts
+                if ".R" in c and rng.random() < 0.5}
+        cons = bmc.create_stopats(cuts)
+        cons += bmc.create_assumes(pins, cons)
+        pinned = dict(zip(_forced_nets(model, pins), pins.values()))
+        _match_oracle(seed, model, props, k, cons, _forced_nets(model, cuts),
+                      pinned)
+
+
+# d0 reads s0's output `o`; blackboxing s0 leaves d0.i free to read X.
+# R loads i while b is 1, and Q shows R a cycle late from no init
+SRC_TEXT = """\
+.module src
+.input rst 1
+.input a 1
+.output o 1
+.reg S 1 init=0
+.dff S a
+.gate XOR o S a
+.endmodule
+"""
+
+DST_TEXT = """\
+.module dst
+.input rst 1
+.input i 1
+.input b 1
+.reg R 1 init=0
+.reg Q 1
+.wire m 1
+.gate MUX m b i R
+.dff R m
+.dff Q R
+.endmodule
+"""
+
+SRC_DST_DSN = """\
+.design srcdst
+.instance src s0
+.instance dst d0
+.connect s0.o d0.i
+.top rst s0.rst
+.top rst d0.rst
+"""
+
+
+@pytest.mark.parametrize("settle", range(3))
+def test_blackboxed_instance_matches_explicit_oracle(settle):
+    lib = {"src": parse_netlist(SRC_TEXT), "dst": parse_netlist(DST_TEXT)}
+    design = parse_design(SRC_DST_DSN)
+    model = elaborate(design, lib)
+    boxed = netlist.blackbox(model, "s0")
+    props = props_for(
+        f"xprop r : known(d0.R) after {settle}\n"
+        f"xprop q : known(d0.Q) after {settle}\n"
+        "prop hold : d0.R -> d0.Q\nprop low : ~d0.R\n", design, lib)
+    got = {}
+    for box, m in ((False, model), (True, boxed)):
+        cons = (bmc.Blackbox("s0"),) if box else ()
+        run = bmc.check(model, props, constraints=cons, k=4)
+        for prop in props:
+            frame = oracles.explicit_check(m, prop, 4)
+            o = run.outcomes[prop.name]
+            want = ("PASS", None) if frame is None else ("FAIL", frame)
+            assert (o.status, o.frame) == want, (box, prop.name)
+            got[box, prop.name] = o.status
+        record_fails(m, props, run)
+    # only the free input reads X, and R loads it from frame 1 on
+    assert got[False, "r"] == "PASS" and got[True, "r"] == "FAIL"
+
+
 def _outcome_and_cnf(model, props, cons, k, out):
     run = bmc.check(model, props, constraints=cons, k=k, dump_cnf=str(out))
     outcomes = {name: (o.status, o.frame, o.bound, o.trace)
@@ -666,10 +755,22 @@ def _live_depth(model, kind, rails):
     return None if None in got else max(got)
 
 
+def _unmarked(model, kind, cut):
+    """A check's `kind` with the model's own known-rail logic back on
+    every net the check does not cut."""
+    dual, skip = model.dual, {model.index[net] for net in cut}
+    out = kind.copy()
+    for v, kv in enumerate(dual.known):
+        if v not in skip and kind[kv] == bmc.ONE:
+            out[kv] = dual.kind[kv]
+    return out
+
+
 @pytest.mark.parametrize("chunk", range(2))
 def test_folds_hold_in_every_frame(chunk):
-    # each node the walk folds is its constant at every frame of the
-    # unfolded graph, the depth covers every input the folds leave live,
+    # each known rail the marking writes ONE is literal 1, and each node
+    # the walk folds its constant, at every frame of the unmarked and
+    # unfolded graph; the depth covers every input the folds leave live,
     # and the verdicts are the oracle's
     for seed in range(chunk * 60, (chunk + 1) * 60):
         rng, model, props, cons, cut, pinned = _pinned_case(seed)
@@ -677,9 +778,13 @@ def test_folds_hold_in_every_frame(chunk):
         _match_oracle(seed, model, props, k, cons, cut, pinned)
         assumes = [c for c in cons if isinstance(c, bmc.Assume)]
         plain, kind, partner, depths = _walk(model, props, cut, assumes)
+        unmarked = _unmarked(model, plain, cut)
+        marked = [i for i, (x, y) in enumerate(zip(unmarked, plain)) if x != y]
         folded = [i for i, (x, y) in enumerate(zip(plain, kind)) if x != y]
-        enc = bmc.Unroller(model, plain, partner)
+        enc = bmc.Unroller(model, unmarked, partner)
         for f in range(k + 1):
+            for i in marked:
+                assert enc.lit(i, f) == enc.TRUE, (seed, i, f)
             for i in folded:
                 lit = enc.lit(i, f)
                 other = lit if kind[i] == bmc.ZERO else -lit
@@ -783,6 +888,54 @@ def test_check_whose_properties_all_fold_calls_no_solver(monkeypatch):
     assert (kind[z], kind[model.dual.known[z]]) == (bmc.ZERO, bmc.ONE)
     for prop in props:
         assert oracles.explicit_check(model, prop, 8, en, {en[0]: 0}) is None
+
+
+def test_model_with_no_unknown_translates_no_known_rail_helper(monkeypatch):
+    # every flop has an init and no input is free, so every known rail is
+    # a ONE leaf and the gates the encoding adds to compute them are dead
+    model, design, lib = build_model(COUNTER_TEXT)
+    props = props_for("prop three : m0.CNT != 3\n"
+                      "xprop k : known(m0.CNT) after 0\n", design, lib)
+    built = _count_unrollers(monkeypatch)
+    run = bmc.check(model, props, k=5)
+    assert (run.outcomes["three"].frame, run.outcomes["k"].status) == (3, "PASS")
+    helpers = range(2 * len(model.nets), len(model.dual.kind))
+    assert len(helpers) > 0 and built
+    for enc in built:
+        for base in range(0, len(enc.memo), enc.n):
+            assert not any(enc.memo[base + i] for i in helpers)
+    record_fails(model, props, run)
+
+
+# every flop has an init; R shows P & a a cycle late
+PR_TEXT = """\
+.module pr
+.input rst 1
+.input a 1
+.reg P 1 init=0
+.reg R 1 init=0
+.wire w 1
+.gate AND w P a
+.dff P a
+.dff R w
+.endmodule
+"""
+
+
+def test_unpinned_cut_restores_its_readers_known_rails():
+    model, design, lib = build_model(PR_TEXT)
+    props = props_for("xprop r : known(m0.R) after 0\n", design, lib)
+    p = _forced_nets(model, ["m0.P"])
+    cut = bmc.create_stopats(["m0.P"])
+    for cons, pinned, want in (((), None, None), (cut, None, 1),
+                               (_pin("m0.P", 1), {p[0]: 1}, None)):
+        run = bmc.check(model, props, constraints=cons, k=3)
+        o = run.outcomes["r"]
+        assert (o.status, o.frame) == \
+            (("PASS", None) if want is None else ("FAIL", want))
+        assert oracles.explicit_check(
+            model, props[0], 3, p if cons else (), pinned) == want
+        record_fails(model, props, run)
 
 
 # -- reusing checks that ran out of budget -----------------------------------

@@ -86,6 +86,25 @@ def test_absent_default_regmap_reads_empty(mini_files, tmp_path, capsys):
     assert "ran 6 cycles" in out and "a0.CFG" not in out
 
 
+@pytest.mark.parametrize("old, new", [
+    (".bus reset rst", ".bus reset rsts"),
+    ("addr=a0.addr", "addr=a9.addr"),
+    ("wdata=b0.wdata", "wdata=b0.wdat"),
+    ("we=a0.we", "we=we"),
+], ids=["reset_no_top_port", "no_instance", "no_port", "no_top_port"])
+def test_misspelled_bus_ref_exits_3(mini_files, tmp_path, capsys, old, new):
+    # a bus ref that resolves nowhere would leave its range undriven
+    for f in mini_files.glob("*.net"):
+        (tmp_path / f.name).write_text(f.read_text())
+    text = (mini_files / "mini.dsn").read_text()
+    assert text.count(old) == 1
+    (tmp_path / "mini.dsn").write_text(text.replace(old, new))
+    code = main(["sim", "--design", str(tmp_path / "mini.dsn"),
+                 "--esw", str(mini_files / "boot.esw")])
+    assert code == 3
+    assert new.split()[-1].split("=")[-1] in capsys.readouterr().err
+
+
 def test_bad_phase_list_exits_3(mini_files, capsys):
     code = main(["phase", "2,x",
                  "--design", str(mini_files / "mini.dsn"),

@@ -85,6 +85,17 @@ def test_short_directive_is_a_parse_error(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("line", [
+    ".bus reset rst extra", ".bus map 0x0 a0.R extra",
+], ids=["bus_reset", "bus_map"])
+def test_trailing_bus_token_is_a_parse_error(line):
+    head = (".design d\n.instance m a0\n"
+            ".bus range 0x0 0x10 addr=a0.a wdata=a0.w we=a0.e\n")
+    parse_design(head + line.rsplit(" ", 1)[0] + "\n")  # valid without it
+    with pytest.raises(errors.ParseError, match="takes"):
+        parse_design(head + line + "\n")
+
+
 @pytest.mark.parametrize("options", [
     "en=", "rst=", "rstval=1", "en=e en=a",
 ], ids=["empty_en", "empty_rst", "rstval_without_rst", "second_en"])
