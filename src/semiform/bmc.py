@@ -40,6 +40,15 @@ initial value, are folded during translation.  The `Unroller` memoises
 literals in one frame-major list, `memo[f * n + id]`, with 0 for a pair
 not yet translated.
 
+The graph remembers each walk (`DualModel.walks`, see
+`_walk_cones_memo`): the nodes it met, their kinds before it folded
+them, the folds and what it found.  The walk reads the check's `kind`
+only at the nodes it meets, and all else it reads is fixed per model,
+so a later check of the same properties whose `kind` equals the stored
+one at those nodes would walk exactly the same way.  It writes the
+stored folds and skips the walk, as a refinement check does whose new
+pin lies outside every property cone.
+
 The properties of a check are split into groups whose cones share no
 node, found by the same walk.  Each group has its own `Unroller` and so
 its own incremental solver, whose heap, watch lists and learnt clauses
@@ -66,6 +75,8 @@ import re
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import MissingStopat, SemiformError
 from .frontend import PropertyAst, serialize_props
@@ -137,6 +148,9 @@ class DualModel:
     and no flop without init reaches written ONE: such a net is known in
     every frame, and its known rail translates to literal 1 in every
     frame anyway.  Checks start from `marked`.
+
+    `walks` remembers the checks' cone walks (see `_walk_cones_memo`),
+    so they live and die with the graph.
     """
 
     known: list[int]  # known-rail id of each value-rail id
@@ -146,6 +160,24 @@ class DualModel:
     b: list[int]
     c: list[int]
     free_pairs: tuple[int, ...]  # value-rail ids whose pair is unconstrained
+    walks: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def readers(self) -> list[list[int]]:
+        """The value-rail ids of the gates and flops that read each net,
+        by value-rail id, for the walks that follow an unknown forward;
+        built on first use, from the value rails' own inputs."""
+        kind, a, b, c = self.kind, self.a, self.b, self.c
+        readers: list[list[int]] = [[] for _ in self.known]
+        for o in range(len(readers)):
+            k = kind[o]
+            if k <= DFF:
+                readers[a[o]].append(o)
+                if k < NOT or k == MUX:  # AND, OR, XOR and MUX read b
+                    readers[b[o]].append(o)
+                if k == MUX:
+                    readers[c[o]].append(o)
+        return readers
 
 
 def xprop_encode(model: FlatModel) -> DualModel:
@@ -222,21 +254,20 @@ def xprop_encode(model: FlatModel) -> DualModel:
             raise SemiformError(f"unexpected node kind {k}")
 
     # the nets an unknown of the model reaches, over the nets each drives
-    nodes = model.nodes
-    reached = set(free_pairs).union(index[nd.output] for nd in nodes
+    reached = set(free_pairs).union(index[nd.output] for nd in model.nodes
                                     if nd.kind == "DFF" and nd.init is None)
+    dual = DualModel(known, kind, kind.copy(), a, b, c, free_pairs)
     work = list(reached)
     while work:
-        for ci in model.consumers().get(nets[work.pop()], ()):
-            o = index[nodes[ci].output]
+        for o in dual.readers[work.pop()]:
             if o not in reached:
                 reached.add(o)
                 work.append(o)
-    marked = kind.copy()
+    marked = dual.marked
     for v in range(n):
         if v not in reached:
             marked[known[v]] = ONE
-    return DualModel(known, kind, marked, a, b, c, free_pairs)
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +544,9 @@ def _constrain(model: FlatModel, cut, assumes) -> tuple[list[int],
             pins[index[model.resolve(bit)]] = (asm.value >> i) & 1
     # a net whose known rail is already the model's is reached by the
     # model's unknowns, and so is all it drives
-    nodes, nets = model.nodes, model.nets
     work = [v for v in (index[net] for net in cut) if v not in pins]
     while work:
-        for ci in model.consumers().get(nets[work.pop()], ()):
-            o = index[nodes[ci].output]
+        for o in dual.readers[work.pop()]:
             ko = known[o]
             if kind[ko] != orig[ko] and o not in pairs:
                 kind[ko] = orig[ko]
@@ -572,7 +601,9 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
       forms translate to the same clauses up to names.
 
     Returns the depths, the groups and the form: the rails' numbers per
-    property and the records, or None without `shape`.
+    property and the records, or None without `shape`.  Then, for
+    `_walk_cones_memo`, the ids the walk met in the order it numbered
+    them and the folds it wrote, as (id, kind before, kind after).
     """
     dual = model.dual
     index, known, A, B, C = model.index, dual.known, dual.a, dual.b, dual.c
@@ -586,6 +617,8 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
     group = list(range(len(nets)))  # union-find parents
     cone: list[tuple] = []  # with `shape`, (number, kind, inputs...)
     roots, depths = [], []
+    met: list[int] = []  # ids in the order they are numbered
+    folds: list[tuple[int, int, int]] = []  # (id, kind before, kind after)
     count = 0
 
     def find(p: int) -> int:
@@ -606,6 +639,7 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
             if num[r] < 0:
                 num[r] = count
                 count += 1
+                met.append(r)
             elif num[r] < start:
                 merge(p, num[r])
         if shape:
@@ -620,6 +654,7 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                     if num[i] < 0:
                         num[i] = count
                         count += 1
+                        met.append(i)
                     k = kind[i]
                     if k > DFF:  # a leaf; a pair closes both of its rails
                         stack.pop()
@@ -631,6 +666,7 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                             if num[j] < 0:
                                 num[j] = count
                                 count += 1
+                                met.append(j)
                             if shape:
                                 cone.append((num[i], k, num[j], int(side)))
                                 cone.append((num[j], k, num[i],
@@ -696,6 +732,7 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                     elif y == ctrl[k]:
                         c = y
                 if c:
+                    folds.append((i, k, c))
                     kind[i] = c
                     d[i] = 0
                     if shape:
@@ -718,7 +755,47 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                 worst = d[root]
         depths.append(None if worst == loop else worst)
     form = (tuple(roots), tuple(cone)) if shape else None
-    return depths, [find(p) for p in range(len(nets))], form
+    return depths, [find(p) for p in range(len(nets))], form, met, folds
+
+
+def _kinds_at(ids: list[int]):
+    """A function that reads a kind list at `ids`, as a tuple."""
+    if len(ids) > 1:
+        return itemgetter(*ids)  # one C call
+    return lambda kind: tuple(kind[i] for i in ids)  # itemgetter() raises
+
+
+def _walk_cones_memo(model: FlatModel, kind: list[int],
+                     partner: dict[int, int], nets: list[list[str]],
+                     shape: bool):
+    """`_walk_cones`, or a walk `model.dual.walks` remembers that it equals.
+
+    The walk reads `kind` only at the nodes it meets, and all else it
+    reads (the inputs `a/b/c`, `known`, and which rail of a pair is the
+    known one, which decides `partner`) is fixed per model.  A walk from
+    the same rails over the same kinds at the nodes an earlier walk met
+    therefore meets the same nodes, writes the same folds and finds the
+    same depths, groups and form.  So each walk is kept, keyed by `shape`
+    and `nets`, with the kinds it met before folding; a later check whose
+    `kind` equals those writes the stored folds and skips the walk.
+    """
+    entries = model.dual.walks.setdefault(
+        (shape, tuple(map(tuple, nets))), [])
+    for kinds_at, before, folds, result in entries:
+        if kinds_at(kind) == before:
+            for i, _, c in folds:
+                kind[i] = c
+            return result
+    depths, groups, form, met, folds = _walk_cones(model, kind, partner,
+                                                   nets, shape)
+    kinds_at = _kinds_at(met)
+    for i, k, _ in folds:  # read the kinds met as they were before folding
+        kind[i] = k
+    before = kinds_at(kind)
+    for i, _, c in folds:
+        kind[i] = c
+    entries.append((kinds_at, before, folds, (depths, groups, form)))
+    return depths, groups, form
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +925,13 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     `model`; stopats, assumes and the folds they decide are written into
     this check's copy of the node kinds only, so the model is left as it
     was found.  A check with no property left to solve returns before
-    the graph is encoded.
+    the graph is encoded, and one that also has no stopat and no assume
+    to validate, such as a check whose every property blackboxing makes
+    vacuous, returns before the blackboxed model is built.  A box that
+    names no instance still raises `UnknownInstance`.  The cone walk
+    comes from the graph's memo when an earlier check of the same
+    properties met the same kinds (see `_walk_cones_memo`); it folds,
+    groups and keys exactly as a fresh walk would.
 
     The pending properties are split into groups whose cones share no
     node (see `_walk_cones`), and each group gets its own `Unroller` and
@@ -875,22 +958,13 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     stopats = tuple(c for c in constraints if isinstance(c, Stopat))
     assumes = tuple(c for c in constraints if isinstance(c, Assume))
     boxes = tuple(c for c in constraints if isinstance(c, Blackbox))
-    for bx in boxes:
-        model = blackbox(model, bx.instance)
-    cut = {}  # net -> the stopat that cuts it
-    for st in stopats:
-        reg = model.registers.get(st.signal)
-        for bit in reg.bits if reg else model.signal_bits(st.signal):
-            cut[model.resolve(bit)] = st.signal
-    for a in assumes:
-        if a.register not in cut.values():
-            raise MissingStopat(f"assume on {a.register} without a stopat")
 
     run = BmcRun(k=k)
     pending: list[PropertyAst] = []
     props = sorted(props, key=lambda p: p.name)
+    boxed = model.blackboxed.union(bx.instance for bx in boxes)
     for prop in props:
-        dead = sorted(prop.scope & model.blackboxed) + \
+        dead = sorted(prop.scope & boxed) + \
             sorted(i for i in prop.scope if i not in model.instances)
         if dead:
             run.outcomes[prop.name] = PropertyOutcome(
@@ -901,7 +975,20 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
                 bound=k)
         else:
             pending.append(prop)
+    if not (pending or stopats or assumes) and \
+            all(bx.instance in model.instances for bx in boxes):
+        return run  # no constraint to validate on a blackboxed model
 
+    for bx in boxes:
+        model = blackbox(model, bx.instance)  # raises on an unknown instance
+    cut = {}  # net -> the stopat that cuts it
+    for st in stopats:
+        reg = model.registers.get(st.signal)
+        for bit in reg.bits if reg else model.signal_bits(st.signal):
+            cut[model.resolve(bit)] = st.signal
+    for a in assumes:
+        if a.register not in cut.values():
+            raise MissingStopat(f"assume on {a.register} without a stopat")
     for net, signal in cut.items():
         if net not in model.index:
             raise SemiformError(f"stopat {signal} names net {net}, which "
@@ -919,8 +1006,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     if model.dual is None:
         model.dual = xprop_encode(model)
     kind, partner = _constrain(model, cut, assumes)
-    depths, groups, form = _walk_cones(model, kind, partner, nets,
-                                       shape=reuse is not None)
+    depths, groups, form = _walk_cones_memo(model, kind, partner, nets,
+                                            shape=reuse is not None)
     key = None
     if reuse is not None:
         key = (k, repr(budget), serialize_props(props),

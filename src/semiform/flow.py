@@ -37,6 +37,12 @@ with constraints written in.  A later check with that key, as after a
 pin outside every cone, is not solved again and charges what the first
 one charged.  Under seconds budgets this stands in for a rerun of the
 same clauses at the same budget; under work limits it would be exact.
+Such a check does not walk its cones again to build the key either:
+each model's dual-rail graph remembers its walks, and a check whose
+kinds equal a remembered walk's at every node it met takes its folds,
+depths, groups and form as they are, which is exact.  A check whose
+every property a blackboxed instance makes vacuous, with no pin to
+validate, returns before the blackboxed model is built.
 """
 
 from __future__ import annotations

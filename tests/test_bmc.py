@@ -688,6 +688,60 @@ def test_vacuous_check_encodes_nothing(counter, monkeypatch):
     assert encoded == [] and model.dual is None
 
 
+def test_all_vacuous_box_only_check_builds_no_blackboxed_model(mini_parsed):
+    design, lib, _, _, props = mini_parsed
+    model = elaborate(design, lib)
+    boxed = [p for p in props if "a0" in p.scope]
+    run = bmc.check(model, boxed, constraints=[bmc.Blackbox("a0")], k=4)
+    assert model._boxed == {} and model.dual is None
+    assert {n: (o.status, o.reason) for n, o in run.outcomes.items()} == {
+        "alpha_quiet": ("VACUOUS", "scope blackboxed: a0"),
+        "cross_ok": ("VACUOUS", "scope blackboxed: a0")}
+    assert bmc.check(netlist.blackbox(model, "a0"), boxed, k=4).outcomes \
+        == run.outcomes
+    with pytest.raises(errors.UnknownInstance, match="no instance zz"):
+        bmc.check(model, boxed, k=4,
+                  constraints=[bmc.Blackbox("a0"), bmc.Blackbox("zz")])
+    # with a stopat or an assume the constraints are validated on the
+    # blackboxed model, as for a check with something to prove
+    box = bmc.Blackbox("a0")
+    cfg, led = (bmc.create_stopats([s]) for s in ("a0.CFG", "a0.led"))
+    gain = bmc.create_stopats(["b0.GAIN"])
+    for cons, error, match in (
+            (cfg, errors.SemiformError, "stopat a0.CFG names net a0.CFG"),
+            (led + (bmc.Assume("a0.led", 1),), errors.SemiformError,
+             "assume on unknown register a0.led"),
+            (gain + (bmc.Assume("b0.GAIN", 999),), errors.SemiformError,
+             "assume value 0x3e7 overflows b0.GAIN"),
+            ((bmc.Assume("b0.GAIN", 1),), errors.MissingStopat,
+             "assume on b0.GAIN without a stopat")):
+        with pytest.raises(error, match=match):
+            bmc.check(model, boxed, constraints=(box,) + cons, k=4)
+    run = bmc.check(model, boxed, constraints=(box,) + led, k=4)
+    assert {o.status for o in run.outcomes.values()} == {"VACUOUS"}
+
+
+@pytest.mark.parametrize("reuse", [None, {}])
+def test_properties_that_read_no_net(counter, reuse):
+    model, design, lib = counter
+    props = props_for("prop t : 1\nprop f : 0\n", design, lib)
+    for _ in range(2):  # the second check's walk comes from the memo
+        run = bmc.check(model, props, k=4, reuse=reuse)
+        got = {n: (o.status, o.bound, o.frame)
+               for n, o in run.outcomes.items()}
+        assert got == {"t": ("PASS", 4, None), "f": ("FAIL", None, 0)}
+    [(_, before, folds, _)] = \
+        model.dual.walks[reuse is not None, ((), ())]
+    assert (before, folds) == ((), [])
+    record_fails(model, props, run)
+
+
+def test_kinds_at_reads_a_tuple_for_any_number_of_ids():
+    kind = [bmc.ONE, bmc.ZERO, bmc.PAIR]
+    assert [bmc._kinds_at(ids)(kind) for ids in ([], [1], [2, 0])] == \
+        [(), (bmc.ZERO,), (bmc.PAIR, bmc.ONE)]
+
+
 # -- the cone walk folds what the pins decide --------------------------------
 
 def _pinned_case(seed):
@@ -712,15 +766,16 @@ def _pinned_case(seed):
         dict(zip(_forced_nets(model, pins), pins.values()))
 
 
-def _walk(model, props, cut=(), assumes=()):
-    """A check's kind before and after the walk, its pairs and depths."""
+def _walk(model, props, cut=(), assumes=(), shape=False):
+    """A check's kind before and after a fresh walk, its pairs, and the
+    walk's depths, groups and form."""
     if model.dual is None:
         model.dual = bmc.xprop_encode(model)
     plain, partner = bmc._constrain(model, cut, assumes)
     kind = plain.copy()
     nets = [simlib.check_prop_nets(model, p) for p in props]
-    depths = bmc._walk_cones(model, kind, partner, nets, shape=False)[0]
-    return plain, kind, partner, depths
+    return plain, kind, partner, \
+        bmc._walk_cones(model, kind, partner, nets, shape)[:3]
 
 
 def _live_depth(model, kind, rails):
@@ -777,7 +832,8 @@ def test_folds_hold_in_every_frame(chunk):
         k = rng.randint(1, 5)
         _match_oracle(seed, model, props, k, cons, cut, pinned)
         assumes = [c for c in cons if isinstance(c, bmc.Assume)]
-        plain, kind, partner, depths = _walk(model, props, cut, assumes)
+        plain, kind, partner, (depths, _, _) = _walk(model, props, cut,
+                                                     assumes)
         unmarked = _unmarked(model, plain, cut)
         marked = [i for i, (x, y) in enumerate(zip(unmarked, plain)) if x != y]
         folded = [i for i, (x, y) in enumerate(zip(plain, kind)) if x != y]
@@ -823,8 +879,8 @@ def test_pin_that_cuts_a_flop_loop_bounds_the_depth():
     props = props_for("prop same : m0.H == m0.G\n", design, lib)
     en = _forced_nets(model, ["m0.EN"])
     pin = _pin("m0.EN", 1)
-    assert _walk(model, props)[3] == [None]
-    assert _walk(model, props, en, pin[1:])[3] == [1]
+    assert _walk(model, props)[3][0] == [None]
+    assert _walk(model, props, en, pin[1:])[3][0] == [1]
     runs = {k: bmc.check(model, props, constraints=pin, k=k) for k in (1, 6)}
     assert [runs[k].outcomes["same"].status for k in (1, 6)] == ["PASS"] * 2
     assert runs[6].n_vars == runs[1].n_vars  # frames 2 to 6 are not solved
@@ -862,7 +918,7 @@ XOR_DEEP_TEXT = """\
 def test_the_depth_counts_every_live_input():
     model, design, lib = build_model(XOR_DEEP_TEXT)
     props = props_for("prop p : ~m0.R2\n", design, lib)
-    assert _walk(model, props)[3] == [3]
+    assert _walk(model, props)[3][0] == [3]
     run = bmc.check(model, props, k=6)
     o = run.outcomes["p"]
     assert (o.status, o.frame) == ("FAIL", 3)
@@ -936,6 +992,85 @@ def test_unpinned_cut_restores_its_readers_known_rails():
         assert oracles.explicit_check(
             model, props[0], 3, p if cons else (), pinned) == want
         record_fails(model, props, run)
+
+
+# -- each model remembers its cone walks -------------------------------------
+
+# m1 reads m0's first output, so blackboxing m0 frees m1.in0
+RND_DUO_DSN = """\
+.design rndduo
+.instance rnd m0
+.instance rnd m1
+.connect m0.o0 m1.in0
+"""
+
+
+def _boxed_case(seed):
+    """Two copies of a random module, m0 feeding m1; three properties
+    over m1's registers, checked with m0 blackboxed."""
+    rng = random.Random(seed)
+    lib = {"rnd": parse_netlist(random_dag_module(rng, n_regs=3,
+                                                  uninit=True))}
+    design = parse_design(RND_DUO_DSN)
+    text = "".join(f"prop p{j} : {random_prop(rng, 3, 'm1')}\n"
+                   for j in range(3))
+    return rng, elaborate(design, lib), props_for(text, design, lib)
+
+
+def _pin_steps(rng, inst, n_regs):
+    """Constraints as `Flow._refine` grows them, one more register pinned
+    per step, and from a random step on, sometimes, a wire cut no assume
+    pins."""
+    order = rng.sample(range(n_regs), n_regs)
+    wire = f"{inst}.n{rng.randrange(12)}" if rng.random() < 0.6 else None
+    at = rng.randrange(n_regs + 1)
+    values, steps = {}, []
+    for step in range(n_regs + 1):
+        if step:
+            values[f"{inst}.R{order[step - 1]}"] = rng.randrange(2)
+        cons = bmc.create_stopats(
+            list(values) + ([wire] if wire and step >= at else []))
+        steps.append(cons + bmc.create_assumes(values, cons))
+    return steps
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_remembered_walks_equal_fresh_ones(boxed):
+    # over pin sequences, a walk the memo answers folds `kind` and finds
+    # depths, groups and form exactly as a fresh `_walk_cones`, and a
+    # check on the model gives what a check on a fresh copy gives
+    hits = hits_with_cut = 0
+    for seed in range(40):
+        make = _boxed_case if boxed else lambda s: _pinned_case(s)[:3]
+        rng, model, props = make(seed)
+        if boxed:
+            model = netlist.blackbox(model, "m0")
+        inst, n_regs = ("m1", 3) if boxed else ("m0", len(model.registers))
+        for cons in _pin_steps(rng, inst, n_regs):
+            stops = [c.signal for c in cons if isinstance(c, bmc.Stopat)]
+            cut = _forced_nets(model, stops)
+            assumes = [c for c in cons if isinstance(c, bmc.Assume)]
+            nets = [simlib.check_prop_nets(model, p) for p in props]
+            for shape in (False, True):
+                plain, kind, partner, want = _walk(model, props, cut, assumes,
+                                                   shape)
+                walks = model.dual.walks.setdefault(
+                    (shape, tuple(map(tuple, nets))), [])
+                known = len(walks)
+                got = bmc._walk_cones_memo(model, plain, partner, nets, shape)
+                assert (plain, got) == (kind, want), (seed, cons, shape)
+                hit = len(walks) == known
+                hits += hit
+                hits_with_cut += hit and len(stops) > len(assumes)
+            fresh = make(seed)[1]
+            runs = [bmc.check(m, props, constraints=cons, k=4)
+                    for m in (model, netlist.blackbox(fresh, "m0")
+                              if boxed else fresh)]
+            seen = [({n: (o.status, o.frame) for n, o in r.outcomes.items()},
+                     r.n_vars, r.n_clauses, r.n_conflicts) for r in runs]
+            assert seen[0] == seen[1], (seed, cons)
+    # these seeds hit 10 times (4 with an unpinned cut), 12 (6) boxed
+    assert hits >= 8 and hits_with_cut >= 3
 
 
 # -- reusing checks that ran out of budget -----------------------------------
