@@ -40,15 +40,6 @@ initial value, are folded during translation.  The `Unroller` memoises
 literals in one frame-major list, `memo[f * n + id]`, with 0 for a pair
 not yet translated.
 
-The graph remembers each walk (`DualModel.walks`, see
-`_walk_cones_memo`): the nodes it met, their kinds before it folded
-them, the folds and what it found.  The walk reads the check's `kind`
-only at the nodes it meets, and all else it reads is fixed per model,
-so a later check of the same properties whose `kind` equals the stored
-one at those nodes would walk exactly the same way.  It writes the
-stored folds and skips the walk, as a refinement check does whose new
-pin lies outside every property cone.
-
 The properties of a check are split into groups whose cones share no
 node, found by the same walk.  Each group has its own `Unroller` and so
 its own incremental solver, whose heap, watch lists and learnt clauses
@@ -66,6 +57,15 @@ pairs take fresh variables every frame, so frame `f + 1` is a renamed
 copy of frame `f`.  Frames `max(first, d)` and beyond thus hold or fail
 together, and proving the first of them proves the bound (Biere et al.,
 "Symbolic Model Checking without BDDs", TACAS 1999).
+
+A caller may keep one store of runs in which a property ran out of
+budget (`check`'s `reuse`), per model after blackboxing, bound, budget
+and properties.  Each run is kept with the kinds its walk met, before
+it folded them.  The walk reads the check's `kind` only at the nodes it
+meets, and all else it reads is fixed per model, so a later check whose
+`kind` equals a stored run's there would walk, and so solve, exactly
+the same problem.  It returns that run without walking, as a
+refinement check does whose new pin lies outside every property cone.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import MissingStopat, SemiformError
-from .frontend import PropertyAst, serialize_props
+from .frontend import PropertyAst
 from .netlist import FlatModel, blackbox
 from .sat import Cnf, Solver, export_dimacs
 from . import sim as simlib
@@ -147,10 +147,9 @@ class DualModel:
     `marked` is `kind` with the known rail of each net that no free pair
     and no flop without init reaches written ONE: such a net is known in
     every frame, and its known rail translates to literal 1 in every
-    frame anyway.  Checks start from `marked`.
-
-    `walks` remembers the checks' cone walks (see `_walk_cones_memo`),
-    so they live and die with the graph.
+    frame anyway.  Each check starts from its own copy of `marked`, so
+    the graph holds nothing of any check: `check`'s store of timed-out
+    runs, kept by the caller, matches a run by the kinds its walk met.
     """
 
     known: list[int]  # known-rail id of each value-rail id
@@ -160,7 +159,6 @@ class DualModel:
     b: list[int]
     c: list[int]
     free_pairs: tuple[int, ...]  # value-rail ids whose pair is unconstrained
-    walks: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def readers(self) -> list[list[int]]:
@@ -564,8 +562,8 @@ _FIRST, _REST = _LOOP + 1, _LOOP + 2  # open: first input pushed, rest pushed
 
 
 def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
-                nets: list[list[str]], shape: bool):
-    """Fold, depth, group and, with `shape`, canonical form of the cones.
+                nets: list[list[str]]):
+    """Fold, depth and group the cones of a check's properties.
 
     The cone of property `p` is what the two rails of each net in
     `nets[p]` reach in this check's `kind`, walked as `Unroller.lit`
@@ -594,16 +592,11 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
       two groups merge.  A pair's two rails are one leaf, as `lit`
       allocates them together.  Properties of different groups share no
       node.  A group is named by its smallest property index.
-    - with `shape`, the form of all the cones together: as each node
-      closes, its number and kind followed by its visited inputs'
-      numbers, plus the init of a DFF; a fold is a ONE or ZERO leaf.  A
-      PAIR reads its other rail, with init 1 on its known side.  Equal
-      forms translate to the same clauses up to names.
 
-    Returns the depths, the groups and the form: the rails' numbers per
-    property and the records, or None without `shape`.  Then, for
-    `_walk_cones_memo`, the ids the walk met in the order it numbered
-    them and the folds it wrote, as (id, kind before, kind after).
+    Returns the depths and the groups, then the ids the walk met in the
+    order it numbered them and each one's kind when it was numbered.  A
+    node folds only after it is met, so that is its kind before the walk:
+    what `check`'s store matches a later check's `kind` against.
     """
     dual = model.dual
     index, known, A, B, C = model.index, dual.known, dual.a, dual.b, dual.c
@@ -615,10 +608,9 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
     num = [-1] * len(kind)
     starts: list[int] = []
     group = list(range(len(nets)))  # union-find parents
-    cone: list[tuple] = []  # with `shape`, (number, kind, inputs...)
-    roots, depths = [], []
+    depths: list[int | None] = []
     met: list[int] = []  # ids in the order they are numbered
-    folds: list[tuple[int, int, int]] = []  # (id, kind before, kind after)
+    was: list[int] = []  # the kind of each when it was numbered
     count = 0
 
     def find(p: int) -> int:
@@ -640,10 +632,9 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                 num[r] = count
                 count += 1
                 met.append(r)
+                was.append(kind[r])
             elif num[r] < start:
                 merge(p, num[r])
-        if shape:
-            roots.append(tuple(num[r] for r in rails))
         worst = 0
         for root in rails:
             stack = [root]
@@ -651,28 +642,23 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                 i = stack[-1]
                 di = d[i]
                 if di == unseen:
+                    k = kind[i]
                     if num[i] < 0:
                         num[i] = count
                         count += 1
                         met.append(i)
-                    k = kind[i]
+                        was.append(k)
                     if k > DFF:  # a leaf; a pair closes both of its rails
                         stack.pop()
                         d[i] = 0
                         if k == PAIR:
-                            side = i in partner
-                            j = partner[i] if side else known[i]
+                            j = partner[i] if i in partner else known[i]
                             d[j] = 0
                             if num[j] < 0:
                                 num[j] = count
                                 count += 1
                                 met.append(j)
-                            if shape:
-                                cone.append((num[i], k, num[j], int(side)))
-                                cone.append((num[j], k, num[i],
-                                             int(not side)))
-                        elif shape:
-                            cone.append((num[i], k))
+                                was.append(kind[j])
                         continue
                     d[i] = first
                     j = A[i]
@@ -706,7 +692,7 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                         continue
                 # close: fold, or take the depth over the visited inputs
                 stack.pop()
-                dx, c, j = d[a], 0, -1  # j: what a constant first leaves live
+                dx, c = d[a], 0
                 if x == ONE or x == ZERO:
                     if k == NOT:
                         c = ONE + ZERO - x
@@ -732,30 +718,16 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                     elif y == ctrl[k]:
                         c = y
                 if c:
-                    folds.append((i, k, c))
                     kind[i] = c
                     d[i] = 0
-                    if shape:
-                        cone.append((num[i], c))
                     continue
                 if k == DFF and dx < loop:
                     dx += 1
                 d[i] = dx if dx < loop else loop
-                if not shape:
-                    continue
-                if k == NOT or k == DFF:
-                    cone.append((num[i], k, num[a], B[i] if k == DFF else 0))
-                elif j >= 0:
-                    cone.append((num[i], k, num[a], num[j]))
-                elif k == MUX:
-                    cone.append((num[i], k, num[a], num[B[i]], num[C[i]]))
-                else:
-                    cone.append((num[i], k, num[a], num[B[i]]))
             if d[root] > worst:
                 worst = d[root]
         depths.append(None if worst == loop else worst)
-    form = (tuple(roots), tuple(cone)) if shape else None
-    return depths, [find(p) for p in range(len(nets))], form, met, folds
+    return depths, [find(p) for p in range(len(nets))], met, was
 
 
 def _kinds_at(ids: list[int]):
@@ -763,39 +735,6 @@ def _kinds_at(ids: list[int]):
     if len(ids) > 1:
         return itemgetter(*ids)  # one C call
     return lambda kind: tuple(kind[i] for i in ids)  # itemgetter() raises
-
-
-def _walk_cones_memo(model: FlatModel, kind: list[int],
-                     partner: dict[int, int], nets: list[list[str]],
-                     shape: bool):
-    """`_walk_cones`, or a walk `model.dual.walks` remembers that it equals.
-
-    The walk reads `kind` only at the nodes it meets, and all else it
-    reads (the inputs `a/b/c`, `known`, and which rail of a pair is the
-    known one, which decides `partner`) is fixed per model.  A walk from
-    the same rails over the same kinds at the nodes an earlier walk met
-    therefore meets the same nodes, writes the same folds and finds the
-    same depths, groups and form.  So each walk is kept, keyed by `shape`
-    and `nets`, with the kinds it met before folding; a later check whose
-    `kind` equals those writes the stored folds and skips the walk.
-    """
-    entries = model.dual.walks.setdefault(
-        (shape, tuple(map(tuple, nets))), [])
-    for kinds_at, before, folds, result in entries:
-        if kinds_at(kind) == before:
-            for i, _, c in folds:
-                kind[i] = c
-            return result
-    depths, groups, form, met, folds = _walk_cones(model, kind, partner,
-                                                   nets, shape)
-    kinds_at = _kinds_at(met)
-    for i, k, _ in folds:  # read the kinds met as they were before folding
-        kind[i] = k
-    before = kinds_at(kind)
-    for i, _, c in folds:
-        kind[i] = c
-    entries.append((kinds_at, before, folds, (depths, groups, form)))
-    return depths, groups, form
 
 
 # ---------------------------------------------------------------------------
@@ -928,10 +867,7 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     the graph is encoded, and one that also has no stopat and no assume
     to validate, such as a check whose every property blackboxing makes
     vacuous, returns before the blackboxed model is built.  A box that
-    names no instance still raises `UnknownInstance`.  The cone walk
-    comes from the graph's memo when an earlier check of the same
-    properties met the same kinds (see `_walk_cones_memo`); it folds,
-    groups and keys exactly as a fresh walk would.
+    names no instance still raises `UnknownInstance`.
 
     The pending properties are split into groups whose cones share no
     node (see `_walk_cones`), and each group gets its own `Unroller` and
@@ -945,12 +881,16 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     when those frames hold it passes with bound `k`, since every later
     frame is a renamed copy of the last one solved.
 
-    With `reuse`, a run where a property ran out of budget is stored,
-    keyed by `k`, the budget, the property lines, the names blackboxing
-    made vacuous and the canonical form of the cones the others read.
-    A check with a stored key returns that run and charges what it did.
-    Under a seconds budget that stands in for a rerun of the same
-    clauses at the same budget; under a work limit it would be exact.
+    With `reuse`, a run where a property ran out of budget is stored
+    under the model after blackboxing, `k`, the budget and the
+    properties, which fix the vacuous names and the nets each property
+    reads, together with the kinds its walk met (see `_walk_cones`).  A
+    check under a stored key whose `kind` equals a stored run's at those
+    nodes, as after a pin outside every cone, would walk and solve the
+    same problem: it returns that run without walking, and charges what
+    it did.  Under a seconds budget that stands in for a rerun of the
+    same clauses at the same budget; under a work limit it would be
+    exact.
     """
     if k < 0 or (budget is not None and budget < 0):
         raise ValueError(f"bound and budget must be >= 0, got {k}, {budget}")
@@ -1006,15 +946,12 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     if model.dual is None:
         model.dual = xprop_encode(model)
     kind, partner = _constrain(model, cut, assumes)
-    depths, groups, form = _walk_cones_memo(model, kind, partner, nets,
-                                            shape=reuse is not None)
-    key = None
+    key = (model, k, budget, tuple(props))
     if reuse is not None:
-        key = (k, repr(budget), serialize_props(props),
-               tuple(n for n, o in sorted(run.outcomes.items())
-                     if o.status == "VACUOUS"), *form)
-        if key in reuse:
-            return reuse[key]
+        for kinds_at, before, stored in reuse.get(key, ()):
+            if kinds_at(kind) == before:
+                return stored
+    depths, groups, met, before = _walk_cones(model, kind, partner, nets)
     total_deadline = None if budget is None else start + budget
     next_frame = {p.name: (p.settle if p.kind == "xprop" else 0)
                   for p in pending}
@@ -1055,8 +992,10 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         run.n_vars += enc.solver.num_vars
         run.n_clauses += enc.n_clauses
         run.n_conflicts += enc.solver.n_conflicts
-    if key and any(o.reason == "timeout" for o in run.outcomes.values()):
-        reuse[key] = run  # a PASS or FAIL ends its loop anyway
+    if reuse is not None and any(o.reason == "timeout"
+                                 for o in run.outcomes.values()):
+        # a PASS or FAIL ends its loop anyway
+        reuse.setdefault(key, []).append((_kinds_at(met), tuple(before), run))
     return run
 
 

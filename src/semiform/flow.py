@@ -31,18 +31,16 @@ model again reuse both.
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges
 zero) so identical runs serialize identically.  Checks that ran out of
-budget are kept (`bmc.check`'s `reuse`), keyed by bound, budget,
-property lines, vacuous properties and the canonical form of the cones
-with constraints written in.  A later check with that key, as after a
-pin outside every cone, is not solved again and charges what the first
-one charged.  Under seconds budgets this stands in for a rerun of the
-same clauses at the same budget; under work limits it would be exact.
-Such a check does not walk its cones again to build the key either:
-each model's dual-rail graph remembers its walks, and a check whose
-kinds equal a remembered walk's at every node it met takes its folds,
-depths, groups and form as they are, which is exact.  A check whose
-every property a blackboxed instance makes vacuous, with no pin to
-validate, returns before the blackboxed model is built.
+budget are kept in one store (`bmc.check`'s `reuse`), per model after
+blackboxing, bound, budget and properties, each with the kinds its cone
+walk met.  A later check on that key whose kinds equal a stored run's
+there, as after a pin outside every cone, would walk and solve the same
+problem: it is neither walked nor solved again, and charges what the
+first one charged.  Under seconds budgets this stands in for a rerun of
+the same clauses at the same budget; under work limits it would be
+exact.  A check whose every property a blackboxed instance makes
+vacuous, with no pin to validate, returns before the blackboxed model
+is built.
 """
 
 from __future__ import annotations
@@ -241,7 +239,10 @@ class Flow:
         self.warnings: list[str] = []
         self._models: dict[frozenset[str], FlatModel] = {}
         self._arch: dict[str, Row] = {}  # in report order
-        self._reuse: dict = {}  # bmc.check's store of runs out of budget
+        # bmc.check's one store of timed-out runs, per model after
+        # blackboxing, bound, budget and properties, matched on the kinds
+        # each run's cone walk met
+        self._reuse: dict = {}
 
     # -- shared model builders ------------------------------------------------
 

@@ -3,8 +3,7 @@
 Five line-oriented formats: netlist (`.net`), design (`.dsn`), register map
 (`.map`), software transaction script (`.esw`), and property file (`.prop`).
 `#` starts a comment anywhere; tokens are whitespace-separated.  The one
-writer, `serialize_props`, keys reused checks and prints `gen-xprop`'s
-obligations.
+writer, `serialize_props`, prints `gen-xprop`'s obligations.
 """
 
 from __future__ import annotations

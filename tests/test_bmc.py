@@ -725,14 +725,12 @@ def test_all_vacuous_box_only_check_builds_no_blackboxed_model(mini_parsed):
 def test_properties_that_read_no_net(counter, reuse):
     model, design, lib = counter
     props = props_for("prop t : 1\nprop f : 0\n", design, lib)
-    for _ in range(2):  # the second check's walk comes from the memo
+    for _ in range(2):  # the walk meets no node, each time
         run = bmc.check(model, props, k=4, reuse=reuse)
         got = {n: (o.status, o.bound, o.frame)
                for n, o in run.outcomes.items()}
         assert got == {"t": ("PASS", 4, None), "f": ("FAIL", None, 0)}
-    [(_, before, folds, _)] = \
-        model.dual.walks[reuse is not None, ((), ())]
-    assert (before, folds) == ((), [])
+    assert reuse in (None, {})  # a PASS or FAIL is not stored
     record_fails(model, props, run)
 
 
@@ -766,16 +764,16 @@ def _pinned_case(seed):
         dict(zip(_forced_nets(model, pins), pins.values()))
 
 
-def _walk(model, props, cut=(), assumes=(), shape=False):
+def _walk(model, props, cut=(), assumes=()):
     """A check's kind before and after a fresh walk, its pairs, and the
-    walk's depths, groups and form."""
+    walk's depths and groups, the ids it met and their kinds before."""
     if model.dual is None:
         model.dual = bmc.xprop_encode(model)
     plain, partner = bmc._constrain(model, cut, assumes)
     kind = plain.copy()
     nets = [simlib.check_prop_nets(model, p) for p in props]
     return plain, kind, partner, \
-        bmc._walk_cones(model, kind, partner, nets, shape)[:3]
+        bmc._walk_cones(model, kind, partner, nets)
 
 
 def _live_depth(model, kind, rails):
@@ -832,8 +830,8 @@ def test_folds_hold_in_every_frame(chunk):
         k = rng.randint(1, 5)
         _match_oracle(seed, model, props, k, cons, cut, pinned)
         assumes = [c for c in cons if isinstance(c, bmc.Assume)]
-        plain, kind, partner, (depths, _, _) = _walk(model, props, cut,
-                                                     assumes)
+        plain, kind, partner, (depths, *_) = _walk(model, props, cut,
+                                                   assumes)
         unmarked = _unmarked(model, plain, cut)
         marked = [i for i, (x, y) in enumerate(zip(unmarked, plain)) if x != y]
         folded = [i for i, (x, y) in enumerate(zip(plain, kind)) if x != y]
@@ -994,7 +992,7 @@ def test_unpinned_cut_restores_its_readers_known_rails():
         record_fails(model, props, run)
 
 
-# -- each model remembers its cone walks -------------------------------------
+# -- a stored run matches on the kinds its walk met --------------------------
 
 # m1 reads m0's first output, so blackboxing m0 frees m1.in0
 RND_DUO_DSN = """\
@@ -1036,9 +1034,11 @@ def _pin_steps(rng, inst, n_regs):
 
 @pytest.mark.parametrize("boxed", [False, True])
 def test_remembered_walks_equal_fresh_ones(boxed):
-    # over pin sequences, a walk the memo answers folds `kind` and finds
-    # depths, groups and form exactly as a fresh `_walk_cones`, and a
-    # check on the model gives what a check on a fresh copy gives
+    # over pin sequences, whenever a stored walk's kinds equal a new
+    # check's kinds at the ids it met, as `bmc.check`'s store matches
+    # runs, a fresh `_walk_cones` meets the same ids in the same order,
+    # folds them to the same kinds and finds the same depths and groups;
+    # and a check on the model gives what a check on a fresh copy gives
     hits = hits_with_cut = 0
     for seed in range(40):
         make = _boxed_case if boxed else lambda s: _pinned_case(s)[:3]
@@ -1046,22 +1046,26 @@ def test_remembered_walks_equal_fresh_ones(boxed):
         if boxed:
             model = netlist.blackbox(model, "m0")
         inst, n_regs = ("m1", 3) if boxed else ("m0", len(model.registers))
+        stored = []  # (kinds at the ids met, the kinds there, the walk)
         for cons in _pin_steps(rng, inst, n_regs):
             stops = [c.signal for c in cons if isinstance(c, bmc.Stopat)]
             cut = _forced_nets(model, stops)
             assumes = [c for c in cons if isinstance(c, bmc.Assume)]
-            nets = [simlib.check_prop_nets(model, p) for p in props]
-            for shape in (False, True):
-                plain, kind, partner, want = _walk(model, props, cut, assumes,
-                                                   shape)
-                walks = model.dual.walks.setdefault(
-                    (shape, tuple(map(tuple, nets))), [])
-                known = len(walks)
-                got = bmc._walk_cones_memo(model, plain, partner, nets, shape)
-                assert (plain, got) == (kind, want), (seed, cons, shape)
-                hit = len(walks) == known
-                hits += hit
-                hits_with_cut += hit and len(stops) > len(assumes)
+            plain, kind, partner, (depths, groups, met, was) = \
+                _walk(model, props, cut, assumes)
+            kinds_at = bmc._kinds_at(met)
+            assert was == [plain[i] for i in met], (seed, cons)
+            assert all(plain[i] == kind[i] for i in set(range(len(kind)))
+                       - set(met)), (seed, cons)  # it folds only what it met
+            walk = (met, kinds_at(kind), depths, groups)
+            matches = [want for at, before, want in stored
+                       if at(plain) == before]
+            assert all(want == walk for want in matches), (seed, cons)
+            if matches:
+                hits += 1
+                hits_with_cut += len(stops) > len(assumes)
+            else:
+                stored.append((kinds_at, kinds_at(plain), walk))
             fresh = make(seed)[1]
             runs = [bmc.check(m, props, constraints=cons, k=4)
                     for m in (model, netlist.blackbox(fresh, "m0")
@@ -1069,8 +1073,8 @@ def test_remembered_walks_equal_fresh_ones(boxed):
             seen = [({n: (o.status, o.frame) for n, o in r.outcomes.items()},
                      r.n_vars, r.n_clauses, r.n_conflicts) for r in runs]
             assert seen[0] == seen[1], (seed, cons)
-    # these seeds hit 10 times (4 with an unpinned cut), 12 (6) boxed
-    assert hits >= 8 and hits_with_cut >= 3
+    # these seeds hit 5 times (2 with an unpinned cut), 6 (3) boxed
+    assert hits >= 4 and hits_with_cut >= 2
 
 
 # -- reusing checks that ran out of budget -----------------------------------
@@ -1126,24 +1130,39 @@ def _pin(reg, value):
 
 
 def _two_checks(first, second):
-    """Run two (model, props, constraints, k, budget) checks on one store."""
+    """Run two (model, props, constraints, k, budget) checks on one store;
+    returns the runs and how many runs the store keeps."""
     reuse = {}
     runs = [bmc.check(m, props, constraints=cons, k=k, budget=budget,
                       reuse=reuse) for m, props, cons, k, budget in
             (first, second)]
-    return runs, reuse
+    return runs, sum(map(len, reuse.values()))
 
 
-@pytest.mark.parametrize("pin", [None, "h1.CFG"])
-def test_timed_out_check_is_solved_once(pin):
-    # a pin outside the cone shifts the dual-rail ids but not the problem
+@pytest.mark.parametrize("boxes, pin", [
+    ((), ()), ((), _pin("h1.CFG", 9)),
+    ((bmc.Blackbox("h1"),), _pin("f0.R", 1))],
+    ids=["None", "h1.CFG", "h1_boxed-f0.R"])
+def test_timed_out_check_is_solved_once(boxes, pin):
+    # a pin outside the cone leaves every kind the walk meets as it was
     model, design, lib = _trio()
     props = props_for(QUIET_H0, design, lib)
-    cons = _pin(pin, 9) if pin else ()
-    (r1, r2), reuse = _two_checks((model, props, (), 20, 0.05),
-                                  (model, props, cons, 20, 0.05))
+    cons = boxes + pin
+    (r1, r2), stored = _two_checks((model, props, boxes, 20, 0.05),
+                                   (model, props, cons, 20, 0.05))
     assert r1.outcomes["quiet"].reason == "timeout"
-    assert r2 is r1 and len(reuse) == 1
+    assert r2 is r1 and stored == 1
+
+
+def test_checks_on_separate_models_are_solved_twice():
+    # two elaborations of one design are equal problems, but the store
+    # matches runs per model
+    design, lib = _trio()[1:]
+    props = props_for(QUIET_H0, design, lib)
+    (r1, r2), stored = _two_checks((_trio()[0], props, (), 20, 0.05),
+                                   (_trio()[0], props, (), 20, 0.05))
+    assert r2 is not r1 and stored == 2
+    assert {r.outcomes["quiet"].reason for r in (r1, r2)} == {"timeout"}
 
 
 XOR_LIVE = ".wire p 1\n.wire q 1\n.gate XOR p e0 e1\n" \
@@ -1180,8 +1199,8 @@ def test_checks_that_differ_are_solved_twice(change):
         b[3] = 19
     else:
         b[4] = 0.06
-    (r1, r2), reuse = _two_checks(a, b)
-    assert r2 is not r1 and len(reuse) == 2
+    (r1, r2), stored = _two_checks(a, b)
+    assert r2 is not r1 and stored == 2
     for r, (_, props, _, _, _) in ((r1, a), (r2, b)):
         assert set(r.outcomes) == {p.name for p in props}
         assert any(o.reason == "timeout" for o in r.outcomes.values())
@@ -1199,11 +1218,11 @@ DEAD_LIVE = ".wire m 1\n.gate AND m CFG[0] CFG[1]\n.gate OR live sel m"
 def test_pins_count_for_reuse_only_where_the_cone_reads_them(second, same):
     model, design, lib = _trio(live=DEAD_LIVE)
     props = props_for(QUIET_H0, design, lib)
-    (r1, r2), reuse = _two_checks(
+    (r1, r2), stored = _two_checks(
         (model, props, _pin("h0.CFG", 0), 20, 0.05),
         (model, props, _pin("h0.CFG", second), 20, 0.05))
     assert {r.outcomes["quiet"].reason for r in (r1, r2)} == {"timeout"}
-    assert (r2 is r1) == same and len(reuse) == 2 - same
+    assert (r2 is r1) == same and stored == 2 - same
 
 
 def test_pass_and_fail_are_not_stored(counter):
