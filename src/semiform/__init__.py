@@ -3,9 +3,9 @@ checking, register-influence ranking, and the five-phase flow."""
 
 from .errors import (ParseError, SemiformError, UnknownRegister,
                      ExhaustedRegisters)
-from .netlist import (Design, FlatModel, IpNetlist, blackbox,
-                      connection_scores, elaborate, fanout_cone,
-                      list_unique_ips, rank_ips_by_connection)
+from .netlist import (Design, FlatModel, IpNetlist, connection_scores,
+                      elaborate, fanout_cone, list_unique_ips,
+                      rank_ips_by_connection)
 from .frontend import (divide_props, gen_xprop, parse_design, parse_esw,
                        parse_netlist, parse_props, parse_regmap,
                        serialize_props)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assume", "Blackbox", "Design", "ExhaustedRegisters", "FlatModel",
     "Flow", "FlowConfig", "IpNetlist", "ParseError", "SemiformError",
-    "Simulator", "Stopat", "UnknownRegister", "VerifReport", "blackbox",
+    "Simulator", "Stopat", "UnknownRegister", "VerifReport",
     "check", "collect_sim_values", "combine_regs", "connection_scores",
     "cor", "create_assumes", "create_stopats", "divide_props", "do_sra",
     "elaborate", "exit_code", "fanout_cone", "format_trace", "gen_xprop",

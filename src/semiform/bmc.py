@@ -11,19 +11,20 @@ flat `kind/a/b/c` lists: the value rails of the model's nets first, in
 compute them.  Every net has a known-rail node of its own; a NOT
 output's is the AND of its input's known rail with itself, which
 translates to that rail's literal.  The graph is encoded once per flat
-model and kept on it (`model.dual`), and blackboxed models are kept
-with the model they came from, so a refinement loop that checks one
-model again and again encodes it once.
+model and kept on it (`model.dual`), so a refinement loop that checks
+one model again and again encodes it once.
 
-An unknown starts only at a free pair or a flop with no init, so a net
-none of them reaches is known in every frame.  The encoding marks this
-once per model: `marked` is `kind` with the known rail of every such
-net written ONE, and its helper gates are never read.  A check's
-constraints go into its own copy of `marked`: a net a stopat cuts
-becomes a free (value, known) pair whose driver is ignored, like a net
-blackboxing frees, and an assumed bit a constant.  A cut no assume pins
+An unknown starts only at a flop with no init or at a net a check
+frees, so a net none of them reaches is known in every frame.  The
+encoding marks this once per model: `marked` is `kind` with the known
+rail of every net no such flop reaches written ONE, and its helper
+gates are never read.  A blackbox is a set of cuts: a box set's base
+kinds are `marked` with the known rails its freed nets reach given back
+(`_box`).  A check's constraints go into its own copy of those: a freed
+net, or a net a stopat cuts, becomes a free (value, known) pair whose
+driver is ignored, and an assumed bit a constant.  A cut no assume pins
 is a new unknown, so the nets it reaches get their known-rail logic
-back first.
+back first (`_unmark`).
 
 Before any frame is translated, one walk over a check's cones
 (`_walk_cones`) folds what its constraints decide in every frame, on
@@ -59,8 +60,8 @@ together, and proving the first of them proves the bound (Biere et al.,
 "Symbolic Model Checking without BDDs", TACAS 1999).
 
 A caller may keep one store of runs in which a property ran out of
-budget (`check`'s `reuse`), per model after blackboxing, bound, budget
-and properties.  Each run is kept with the kinds its walk met, before
+budget (`check`'s `reuse`), per model, box set, bound, budget and
+properties.  Each run is kept with the kinds its walk met, before
 it folded them.  The walk reads the check's `kind` only at the nodes it
 meets, and all else it reads is fixed per model, so a later check whose
 `kind` equals a stored run's there would walk, and so solve, exactly
@@ -78,9 +79,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import MissingStopat, SemiformError
+from .errors import MissingStopat, SemiformError, UnknownInstance
 from .frontend import PropertyAst
-from .netlist import FlatModel, blackbox
+from .netlist import FlatModel
 from .sat import Cnf, Solver, export_dimacs
 from . import sim as simlib
 
@@ -144,12 +145,12 @@ class DualModel:
     drives to a known value) and PAIR a free (value, known) pair.  The
     model's `index` gives each net's value-rail id.
 
-    `marked` is `kind` with the known rail of each net that no free pair
-    and no flop without init reaches written ONE: such a net is known in
-    every frame, and its known rail translates to literal 1 in every
-    frame anyway.  Each check starts from its own copy of `marked`, so
-    the graph holds nothing of any check: `check`'s store of timed-out
-    runs, kept by the caller, matches a run by the kinds its walk met.
+    `marked` is `kind` with the known rail of each net that no flop
+    without init reaches written ONE.  `boxed` keeps what `_box` finds
+    per box set.  Each check starts from its own copy of its box set's
+    base kinds, so the graph holds nothing of any check: `check`'s store
+    of timed-out runs, kept by the caller, matches a run by the kinds its
+    walk met.
     """
 
     known: list[int]  # known-rail id of each value-rail id
@@ -158,7 +159,7 @@ class DualModel:
     a: list[int]
     b: list[int]
     c: list[int]
-    free_pairs: tuple[int, ...]  # value-rail ids whose pair is unconstrained
+    boxed: dict = field(default_factory=dict)  # box set -> `_box`'s result
 
     @cached_property
     def readers(self) -> list[list[int]]:
@@ -176,6 +177,25 @@ class DualModel:
                 if k == MUX:
                     readers[c[o]].append(o)
         return readers
+
+
+def _unmark(dual: DualModel, kind: list[int], starts, stops=()):
+    """Give the known rails of `starts`, and of every net they reach
+    before a net in `stops`, their kinds in `dual.kind` back in `kind`.
+
+    A reader whose known rail is already `dual.kind`'s is not walked: in
+    every list this fills, an unknown reaches it and all it drives.
+    """
+    known, orig = dual.known, dual.kind
+    work = list(starts)
+    for v in work:
+        kind[known[v]] = orig[known[v]]
+    while work:  # `readers` is built on first use, so only if needed
+        for o in dual.readers[work.pop()]:
+            ko = known[o]
+            if kind[ko] != orig[ko] and o not in stops:
+                kind[ko] = orig[ko]
+                work.append(o)
 
 
 def xprop_encode(model: FlatModel) -> DualModel:
@@ -200,15 +220,8 @@ def xprop_encode(model: FlatModel) -> DualModel:
     def gate(i: int, k: int, x: int, y: int = 0, z: int = 0):
         kind[i], a[i], b[i], c[i] = k, x, y, z
 
-    # every rail starts out known (undriven nets are driven by the
-    # environment); undriven nets freed by blackboxing may stay unknown
+    # every rail starts out known: the environment drives undriven nets
     known = [node(ONE) for _ in range(n)]
-    driven = {nd.output for nd in model.nodes}
-    free_pairs = tuple(i for i, net in enumerate(nets)
-                       if net in model.free_inputs and net not in driven)
-    for v in free_pairs:
-        kind[v] = kind[known[v]] = PAIR
-
     for nd in model.nodes:
         o = index[nd.output]
         ko = known[o]
@@ -251,20 +264,11 @@ def xprop_encode(model: FlatModel) -> DualModel:
         else:
             raise SemiformError(f"unexpected node kind {k}")
 
-    # the nets an unknown of the model reaches, over the nets each drives
-    reached = set(free_pairs).union(index[nd.output] for nd in model.nodes
-                                    if nd.kind == "DFF" and nd.init is None)
-    dual = DualModel(known, kind, kind.copy(), a, b, c, free_pairs)
-    work = list(reached)
-    while work:
-        for o in dual.readers[work.pop()]:
-            if o not in reached:
-                reached.add(o)
-                work.append(o)
-    marked = dual.marked
-    for v in range(n):
-        if v not in reached:
-            marked[known[v]] = ONE
+    dual = DualModel(known, kind, kind.copy(), a, b, c)
+    dual.marked[n:2 * n] = [ONE] * n  # the known rails, in `known` order
+    _unmark(dual, dual.marked, [index[nd.output] for nd in model.nodes
+                                if nd.kind == "DFF" and nd.init is None])
+    dual.boxed[frozenset()] = dual.marked, (), frozenset()  # no box
     return dual
 
 
@@ -282,11 +286,11 @@ class Unroller:
     One Unroller, with its own solver, serves each group of a check's
     properties whose cones share no node with another group's (see
     `_walk_cones`).  The graph is `model.dual`, read through `kind`: the
-    check's copy of the model's marked kinds with its constraints and
+    check's copy of its box set's base kinds with its constraints and
     folds in (see `_constrain` and `_walk_cones`), which its groups
     share.
-    `partner` maps the known rail of each free pair, the model's own and
-    the cut nets, to its value rail.
+    `partner` maps the known rail of each free pair, the freed and the
+    cut nets, to its value rail.
 
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
     just integer comparison.  `memo[f * n + id]` holds the literal of
@@ -370,10 +374,7 @@ class Unroller:
         return v
 
     def _mux(self, s: int, a: int, b: int) -> int:
-        if s == self.TRUE:
-            return a
-        if s == self.FALSE:
-            return b
+        # `lit` folds a constant select before it calls this
         if a == b:
             return a
         if a == self.TRUE and b == self.FALSE:
@@ -413,11 +414,8 @@ class Unroller:
         kind, A, B, C = self.kind, self.dual.a, self.dual.b, self.dual.c
         add, new, deadline, ops = self._add, self._new, self.deadline, self._ops
         stack = [key]
-        while stack:
+        while stack:  # a key is pushed only while its slot is 0
             top = stack[-1]
-            if memo[top]:
-                stack.pop()
-                continue
             ops += 1
             if not ops & 4095 and deadline is not None \
                     and time.perf_counter() > deadline:
@@ -520,35 +518,61 @@ class Unroller:
 # a check's cones
 
 
-def _constrain(model: FlatModel, cut, assumes) -> tuple[list[int],
-                                                      dict[int, int]]:
-    """This check's copy of `model.dual.marked` with its constraints in.
+def _box(model: FlatModel, boxes: frozenset[str]):
+    """A box set's base kinds, the value-rail ids it frees and the nets
+    it hides, found once per model and set and kept on `model.dual`.
+
+    A box set frees each net it drives that a gate outside it reads or
+    that is a model output; like a cut net, it becomes a free pair (see
+    `_constrain`), so no cone meets the set's logic.  The base kinds are
+    `marked` with the known rails the freed nets reach given back.  A
+    net only the set's gates drive or read, and no model input or
+    output, is hidden: a stopat may not name it.
+    """
+    got = model.dual.boxed.get(boxes)
+    if got is None:
+        outputs = set(model.outputs)
+        driven, inside, outside = set(), set(), set()
+        for nd, inst in zip(model.nodes, model.node_instance):
+            if inst in boxes:
+                driven.add(nd.output)
+                inside.update(nd.inputs)
+            else:
+                outside.update(nd.inputs)
+                outside.add(nd.output)
+        freed = tuple(sorted(model.index[net] for net in driven
+                             if net in outside or net in outputs))
+        base = model.dual.marked.copy()
+        _unmark(model.dual, base, freed)
+        hidden = (driven | inside) - outside - outputs.union(model.inputs)
+        got = model.dual.boxed[boxes] = base, freed, frozenset(hidden)
+    return got
+
+
+def _constrain(model: FlatModel, cut, assumes, boxes=frozenset()
+               ) -> tuple[list[int], dict[int, int]]:
+    """This check's copy of its box set's base kinds (see `_box`) with
+    its constraints in.
 
     A cut that no assume pins is a new unknown: each net it reaches, up
-    to the next cut net, gets its known-rail node's kind back from
-    `model.dual.kind`.  Then each net in `cut` becomes a free pair (both
-    of its nodes PAIR, its driver unread), and each assumed bit a
-    constant with a ONE known rail.  Also returns `partner`, which maps
-    the known rail of each free pair, the model's own and the cut nets,
-    to its value rail.
+    to the next freed or cut net, gets its known-rail node's kind back
+    from `model.dual.kind`.  Then each freed net and each net in `cut`
+    becomes a free pair (both of its nodes PAIR, its driver unread), and
+    each assumed bit a constant with a ONE known rail.  Also returns
+    `partner`, which maps the known rail of each free pair to its value
+    rail.
     """
     dual = model.dual
-    index, known, orig = model.index, dual.known, dual.kind
-    kind = dual.marked.copy()
-    pairs = set(dual.free_pairs).union(index[net] for net in cut)
+    index, known = model.index, dual.known
+    base, freed, _ = _box(model, boxes)
+    kind = base.copy()
+    pairs = set(freed).union(index[net] for net in cut)
     pins = {}  # value-rail id -> pinned bit; each is cut, so checked already
     for asm in assumes:
         for i, bit in enumerate(model.registers[asm.register].bits):
             pins[index[model.resolve(bit)]] = (asm.value >> i) & 1
-    # a net whose known rail is already the model's is reached by the
-    # model's unknowns, and so is all it drives
-    work = [v for v in (index[net] for net in cut) if v not in pins]
-    while work:
-        for o in dual.readers[work.pop()]:
-            ko = known[o]
-            if kind[ko] != orig[ko] and o not in pairs:
-                kind[ko] = orig[ko]
-                work.append(o)
+    _unmark(dual, kind, [v for v in (index[net] for net in cut)
+                         if v not in pins], pairs)
     for v in pairs:
         kind[v] = kind[known[v]] = PAIR
     for v, bit in pins.items():
@@ -582,7 +606,7 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
     - its sequential depth: the most DFF edges on any path from the
       rails to a leaf, or None when a DFF closes a loop in the cone.
       Leaves are the INPUT, PAIR, ONE and ZERO nodes, folds included, so
-      cut, pinned and blackboxed nets end paths and a fold ends a loop.
+      cut, freed and pinned nets end paths and a fold ends a loop.
       A node is open from its first visit to its close, when its depth
       is taken from its visited inputs: one still open is on the path
       to it, which closes a loop.
@@ -860,13 +884,14 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
           reuse: dict | None = None) -> BmcRun:
     """Bounded check of `props` on `model` under `constraints`.
 
-    Blackboxing and the dual-rail graph come from caches kept with
-    `model`; stopats, assumes and the folds they decide are written into
-    this check's copy of the node kinds only, so the model is left as it
-    was found.  A check with no property left to solve returns before
-    the graph is encoded, and one that also has no stopat and no assume
-    to validate, such as a check whose every property blackboxing makes
-    vacuous, returns before the blackboxed model is built.  A box that
+    The dual-rail graph and each box set's base kinds come from caches
+    kept with `model`; boxes, stopats, assumes and the folds they decide
+    are written into this check's copy of the node kinds only, so the
+    model is left as it was found.  A check with no property left to
+    solve returns before the graph is encoded, unless it has a stopat to
+    validate against a box, and one that also has no stopat and no
+    assume to validate, such as a check whose every property blackboxing
+    makes vacuous, returns before any constraint is read.  A box that
     names no instance still raises `UnknownInstance`.
 
     The pending properties are split into groups whose cones share no
@@ -882,10 +907,10 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     frame is a renamed copy of the last one solved.
 
     With `reuse`, a run where a property ran out of budget is stored
-    under the model after blackboxing, `k`, the budget and the
-    properties, which fix the vacuous names and the nets each property
-    reads, together with the kinds its walk met (see `_walk_cones`).  A
-    check under a stored key whose `kind` equals a stored run's at those
+    under the model, the box set, `k`, the budget and the properties,
+    which fix the vacuous names and the nets each property reads,
+    together with the kinds its walk met (see `_walk_cones`).  A check
+    under a stored key whose `kind` equals a stored run's at those
     nodes, as after a pin outside every cone, would walk and solve the
     same problem: it returns that run without walking, and charges what
     it did.  Under a seconds budget that stands in for a rerun of the
@@ -897,14 +922,14 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     start = time.perf_counter()
     stopats = tuple(c for c in constraints if isinstance(c, Stopat))
     assumes = tuple(c for c in constraints if isinstance(c, Assume))
-    boxes = tuple(c for c in constraints if isinstance(c, Blackbox))
+    boxes = frozenset(c.instance for c in constraints
+                      if isinstance(c, Blackbox))
 
     run = BmcRun(k=k)
     pending: list[PropertyAst] = []
     props = sorted(props, key=lambda p: p.name)
-    boxed = model.blackboxed.union(bx.instance for bx in boxes)
     for prop in props:
-        dead = sorted(prop.scope & boxed) + \
+        dead = sorted(prop.scope & boxes) + \
             sorted(i for i in prop.scope if i not in model.instances)
         if dead:
             run.outcomes[prop.name] = PropertyOutcome(
@@ -915,12 +940,14 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
                 bound=k)
         else:
             pending.append(prop)
-    if not (pending or stopats or assumes) and \
-            all(bx.instance in model.instances for bx in boxes):
-        return run  # no constraint to validate on a blackboxed model
-
-    for bx in boxes:
-        model = blackbox(model, bx.instance)  # raises on an unknown instance
+    if not boxes <= set(model.instances):
+        unknown = min(boxes.difference(model.instances))
+        raise UnknownInstance(f"model {model.name} has no instance {unknown}")
+    if not (pending or stopats or assumes):
+        return run
+    if model.dual is None and (pending or (boxes and stopats)):
+        model.dual = xprop_encode(model)
+    hidden = _box(model, boxes)[2] if boxes and stopats else ()
     cut = {}  # net -> the stopat that cuts it
     for st in stopats:
         reg = model.registers.get(st.signal)
@@ -930,12 +957,12 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         if a.register not in cut.values():
             raise MissingStopat(f"assume on {a.register} without a stopat")
     for net, signal in cut.items():
-        if net not in model.index:
+        if net not in model.index or net in hidden:
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
     for a in assumes:
         reg = model.registers.get(a.register)
-        if reg is None:
+        if reg is None:  # a boxed register's stopat raised above
             raise SemiformError(f"assume on unknown register {a.register}")
         if a.value >> len(reg.bits):
             raise SemiformError(
@@ -943,10 +970,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     if not pending:
         return run
     nets = [simlib.check_prop_nets(model, p) for p in pending]
-    if model.dual is None:
-        model.dual = xprop_encode(model)
-    kind, partner = _constrain(model, cut, assumes)
-    key = (model, k, budget, tuple(props))
+    kind, partner = _constrain(model, cut, assumes, boxes)
+    key = (model, boxes, k, budget, tuple(props))
     if reuse is not None:
         for kinds_at, before, stored in reuse.get(key, ()):
             if kinds_at(kind) == before:
@@ -1051,7 +1076,7 @@ def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
 
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,
                    frame: int) -> CexTrace:
-    nets = sorted(set(model.inputs) | set(model.free_inputs)
+    nets = sorted(set(model.inputs)
                   | {model.nets[v] for v in enc.partner.values()})
     rows = []
     mv = enc.solver.model_value

@@ -23,24 +23,23 @@ Every model the flow checks or simulates comes from `Flow._model(keep)`,
 which flattens the design once per distinct set of kept instances: one
 instance for an IP, the first k+1 ranked instances for subsystem-k, and
 all of them for the boot-script sessions.  The last subsystem and the
-sessions therefore share one model, lowered for the kernel once.
-Blackboxed models are kept with the model they came from, and each
-model's dual-rail graph with the model, so iterations that check one
-model again reuse both.
+sessions therefore share one model, lowered for the kernel once.  A
+blackboxed instance is a set of cuts on that model, and each model's
+dual-rail graph, with each box set's base kinds, is kept with the
+model, so iterations that check one model again reuse both.
 
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges
 zero) so identical runs serialize identically.  Checks that ran out of
-budget are kept in one store (`bmc.check`'s `reuse`), per model after
-blackboxing, bound, budget and properties, each with the kinds its cone
-walk met.  A later check on that key whose kinds equal a stored run's
+budget are kept in one store (`bmc.check`'s `reuse`), per model, box
+set, bound, budget and properties, each with the kinds its cone walk
+met.  A later check on that key whose kinds equal a stored run's
 there, as after a pin outside every cone, would walk and solve the same
 problem: it is neither walked nor solved again, and charges what the
 first one charged.  Under seconds budgets this stands in for a rerun of
 the same clauses at the same budget; under work limits it would be
 exact.  A check whose every property a blackboxed instance makes
-vacuous, with no pin to validate, returns before the blackboxed model
-is built.
+vacuous, with no pin to validate, returns before it reads a box.
 """
 
 from __future__ import annotations
@@ -239,9 +238,9 @@ class Flow:
         self.warnings: list[str] = []
         self._models: dict[frozenset[str], FlatModel] = {}
         self._arch: dict[str, Row] = {}  # in report order
-        # bmc.check's one store of timed-out runs, per model after
-        # blackboxing, bound, budget and properties, matched on the kinds
-        # each run's cone walk met
+        # bmc.check's one store of timed-out runs, per model, box set,
+        # bound, budget and properties, matched on the kinds each run's
+        # cone walk met
         self._reuse: dict = {}
 
     # -- shared model builders ------------------------------------------------

@@ -253,8 +253,7 @@ class FlatModel:
     """Flattened design: one namespace of nets, pure DFFs, gate basis only."""
 
     def __init__(self, name, instances, module_of, nodes, node_instance,
-                 registers, inputs, outputs, signals, aliases,
-                 blackboxed=(), free_inputs=()):
+                 registers, inputs, outputs, signals, aliases):
         self.name: str = name
         self.instances: tuple[str, ...] = tuple(instances)
         self.module_of: dict[str, str] = dict(module_of)
@@ -265,8 +264,6 @@ class FlatModel:
         self.outputs: tuple[str, ...] = tuple(outputs)
         self.signals: dict[str, tuple[str, ...]] = dict(signals)
         self.aliases: dict[str, str] = dict(aliases)
-        self.blackboxed: frozenset[str] = frozenset(blackboxed)
-        self.free_inputs: frozenset[str] = frozenset(free_inputs)
         nets: set[str] = set()
         driven: set[str] = set()
         for n in self.nodes:
@@ -280,7 +277,6 @@ class FlatModel:
         self._order: tuple[Node, ...] | None = None
         self._compiled: CompiledModel | None = None
         self.dual = None  # `bmc.xprop_encode(self)`, set by `bmc.check`
-        self._boxed: dict[str, FlatModel] = {}  # see `blackbox`
         self._consumers: dict[str, list[int]] | None = None
 
     # -- naming ------------------------------------------------------------
@@ -600,46 +596,6 @@ def _comb_order(nodes, where: str = "") -> tuple[Node, ...]:
                 state[net] = 2
                 order.append(node)
     return tuple(order)
-
-
-def blackbox(model: FlatModel, instance: str) -> FlatModel:
-    """Remove an instance's internals; its driven nets become free inputs.
-
-    The result is built once per model and instance and kept with
-    `model`, so later checks reuse it and its dual-rail graph.
-    """
-    if instance not in model.instances:
-        raise UnknownInstance(f"model {model.name} has no instance {instance}")
-    if instance in model._boxed:
-        return model._boxed[instance]
-    keep_nodes = []
-    keep_inst = []
-    dropped_outputs: set[str] = set()
-    for n, src in zip(model.nodes, model.node_instance):
-        if src == instance:
-            dropped_outputs.add(n.output)
-        else:
-            keep_nodes.append(n)
-            keep_inst.append(src)
-    still_read: set[str] = set()
-    for n in keep_nodes:
-        still_read.update(n.inputs)
-    observable = set(model.outputs)
-    freed = sorted(b for b in dropped_outputs
-                   if b in still_read or b in observable)
-    registers = {k: v for k, v in model.registers.items()
-                 if v.instance != instance}
-    inputs = sorted(set(model.inputs) | set(freed))
-    free_inputs = set(model.free_inputs) | set(freed)
-    boxed = model._boxed[instance] = FlatModel(
-        name=model.name, instances=model.instances,
-        module_of=model.module_of, nodes=keep_nodes,
-        node_instance=keep_inst, registers=registers,
-        inputs=inputs, outputs=model.outputs, signals=model.signals,
-        aliases=model.aliases,
-        blackboxed=model.blackboxed | {instance},
-        free_inputs=free_inputs)
-    return boxed
 
 
 @dataclass(frozen=True)

@@ -447,8 +447,6 @@ class Solver:
                 restart_n += 1
                 limit = _luby(restart_n) * self.RESTART_BASE
                 self._cancel_until(0)
-                if deadline is not None and time.perf_counter() > deadline:
-                    return "timeout"
                 continue
             if len(trail_lim) < len(assumed):
                 a = assumed[len(trail_lim)]

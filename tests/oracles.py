@@ -202,8 +202,7 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
 
     Breadth-first exploration of three-valued register states.  Primary
     inputs branch over {0, 1} each cycle (the environment drives them to
-    known values), and the free inputs a blackboxed instance leaves over
-    {0, 1, X}; uninitialized registers start at X.  Nets in `cut` ignore
+    known values); uninitialized registers start at X.  Nets in `cut` ignore
     their drivers and branch over {0, 1, X} each cycle; nets in `pinned`
     (net -> 0/1) ignore their drivers and read that constant.  An `xprop`
     property is violated at a frame from its `settle` on where any bit
@@ -213,8 +212,7 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
     dffs = [n for n in model.nodes if n.kind == "DFF"]
     cut = sorted(set(cut) - set(pinned))
     free = [n for n in model.inputs if n not in cut and n not in pinned]
-    choices = [(0, 1, X) if n in model.free_inputs else (0, 1) for n in free]
-    choices += [(0, 1, X)] * len(cut)
+    choices = [(0, 1)] * len(free) + [(0, 1, X)] * len(cut)
     free += cut
     init = tuple(X if n.init is None else n.init for n in dffs)
     first = 0

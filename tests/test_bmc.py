@@ -153,18 +153,25 @@ def test_blackbox_vacuous(mini_parsed):
 
 
 def test_blackboxed_model_is_built_once(mini_parsed, monkeypatch):
+    # a box builds no model: its base kinds are found once per box set
     design, lib, _, _, props = mini_parsed
     model = elaborate(design, lib)
-    built = []
-    init = netlist.FlatModel.__init__
+    built, boxed = [], []
+    init, box = netlist.FlatModel.__init__, bmc._box
 
     def counted(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
+
+    def found(model, boxes):
+        if boxes not in model.dual.boxed:
+            boxed.append(boxes)
+        return box(model, boxes)
     monkeypatch.setattr(netlist.FlatModel, "__init__", counted)
-    runs = [bmc.check(model, props, constraints=[bmc.Blackbox("a0")], k=4)
-            for _ in range(2)]
-    assert len(built) == 1
+    monkeypatch.setattr(bmc, "_box", found)
+    runs = [bmc.check(model, props, constraints=cons, k=4)
+            for cons in [[bmc.Blackbox("a0")]] * 2 + [[bmc.Blackbox("b0")]]]
+    assert built == [] and boxed == [frozenset({"a0"}), frozenset({"b0"})]
     assert runs[0].outcomes == runs[1].outcomes
 
 
@@ -177,6 +184,62 @@ def test_budget_timeout(hard_ungated):
     assert o.status == "UNDETERMINED" and o.reason == "timeout"
     assert run.status == "INCOMPLETE"
     assert o.bound is not None and o.bound < 20
+
+
+def _xor_chain(n):
+    """A module whose output is the XOR of a chain of n gates."""
+    return ".module chain\n.input rst 1\n.input a 1\n.input b 1\n" + \
+        "".join(f".wire w{i} 1\n" for i in range(n)) + \
+        ".gate XOR w0 a b\n" + \
+        "".join(f".gate XOR w{i} w{i - 1} b\n" for i in range(1, n)) + \
+        ".endmodule\n"
+
+
+def test_deadline_inside_the_encoding_leaves_the_property_open(monkeypatch):
+    # `Unroller.lit` reads the clock every 4,096 steps; a clock that
+    # reads past every deadline once `lit` has begun ends the attempt
+    # there, before any solver call
+    model, design, lib = build_model(_xor_chain(5000))
+    props = props_for("prop p : ~m0.w4999\n", design, lib)
+    entered, raised, solved = [], [], []
+    lit = bmc.Unroller.lit
+
+    def timed_lit(self, i, f):
+        entered.append(f)
+        try:
+            return lit(self, i, f)
+        except bmc._EncodeTimeout:
+            raised.append(f)
+            raise
+
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            return 10.0 if entered else 0.0
+    monkeypatch.setattr(bmc.Unroller, "lit", timed_lit)
+    monkeypatch.setattr(bmc, "time", Clock)
+    monkeypatch.setattr(bmc.Solver, "solve",
+                        lambda *args: solved.append(args) or "unsat")
+    o = bmc.check(model, props, k=3, budget=1.0).outcomes["p"]
+    assert (o.status, o.reason, o.bound) == ("UNDETERMINED", "timeout", 0)
+    assert raised == [0] and solved == []
+
+
+def test_property_bit_select_matches_explicit_oracle(counter):
+    # `m0.CNT[2]` reads one bit of the register (`sim.sig_nets`)
+    model, design, lib = counter
+    props = props_for("prop b2 : ~m0.CNT[2]\nprop b3 : m0.CNT[3] != 1\n",
+                      design, lib)
+    run = bmc.check(model, props, k=6)
+    for prop in props:
+        frame = oracles.explicit_check(model, prop, 6)
+        o = run.outcomes[prop.name]
+        want = ("PASS", None) if frame is None else ("FAIL", frame)
+        assert (o.status, o.frame) == want, prop.name
+    o = run.outcomes["b2"]
+    assert (o.status, o.frame) == ("FAIL", 4)
+    assert bmc.replay_counterexample(model, props[0], o.trace)
+    record_fails(model, props, run)
 
 
 def test_xprop_outcomes(mini_parsed):
@@ -278,13 +341,13 @@ def test_enable_gating_shows_in_trace(counter):
 
 def test_free_inputs_may_stay_unknown(mini_parsed):
     design, lib, _, _, _ = mini_parsed
-    from semiform.netlist import blackbox, elaborate
-    model = blackbox(elaborate(design, lib), "a0")
-    # sig = GAIN[0] & sense with sense free: claiming "sig is never 1"
-    # must fail only through a definitely-1 witness
+    model = elaborate(design, lib)
+    # sig = GAIN[0] & sense with sense freed by the box: claiming "sig is
+    # never 1" must fail only through a definitely-1 witness
     props = props_for("prop s : ~b0.sig\n", design, lib)
-    cons = list(bmc.create_stopats(["b0.GAIN"]))
-    cons += list(bmc.create_assumes({"b0.GAIN": 1}, tuple(cons)))
+    cut = bmc.create_stopats(["b0.GAIN"])
+    cons = (bmc.Blackbox("a0"),) + cut + \
+        bmc.create_assumes({"b0.GAIN": 1}, cut)
     run = bmc.check(model, props, constraints=cons, k=3)
     o = run.outcomes["s"]
     assert o.status == "FAIL"
@@ -457,24 +520,39 @@ def test_blackboxed_instance_matches_explicit_oracle(settle):
     lib = {"src": parse_netlist(SRC_TEXT), "dst": parse_netlist(DST_TEXT)}
     design = parse_design(SRC_DST_DSN)
     model = elaborate(design, lib)
-    boxed = netlist.blackbox(model, "s0")
+    # blackboxing s0 frees the nets of its ports that d0 reads
+    freed = [model.resolve(bit) for ia, pa, _, _ in design.connects
+             if ia == "s0" for bit in model.signal_bits(f"s0.{pa}")]
     props = props_for(
         f"xprop r : known(d0.R) after {settle}\n"
         f"xprop q : known(d0.Q) after {settle}\n"
         "prop hold : d0.R -> d0.Q\nprop low : ~d0.R\n", design, lib)
     got = {}
-    for box, m in ((False, model), (True, boxed)):
+    for box in (False, True):
         cons = (bmc.Blackbox("s0"),) if box else ()
         run = bmc.check(model, props, constraints=cons, k=4)
         for prop in props:
-            frame = oracles.explicit_check(m, prop, 4)
+            frame = oracles.explicit_check(model, prop, 4,
+                                           cut=freed if box else ())
             o = run.outcomes[prop.name]
             want = ("PASS", None) if frame is None else ("FAIL", frame)
             assert (o.status, o.frame) == want, (box, prop.name)
             got[box, prop.name] = o.status
-        record_fails(m, props, run)
-    # only the free input reads X, and R loads it from frame 1 on
+        record_fails(model, props, run)
+    # only the freed net reads X, and R loads it from frame 1 on
     assert got[False, "r"] == "PASS" and got[True, "r"] == "FAIL"
+
+
+def test_a_box_set_frees_only_what_the_rest_reads():
+    # s0's output is read by d0 alone: boxing s0 frees it, so a stopat
+    # may cut it, and boxing d0 too hides it
+    lib = {"src": parse_netlist(SRC_TEXT), "dst": parse_netlist(DST_TEXT)}
+    model = elaborate(parse_design(SRC_DST_DSN), lib)
+    cut = bmc.create_stopats(["s0.o"])
+    s0, d0 = bmc.Blackbox("s0"), bmc.Blackbox("d0")
+    assert bmc.check(model, [], constraints=(s0,) + cut).outcomes == {}
+    with pytest.raises(errors.SemiformError, match="stopat s0.o names net"):
+        bmc.check(model, [], constraints=(s0, d0) + cut)
 
 
 def _outcome_and_cnf(model, props, cons, k, out):
@@ -693,12 +771,14 @@ def test_all_vacuous_box_only_check_builds_no_blackboxed_model(mini_parsed):
     model = elaborate(design, lib)
     boxed = [p for p in props if "a0" in p.scope]
     run = bmc.check(model, boxed, constraints=[bmc.Blackbox("a0")], k=4)
-    assert model._boxed == {} and model.dual is None
+    assert model.dual is None
     assert {n: (o.status, o.reason) for n, o in run.outcomes.items()} == {
         "alpha_quiet": ("VACUOUS", "scope blackboxed: a0"),
         "cross_ok": ("VACUOUS", "scope blackboxed: a0")}
-    assert bmc.check(netlist.blackbox(model, "a0"), boxed, k=4).outcomes \
-        == run.outcomes
+    # a check with something to prove reports them alike
+    full = bmc.check(model, props, constraints=[bmc.Blackbox("a0")], k=4)
+    assert model.dual is not None
+    assert {n: full.outcomes[n] for n in run.outcomes} == run.outcomes
     with pytest.raises(errors.UnknownInstance, match="no instance zz"):
         bmc.check(model, boxed, k=4,
                   constraints=[bmc.Blackbox("a0"), bmc.Blackbox("zz")])
@@ -764,12 +844,12 @@ def _pinned_case(seed):
         dict(zip(_forced_nets(model, pins), pins.values()))
 
 
-def _walk(model, props, cut=(), assumes=()):
+def _walk(model, props, cut=(), assumes=(), boxes=frozenset()):
     """A check's kind before and after a fresh walk, its pairs, and the
     walk's depths and groups, the ids it met and their kinds before."""
     if model.dual is None:
         model.dual = bmc.xprop_encode(model)
-    plain, partner = bmc._constrain(model, cut, assumes)
+    plain, partner = bmc._constrain(model, cut, assumes, boxes)
     kind = plain.copy()
     nets = [simlib.check_prop_nets(model, p) for p in props]
     return plain, kind, partner, \
@@ -1043,8 +1123,7 @@ def test_remembered_walks_equal_fresh_ones(boxed):
     for seed in range(40):
         make = _boxed_case if boxed else lambda s: _pinned_case(s)[:3]
         rng, model, props = make(seed)
-        if boxed:
-            model = netlist.blackbox(model, "m0")
+        boxes = (bmc.Blackbox("m0"),) if boxed else ()
         inst, n_regs = ("m1", 3) if boxed else ("m0", len(model.registers))
         stored = []  # (kinds at the ids met, the kinds there, the walk)
         for cons in _pin_steps(rng, inst, n_regs):
@@ -1052,7 +1131,8 @@ def test_remembered_walks_equal_fresh_ones(boxed):
             cut = _forced_nets(model, stops)
             assumes = [c for c in cons if isinstance(c, bmc.Assume)]
             plain, kind, partner, (depths, groups, met, was) = \
-                _walk(model, props, cut, assumes)
+                _walk(model, props, cut, assumes,
+                      frozenset(bx.instance for bx in boxes))
             kinds_at = bmc._kinds_at(met)
             assert was == [plain[i] for i in met], (seed, cons)
             assert all(plain[i] == kind[i] for i in set(range(len(kind)))
@@ -1067,9 +1147,8 @@ def test_remembered_walks_equal_fresh_ones(boxed):
             else:
                 stored.append((kinds_at, kinds_at(plain), walk))
             fresh = make(seed)[1]
-            runs = [bmc.check(m, props, constraints=cons, k=4)
-                    for m in (model, netlist.blackbox(fresh, "m0")
-                              if boxed else fresh)]
+            runs = [bmc.check(m, props, constraints=boxes + cons, k=4)
+                    for m in (model, fresh)]
             seen = [({n: (o.status, o.frame) for n, o in r.outcomes.items()},
                      r.n_vars, r.n_clauses, r.n_conflicts) for r in runs]
             assert seen[0] == seen[1], (seed, cons)

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from semiform import errors
-from semiform.frontend import parse_design, parse_netlist
-from semiform.netlist import (blackbox, connection_scores, elaborate,
-                              fanout_cone, list_unique_ips,
-                              rank_ips_by_connection)
+from semiform import bmc, errors
+from semiform.frontend import parse_design, parse_netlist, parse_props
+from semiform.netlist import (connection_scores, elaborate, fanout_cone,
+                              list_unique_ips, rank_ips_by_connection)
+from semiform.sim import Simulator
 from semiform.sra import do_sra
 
 from conftest import COUNTER_TEXT, build_model, random_dag_module
@@ -79,23 +79,85 @@ def test_elaborate_keep_frees_dropped_connections(mini_parsed):
     assert sub.instances == ("b0",)
     # the net formerly driven by a0.led is now an unconstrained input
     sense = sub.resolve(sub.signal_bits("b0.sense")[0])
-    assert sense in sub.inputs and sense not in sub.free_inputs
+    assert sense in sub.inputs
     assert sense not in {n.output for n in sub.nodes}
     with pytest.raises(errors.UnknownInstance):
         elaborate(design, lib, keep={"b0", "zz"})
 
 
 def test_blackbox_marks_and_frees(mini_parsed):
+    # a box frees the nets it drives that the rest reads or that are
+    # observable, and hides the nets only its own gates drive or read
     design, lib, _, _, _ = mini_parsed
     model = elaborate(design, lib)
-    boxed = blackbox(model, "a0")
-    assert boxed.blackboxed == frozenset({"a0"})
-    sense = boxed.resolve(boxed.signal_bits("b0.sense")[0])
-    assert sense in boxed.free_inputs
-    assert sense not in {n.output for n in boxed.nodes}
-    assert "a0.CFG" not in boxed.registers
+    model.dual = bmc.xprop_encode(model)
+    base, freed, hidden = bmc._box(model, frozenset({"a0"}))
+    sense = model.resolve(model.signal_bits("b0.sense")[0])
+    assert [model.nets[v] for v in freed] == ["a0.bad", sense]
+    assert set(model.registers["a0.CFG"].bits) <= hidden
+    assert hidden.isdisjoint(model.inputs)
+    assert bmc._box(model, frozenset({"a0"}))[0] is base
     with pytest.raises(errors.UnknownInstance):
-        blackbox(model, "nope")
+        bmc.check(model, [], constraints=[bmc.Blackbox("nope")])
+
+
+# R loads d while e is 1 and 2 while rst is 1; PLAIN_DFF_TEXT writes the
+# same register out with the MUX and CONST gates the options stand for
+SUGAR_DFF_TEXT = """\
+.module sugar
+.input rst 1
+.input e 1
+.input d 2
+.reg R 2
+.dff R d en=e rst=rst rstval=2
+.endmodule
+"""
+
+PLAIN_DFF_TEXT = """\
+.module plain
+.input rst 1
+.input e 1
+.input d 2
+.reg R 2
+.wire h 2
+.wire v 2
+.wire n 2
+.const v 10
+.gate MUX h[0] e d[0] R[0]
+.gate MUX h[1] e d[1] R[1]
+.gate MUX n[0] rst v[0] h[0]
+.gate MUX n[1] rst v[1] h[1]
+.dff R n
+.endmodule
+"""
+
+
+def test_dff_options_simulate_and_check_as_explicit_gates():
+    built = [build_model(t) for t in (SUGAR_DFF_TEXT, PLAIN_DFF_TEXT)]
+    sims = [Simulator(model) for model, _, _ in built]
+    rng = random.Random(3)
+    for _ in range(40):
+        drive = {net: rng.randrange(2)
+                 for net in ("m0.rst", "m0.e", "m0.d[0]", "m0.d[1]")}
+        frames = [(sim.step(drive), model) for sim, (model, _, _)
+                  in zip(sims, built)]
+        got = [[frame[model.index[b]] for b in model.registers["m0.R"].bits]
+               for frame, model in frames]
+        assert got[0] == got[1]
+    assert 2 in {s.register_value("m0.R") for s in sims}  # a reset showed
+    text = ("prop r : m0.R != 2\nprop q : m0.R[1] -> m0.R[0]\n"
+            "xprop x : known(m0.R) after 1\n")
+    seen = []
+    for model, design, lib in built:
+        props = parse_props(text, design=design, library=lib)
+        run = bmc.check(model, props, k=4)
+        for prop in props:
+            frame = oracles.explicit_check(model, prop, 4)
+            o = run.outcomes[prop.name]
+            want = ("PASS", None) if frame is None else ("FAIL", frame)
+            assert (o.status, o.frame) == want, prop.name
+        seen.append((run.outcomes.keys(), run.n_vars, run.n_clauses))
+    assert seen[0] == seen[1]
 
 
 def test_fanout_cone_example_arithmetic(fig_example):
