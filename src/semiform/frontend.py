@@ -4,6 +4,9 @@ Five line-oriented formats: netlist (`.net`), design (`.dsn`), register map
 (`.map`), software transaction script (`.esw`), and property file (`.prop`).
 `#` starts a comment anywhere; tokens are whitespace-separated.  The one
 writer, `serialize_props`, prints `gen-xprop`'s obligations.
+
+The design declares the bus (`.bus reset`, `.bus range`); the `.map` file
+alone says which register sits at which address.
 """
 
 from __future__ import annotations
@@ -219,13 +222,11 @@ def parse_netlist(text: str, path: str | None = None) -> IpNetlist:
                     f"{path or '<input>'}:{ln}: .dff {rn} data {d} must be {w} bits")
             en = bitref(opts["en"], ln) if opts["en"] else None
             rst = bitref(opts["rst"], ln) if opts["rst"] else None
-            rstval = None
+            rstval = None if rst is None else 0
             if opts["rstval"] is not None:
                 rstval = _parse_int(opts["rstval"], ln, path, "rstval")
                 if rstval >= (1 << w):
                     raise WidthOverflow(f"rstval does not fit {w} bits", ln, 1, path)
-            if rst is not None and rstval is None:
-                rstval = 0
             dffs[rn] = {"d": d, "en": en, "rst": rst, "rstval": rstval, "line": ln}
         elif key == ".endmodule":
             ended = True
@@ -311,7 +312,7 @@ def parse_design(text: str, path: str | None = None) -> Design:
                 raise UnknownSignal(f"unknown instance {inst}", ln, 1, path)
             tops.append((tp, inst, port))
         elif key == ".bus":
-            _need(toks, 2, ".bus takes reset, range or map", ln, path)
+            _need(toks, 2, ".bus takes reset or range", ln, path)
             sub = toks[1]
             if sub == "reset":
                 if len(toks) != 3:
@@ -328,31 +329,12 @@ def parse_design(text: str, path: str | None = None) -> Design:
                 if missing:
                     raise ParseError(f".bus range missing {missing}", ln, 1, path)
                 bus.ranges.append(BusRange(base, size, kv["addr"], kv["wdata"], kv["we"]))
-            elif sub == "map":
-                if len(toks) != 4:
-                    raise ParseError(".bus map takes ADDR INST.REG", ln, 1,
-                                     path)
-                addr = _parse_int(toks[2], ln, path, "address")
-                if addr >= (1 << BUS_WIDTH):
-                    raise WidthOverflow(f"address 0x{addr:x} exceeds {BUS_WIDTH} bits", ln, 1, path)
-                if addr in bus.regmap:
-                    raise DuplicateAddress(f"address 0x{addr:x} mapped twice", ln, 1, path)
-                inst, reg = _dotted(toks[3], ln, path)
-                if inst not in inst_names:
-                    raise UnknownSignal(f"unknown instance {inst}", ln, 1, path)
-                target = f"{inst}.{reg}"
-                if target in bus.regmap.values():
-                    raise DuplicateAddress(f"register {target} mapped twice", ln, 1, path)
-                bus.regmap[addr] = target
             else:
                 raise ParseError(f"unknown .bus directive {sub}", ln, 1, path)
         else:
             raise ParseError(f"unknown directive {key}", ln, 1, path)
     if name is None:
         raise ParseError("no .design in file", 1, 1, path)
-    for addr in bus.regmap:
-        if bus.range_for(addr) is None:
-            raise ParseError(f"mapped address 0x{addr:x} is outside every .bus range", 1, 1, path)
     return Design(name, instances, connects, tops, bus)
 
 
@@ -377,31 +359,36 @@ class RegisterMap:
 def parse_regmap(text: str, path: str | None = None,
                  design: Design | None = None,
                  library: dict[str, IpNetlist] | None = None) -> RegisterMap:
-    entries: list[tuple[int, str]] = []
-    seen: set[int] = set()
+    """One `ADDR INST.REG` line per register: each address fits the bus,
+    and no address or register is listed twice.  Given `design`, each
+    instance is declared and each address lies in some `.bus range`;
+    given `library` too, the instance's module has the register."""
+    entries: dict[int, str] = {}
+    insts = dict(design.instances) if design is not None else {}
     for ln, toks in _lines(text):
         if len(toks) != 2:
             raise ParseError("regmap line is HEXADDR INST.REG", ln, 1, path)
         addr = _parse_int(toks[0], ln, path, "address")
         if addr >= (1 << BUS_WIDTH):
             raise WidthOverflow(f"address 0x{addr:x} exceeds {BUS_WIDTH} bits", ln, 1, path)
-        if addr in seen:
+        if addr in entries:
             raise DuplicateAddress(f"address 0x{addr:x} listed twice", ln, 1, path)
-        seen.add(addr)
         inst, reg = _dotted(toks[1], ln, path)
         target = f"{inst}.{reg}"
+        if target in entries.values():
+            raise DuplicateAddress(f"register {target} mapped twice", ln, 1, path)
         if design is not None:
-            if design.bus.regmap.get(addr) != target:
-                raise UnknownSignal(
-                    f"{target} at 0x{addr:x} is not a software-visible register "
-                    f"of the design", ln, 1, path)
-            if library is not None:
-                mod = design.module_of(inst)
-                ip = library[mod]
-                if not any(r.name == reg for r in ip.registers):
-                    raise UnknownSignal(f"module {mod} has no register {reg}", ln, 1, path)
-        entries.append((addr, target))
-    return RegisterMap(tuple(entries))
+            if inst not in insts:
+                raise UnknownSignal(f"unknown instance {inst}", ln, 1, path)
+            if design.bus.range_for(addr) is None:
+                raise ParseError(f"address 0x{addr:x} is outside every .bus range",
+                                 ln, 1, path)
+            if library is not None and all(
+                    r.name != reg for r in library[insts[inst]].registers):
+                raise UnknownSignal(f"module {insts[inst]} has no register {reg}",
+                                    ln, 1, path)
+        entries[addr] = target
+    return RegisterMap(tuple(entries.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +592,10 @@ def _signal_width(ref: str, idx, design: Design,
             raise UnknownSignal(f"module {mod} has no signal {sig}", ln, 1, path)
         w = ip.signal_widths[sig]
     else:
-        tops = {tp for tp, _, _ in design.tops}
-        if ref not in tops:
+        widths = {library[design.module_of(inst)].port(port).width
+                  for tp, inst, port in design.tops if tp == ref}
+        if not widths:
             raise UnknownSignal(f"unknown top-level port {ref}", ln, 1, path)
-        widths = set()
-        for tp, inst, port in design.tops:
-            if tp == ref:
-                widths.add(library[design.module_of(inst)].port(port).width)
         w = widths.pop()
     if idx is not None:
         if idx >= w:

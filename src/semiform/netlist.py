@@ -102,29 +102,14 @@ class IpNetlist:
                 return p
         raise UnknownInstance(f"module {self.name} has no port {name}")
 
-    def bits(self, signal: str) -> tuple[str, ...]:
-        return bit_nets(signal, self.signal_widths[signal])
-
-    def all_nets(self):
-        for sig, width in self.signal_widths.items():
-            yield from bit_nets(sig, width)
-
     def _validate(self):
-        declared = set(self.all_nets())
+        # `parse_netlist` has checked arity and that every net is declared
         drivers: dict[str, str] = {}
         for p in self.ports:
             if p.direction == "in":
                 for b in bit_nets(p.name, p.width):
                     drivers[b] = "port"
         for n in self.nodes:
-            if n.kind in GATE_ARITY and len(n.inputs) != GATE_ARITY[n.kind]:
-                raise SemiformError(
-                    f"{self.name}: {n.kind} gate on {n.output} has {len(n.inputs)} inputs")
-            for i in n.inputs + tuple(x for x in (n.en, n.rst) if x):
-                if i not in declared:
-                    raise SemiformError(f"{self.name}: undeclared net {i}")
-            if n.output not in declared:
-                raise SemiformError(f"{self.name}: undeclared net {n.output}")
             if n.output in drivers:
                 raise MultipleDrivers(
                     f"{self.name}: net {n.output} driven by {drivers[n.output]} and {n.kind}")
@@ -146,9 +131,16 @@ class BusRange:
 
 @dataclass
 class BusSpec:
+    """A design's bus: the reset net and the address range of each slave.
+
+    `parse_design` checks that each range gives `addr=`, `wdata=` and
+    `we=` once each; `elaborate` checks that every ref names a top port
+    or a port of a declared instance's module.  Which register sits at
+    which address is the `.map` file's (`frontend.parse_regmap`).
+    """
+
     reset: str | None = None
     ranges: list[BusRange] = field(default_factory=list)
-    regmap: dict[int, str] = field(default_factory=dict)  # addr -> "inst.REG"
 
     def range_for(self, addr: int) -> BusRange | None:
         for r in self.ranges:
@@ -264,14 +256,11 @@ class FlatModel:
         self.outputs: tuple[str, ...] = tuple(outputs)
         self.signals: dict[str, tuple[str, ...]] = dict(signals)
         self.aliases: dict[str, str] = dict(aliases)
-        nets: set[str] = set()
-        driven: set[str] = set()
+        nets: set[str] = set(self.inputs)
+        nets.update(self.outputs)
         for n in self.nodes:
-            if n.output in driven:
-                raise MultipleDrivers(f"net {n.output} has multiple drivers")
-            driven.add(n.output)
+            nets.add(n.output)
             nets.update(n.inputs)
-        nets.update(driven, self.inputs, self.outputs)
         self.nets: tuple[str, ...] = tuple(sorted(nets))
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.nets)}
         self._order: tuple[Node, ...] | None = None
@@ -338,9 +327,8 @@ def _desugar_dff(node: Node, inst: str, fresh: list[Node]) -> Node:
         fresh.append(Node("MUX", en_net, (node.en, d, q)))
         d = en_net
     if node.rst is not None:
-        cv = node.rstval or 0
         cnet = f"{q}$rv"
-        fresh.append(Node("CONST", cnet, value=cv))
+        fresh.append(Node("CONST", cnet, value=node.rstval))
         rnet = f"{q}$rst"
         fresh.append(Node("MUX", rnet, (node.rst, cnet, d)))
         d = rnet

@@ -10,7 +10,7 @@ Internally a literal is encoded as `2v` (v true) or `2v+1` (v false), so
 negation is `x ^ 1` and the variable is `x >> 1`.  `value[x]` holds 1, -1
 or 0 (unassigned) for every encoded literal, kept in step for both
 polarities, so testing a literal is one list read.  The public methods
-(`add_clause`, `solve`, `lit_value`, `model_value`) take DIMACS literals;
+(`add_clause`, `solve`, `model_value`) take DIMACS literals;
 `clauses` holds encoded literals, with None for a deleted learnt clause.
 
 `watches[x]` lists the clauses watching literal x as flat pairs
@@ -118,10 +118,6 @@ class Solver:
     def ensure_vars(self, n: int):
         while self.num_vars < n:
             self.new_var()
-
-    def lit_value(self, lit: int) -> int:
-        """1, -1 or 0 (unassigned) for DIMACS literal `lit`."""
-        return self.value[_enc(lit)]
 
     def add_clause(self, lits) -> bool:
         """Add a clause.  Returns False once the DB is UNSAT."""
@@ -386,13 +382,11 @@ class Solver:
 
     def _decide(self) -> int | None:
         # lazy heap: entries may carry stale priorities, which only skews
-        # pick order, never correctness or determinism
+        # pick order.  Every unassigned variable has an entry (`new_var`,
+        # `_cancel_until`), and `solve` assigns the one returned at once.
         value = self.value
         while self.heap:
             _, v = heappop(self.heap)
-            if value[v << 1] == 0:
-                return v
-        for v in range(1, len(self.level)):
             if value[v << 1] == 0:
                 return v
         return None
@@ -405,7 +399,6 @@ class Solver:
         if self._propagate() is not None:
             self.ok = False
             return "unsat"
-        assumptions = list(assumptions)
         assumed = [_enc(a) for a in assumptions]
         if assumed:
             self.ensure_vars(max(assumed) >> 1)
@@ -417,11 +410,15 @@ class Solver:
         trail_lim = self.trail_lim
         propagate = self._propagate
         conflicts_here = 0
-        decisions = 0
+        passes = 0
         restart_n = 1
         limit = _luby(restart_n) * self.RESTART_BASE
-        check_mask = 63
         while True:
+            if deadline is not None:
+                passes += 1
+                if (passes & 63) == 0 and time.perf_counter() > deadline:
+                    self._cancel_until(0)
+                    return "timeout"
             confl = propagate()
             if confl is not None:
                 self.n_conflicts += 1
@@ -437,10 +434,6 @@ class Solver:
                 if self.n_learnts >= self.next_reduce:
                     self.next_reduce += self.REDUCE_INTERVAL
                     self._reduce_db()
-                if (conflicts_here & check_mask) == 0 and deadline is not None \
-                        and time.perf_counter() > deadline:
-                    self._cancel_until(0)
-                    return "timeout"
                 continue
             if conflicts_here >= limit:
                 conflicts_here = 0
@@ -462,14 +455,9 @@ class Solver:
                 continue
             v = self._decide()
             if v is None:
-                self._verify_model(assumptions)
+                self._verify_model(assumed)
                 self._model = value.copy()
                 return "sat"
-            decisions += 1
-            if (decisions & 1023) == 0 and deadline is not None \
-                    and time.perf_counter() > deadline:
-                self._cancel_until(0)
-                return "timeout"
             trail_lim.append(len(trail))
             x = (v << 1) | phase[v]  # `_enqueue`, inlined
             value[x] = 1
@@ -478,15 +466,14 @@ class Solver:
             reason[v] = -1
             trail.append(x)
 
-    def _verify_model(self, assumptions):
-        for lit in assumptions:
-            if self.lit_value(lit) != 1:
-                raise SemiformError("model does not satisfy an assumption")
+    def _verify_model(self, assumed):
         value = self.value
+        if any(value[x] != 1 for x in assumed):
+            raise SemiformError("model does not satisfy an assumption")
+        get = value.__getitem__
         for ci, c in enumerate(self.clauses):
-            if c is None:
-                continue
-            if all(value[x] == -1 for x in c):
+            # every variable is assigned: a clause with no true literal
+            if c is not None and max(map(get, c)) != 1:
                 raise SemiformError(f"model leaves clause {ci} unsatisfied")
 
     def model_value(self, lit: int) -> bool:

@@ -393,8 +393,6 @@ MINI_DSN = """\
 .bus reset rst
 .bus range 0x0 0x10 addr=a0.addr wdata=a0.wdata we=a0.we
 .bus range 0x100 0x10 addr=b0.addr wdata=b0.wdata we=b0.we
-.bus map 0x0 a0.CFG
-.bus map 0x103 b0.GAIN
 """
 
 MINI_MAP = """\
@@ -516,7 +514,6 @@ HARD_DSN = """\
 .top rst h0.rst
 .bus reset rst
 .bus range 0x0 0x10 addr=h0.addr wdata=h0.wdata we=h0.we
-.bus map 0x0 h0.CFG
 """
 
 HARD_ESW = """\
@@ -565,8 +562,6 @@ PAIR_DSN = """\
 .bus reset rst
 .bus range 0x0 0x10 addr=h0.addr wdata=h0.wdata we=h0.we
 .bus range 0x10 0x10 addr=h1.addr wdata=h1.wdata we=h1.we
-.bus map 0x0 h0.CFG
-.bus map 0x10 h1.CFG
 """
 
 PAIR_ESW = """\

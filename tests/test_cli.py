@@ -105,6 +105,18 @@ def test_misspelled_bus_ref_exits_3(mini_files, tmp_path, capsys, old, new):
     assert new.split()[-1].split("=")[-1] in capsys.readouterr().err
 
 
+def test_design_with_bus_map_exits_3(mini_files, tmp_path, capsys):
+    # the .map file is the one register map
+    for f in mini_files.glob("*.net"):
+        (tmp_path / f.name).write_text(f.read_text())
+    (tmp_path / "mini.dsn").write_text(
+        (mini_files / "mini.dsn").read_text() + ".bus map 0x0 a0.CFG\n")
+    code = main(["sim", "--design", str(tmp_path / "mini.dsn"),
+                 "--esw", str(mini_files / "boot.esw")])
+    assert code == 3
+    assert "unknown .bus directive map" in capsys.readouterr().err
+
+
 def test_bad_phase_list_exits_3(mini_files, capsys):
     code = main(["phase", "2,x",
                  "--design", str(mini_files / "mini.dsn"),

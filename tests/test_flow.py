@@ -7,6 +7,7 @@ import pytest
 from semiform.flow import (FlowConfig, exit_code, run_flow,
                            STATUS_FORMAL_COMPLETE, STATUS_INCOMPLETE,
                            STATUS_SEMIFORMAL_COMPLETE, STATUS_SEMIFORMAL_FAIL)
+from semiform.frontend import RegisterMap
 
 from conftest import props_for
 
@@ -157,6 +158,25 @@ def test_hard_ungated_abort_without_blackboxing(hard_ungated):
     assert exit_code(report) == 2
     assert report.rows[0].result == "SemiformalFail"
     assert report.rows[0].properties == {"quiet": "UNDETERMINED"}
+
+
+@pytest.mark.parametrize("blackbox", [True, False])
+def test_timed_out_ip_with_no_mapped_register(hard_ungated, blackbox):
+    # nothing to rank or pin: phase 3 gives up without a check
+    _, design, lib, _, script, props = hard_ungated
+    report = run_flow(design, lib, RegisterMap(()), script, props,
+                      _fast(blackbox_failing_ips=blackbox))
+    row = report.rows[0]
+    assert row.engine == "semiformal" and row.iterations == 0
+    assert row.elapsed == 0.6  # the phase-2 attempt only
+    if blackbox:
+        assert report.status == STATUS_SEMIFORMAL_COMPLETE
+        assert row.result == "Blackboxed"
+        assert row.properties == {"quiet": "VACUOUS"}
+    else:
+        assert report.status == STATUS_SEMIFORMAL_FAIL
+        assert row.result == "SemiformalFail"
+        assert row.properties == {"quiet": "UNDETERMINED"}
 
 
 def test_hard_formal_only_times_out(hard_ungated):

@@ -40,6 +40,14 @@ def test_netlist_errors():
             parse_netlist(text)
 
 
+def test_dff_reset_value_defaults_to_zero():
+    text = (".module t\n.input a 2\n.input r 1\n.reg R 2\n"
+            ".dff R a rst=r{}\n.endmodule\n")
+    nodes = parse_netlist(text.format("")).nodes
+    assert nodes == parse_netlist(text.format(" rstval=0")).nodes
+    assert [n.rstval for n in nodes if n.kind == "DFF"] == [0, 0]
+
+
 def test_netlist_const_and_bit_refs():
     text = (".module t\n.input a 2\n.output o 1\n.wire k 2\n"
             ".const k 10\n.gate AND o a[1] k[1]\n.endmodule\n")
@@ -57,10 +65,8 @@ def test_design_round_trip(mini_parsed):
     assert again.name == design.name
     assert again.instances == design.instances
     assert again.connects == design.connects
-    assert again.bus.reset == design.bus.reset
-    assert again.bus.regmap == design.bus.regmap
-    assert [(r.base, r.size) for r in again.bus.ranges] == \
-        [(r.base, r.size) for r in design.bus.ranges]
+    assert again.tops == design.tops
+    assert again.bus == design.bus
 
 
 def test_design_errors():
@@ -86,14 +92,22 @@ def test_short_directive_is_a_parse_error(parse, text):
 
 
 @pytest.mark.parametrize("line", [
-    ".bus reset rst extra", ".bus map 0x0 a0.R extra",
-], ids=["bus_reset", "bus_map"])
+    ".bus reset rst extra",
+], ids=["bus_reset"])
 def test_trailing_bus_token_is_a_parse_error(line):
     head = (".design d\n.instance m a0\n"
             ".bus range 0x0 0x10 addr=a0.a wdata=a0.w we=a0.e\n")
     parse_design(head + line.rsplit(" ", 1)[0] + "\n")  # valid without it
     with pytest.raises(errors.ParseError, match="takes"):
         parse_design(head + line + "\n")
+
+
+def test_bus_map_in_a_design_is_a_parse_error():
+    # register addresses live in the .map file only
+    line = MINI_DSN.count("\n") + 1
+    with pytest.raises(errors.ParseError,
+                       match=rf"<input>:{line}:1: unknown \.bus directive map$"):
+        parse_design(MINI_DSN + ".bus map 0x0 a0.CFG\n")
 
 
 @pytest.mark.parametrize("options", [
@@ -130,12 +144,8 @@ def test_bad_bus_range_option_is_a_parse_error(options):
      "0x10", "-0x10"),
     (parse_design, ".design d\n.bus range 0x0 {} addr=a wdata=w we=e\n",
      "0x10", "-1"),
-    (parse_design, ".design d\n.instance m a0\n"
-     ".bus range 0x0 0x10 addr=a0.a wdata=a0.w we=a0.e\n"
-     ".bus map {} a0.R\n", "0x4", "-4"),
 ], ids=["reg_init", "dff_rstval", "write_address", "write_value",
-        "read_address", "regmap_address", "bus_range_base", "bus_range_size",
-        "bus_map_address"])
+        "read_address", "regmap_address", "bus_range_base", "bus_range_size"])
 def test_negative_number_is_a_parse_error(parse, text, good, bad):
     parse(text.format(good))
     with pytest.raises(errors.ParseError, match="negative"):
@@ -157,11 +167,29 @@ def test_regmap_lookup(mini_parsed):
 
 def test_regmap_errors(mini_parsed):
     design, lib, _, _, _ = mini_parsed
-    with pytest.raises(errors.DuplicateAddress):
+    with pytest.raises(errors.DuplicateAddress, match="address 0x0 listed"):
         parse_regmap("0x0 a0.CFG\n0x0 b0.GAIN\n")
-    with pytest.raises(errors.UnknownSignal):
-        # address present but bound to a different register in the design
-        parse_regmap("0x1 a0.CFG\n", design=design, library=lib)
+    with pytest.raises(errors.DuplicateAddress, match="a0.CFG mapped twice"):
+        parse_regmap("0x0 a0.CFG\n0x4 a0.CFG\n")  # with no design too
+    # the map is the one register map: any address inside a .bus range
+    # may hold a register, whatever the design says
+    moved = parse_regmap("0x1 a0.CFG\n", design=design, library=lib)
+    assert moved.register_at(0x1) == "a0.CFG"
+
+
+@pytest.mark.parametrize("line, error, message", [
+    ("0x55 b0.GAIN", errors.ParseError, "address 0x55 is outside every "
+     r"\.bus range"),
+    ("0x4 a0.CFG", errors.DuplicateAddress, "register a0.CFG mapped twice"),
+    ("0x4 z0.CFG", errors.UnknownSignal, "unknown instance z0"),
+    ("0x4 a0.NOPE", errors.UnknownSignal, "module alpha has no register NOPE"),
+], ids=["outside_every_range", "register_twice", "unknown_instance",
+        "unknown_register"])
+def test_regmap_design_check_names_the_map_line(mini_parsed, line, error,
+                                                message):
+    design, lib, _, _, _ = mini_parsed
+    with pytest.raises(error, match=f"^m.map:2:1: {message}$"):
+        parse_regmap(f"0x0 a0.CFG\n{line}\n", "m.map", design, lib)
 
 
 # -- software scripts -----------------------------------------------------------
@@ -222,6 +250,17 @@ def test_prop_errors(mini_parsed):
     with pytest.raises(errors.WidthMismatch):
         # 4-bit register in a boolean position
         parse_props("prop p : ~a0.CFG\n", design=design, library=lib)
+
+
+def test_prop_reads_a_top_level_port(mini_parsed):
+    design, lib, _, _, _ = mini_parsed
+    p = parse_props("prop p : rst -> ~(a0.bad)\n", design=design,
+                    library=lib)[0]
+    assert p.scope == frozenset({"a0"})
+    with pytest.raises(errors.WidthOverflow, match="does not fit 1 bits"):
+        parse_props("prop p : rst == 2\n", design=design, library=lib)
+    with pytest.raises(errors.UnknownSignal, match="top-level port rsx"):
+        parse_props("prop p : ~rsx\n", design=design, library=lib)
 
 
 def test_gen_xprop(mini_parsed):

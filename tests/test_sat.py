@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiform.errors import SemiformError
 from semiform.sat import Cnf, Solver, export_dimacs
 
 import oracles
@@ -199,6 +200,50 @@ def test_hypothesis_random_instances(nv, data):
     assert got == ("sat" if want else "unsat")
     if got == "sat":
         _check_model(s, clauses)
+
+
+def _unassigned_without_heap_entry(s: Solver) -> list[int]:
+    queued = {v for _, v in s.heap}
+    return [v for v in range(1, s.num_vars + 1)
+            if s.value[v << 1] == 0 and v not in queued]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_every_unassigned_variable_has_a_heap_entry(nv, data):
+    # `_decide` trusts the heap alone to find an unassigned variable
+    s = Solver()
+    decide = s._decide
+
+    def checked_decide():
+        assert _unassigned_without_heap_entry(s) == []
+        return decide()
+
+    s._decide = checked_decide
+    lit = st.integers(-nv, nv).filter(bool)
+    clauses = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        for c in data.draw(st.lists(st.lists(lit, min_size=1, max_size=4),
+                                    max_size=6)):
+            s.add_clause(c)
+            clauses.append(c)
+            assert _unassigned_without_heap_entry(s) == []
+        assumptions = data.draw(st.lists(lit, max_size=3))
+        got = s.solve(assumptions)
+        assert _unassigned_without_heap_entry(s) == []
+        want = oracles.brute_force_sat(
+            nv, clauses + [[a] for a in assumptions])
+        assert got == ("sat" if want else "unsat")
+
+
+def test_model_leaving_a_clause_false_raises():
+    s = Solver()
+    assert s.add_clause([1, 2])
+    # (-1 | -2), encoded, with no watches: the search never sees it, and
+    # the model it finds (both variables true, phase 0) makes it false
+    s.clauses.append([3, 5])
+    with pytest.raises(SemiformError, match="model leaves clause 1 "):
+        s.solve()
 
 
 def test_reduce_db_fires_once_per_interval():

@@ -60,8 +60,6 @@ def serialize_design(d: Design) -> str:
     for r in d.bus.ranges:
         out.append(f".bus range 0x{r.base:x} 0x{r.size:x} "
                    f"addr={r.addr_ref} wdata={r.wdata_ref} we={r.we_ref}")
-    for addr, reg in d.bus.regmap.items():
-        out.append(f".bus map 0x{addr:x} {reg}")
     return "\n".join(out) + "\n"
 
 

@@ -455,8 +455,6 @@ def make_design():
         ".bus range 0x2000 0x100 addr=ethmac0.bus_addr"
         " wdata=ethmac0.bus_wdata we=ethmac0.bus_we",
     ]
-    for a, r in CFG_MAP:
-        lines.append(f".bus map 0x{a:x} {r}")
     return "\n".join(lines) + "\n"
 
 
