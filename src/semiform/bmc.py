@@ -72,7 +72,6 @@ refinement check does whose new pin lies outside every property cone.
 from __future__ import annotations
 
 import os
-import re
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -82,7 +81,7 @@ from operator import itemgetter
 from .errors import MissingStopat, SemiformError, UnknownInstance
 from .frontend import PropertyAst
 from .netlist import FlatModel
-from .sat import Cnf, Solver, export_dimacs
+from .sat import Solver
 from . import sim as simlib
 
 
@@ -292,6 +291,10 @@ class Unroller:
     `partner` maps the known rail of each free pair, the freed and the
     cut nets, to its value rail.
 
+    With `log`, `log` holds the solver's calls as iCNF lines in call
+    order: each clause added, and an `a <lits> 0` line for each solve
+    (`_attempt`), so the lines alone are the group's whole problem.
+
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
     just integer comparison.  `memo[f * n + id]` holds the literal of
     node `id` at frame `f`, 0 while untranslated, where `n` is the number
@@ -303,7 +306,7 @@ class Unroller:
     FALSE = -1
 
     def __init__(self, model: FlatModel, kind: list[int],
-                 partner: dict[int, int], track_problem: bool = False):
+                 partner: dict[int, int], log: bool = False):
         self.dual = model.dual
         self.index = model.index
         self.kind = kind
@@ -311,7 +314,7 @@ class Unroller:
         self.n = len(kind)
         self.solver = Solver()
         self.solver.ensure_vars(1)
-        self.problem: list[tuple[int, ...]] | None = [] if track_problem else None
+        self.log: list[str] | None = [] if log else None
         self.n_clauses = 0  # clauses emitted; the solver's list also holds learnts
         self._add([1])
         self.memo: list[int] = []
@@ -322,8 +325,8 @@ class Unroller:
 
     def _add(self, clause):
         self.n_clauses += 1
-        if self.problem is not None:
-            self.problem.append(tuple(clause))
+        if self.log is not None:
+            self.log.append(" ".join(map(str, clause)) + " 0")
         self.solver.add_clause(clause)
 
     def _new(self) -> int:
@@ -880,7 +883,7 @@ class BmcRun:
 
 
 def check(model: FlatModel, props, constraints=(), k: int = 20,
-          budget: float | None = None, dump_cnf: str | None = None,
+          budget: float | None = None, dump_icnf: str | None = None,
           reuse: dict | None = None) -> BmcRun:
     """Bounded check of `props` on `model` under `constraints`.
 
@@ -916,6 +919,15 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     it did.  Under a seconds budget that stands in for a rerun of the
     same clauses at the same budget; under a work limit it would be
     exact.
+
+    With `dump_icnf`, each group's solver calls are written, once the
+    check is done and also when a property ran out of budget, to
+    `dump_icnf/group<g>.icnf` in iCNF, the incremental format of SAT
+    Race 2015: a `p inccnf` header, a `c` line naming the group's
+    properties, then the clauses and one `a <lits> 0` line per solve,
+    in call order.  `g` is the group's smallest property index.  A check
+    that returns before it walks the cones, a reused one included,
+    writes nothing.
     """
     if k < 0 or (budget is not None and budget < 0):
         raise ValueError(f"bound and budget must be >= 0, got {k}, {budget}")
@@ -985,7 +997,7 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))
         if g not in units:
             units[g] = Unroller(model, kind, partner,
-                                track_problem=dump_cnf is not None)
+                                log=dump_icnf is not None)
         encs[p.name] = units[g]
 
     while pending:
@@ -1004,7 +1016,7 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
             deadline = None if share is None else \
                 min(time.perf_counter() + share, total_deadline)
             out = _attempt(encs[prop.name], model, prop, k, last[prop.name],
-                           next_frame, deadline, dump_cnf)
+                           next_frame, deadline)
             if out is None:
                 still.append(prop)
             else:
@@ -1017,6 +1029,13 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
         run.n_vars += enc.solver.num_vars
         run.n_clauses += enc.n_clauses
         run.n_conflicts += enc.solver.n_conflicts
+    if dump_icnf is not None:
+        os.makedirs(dump_icnf, exist_ok=True)
+        for g, enc in units.items():
+            names = [name for name, e in encs.items() if e is enc]
+            with open(os.path.join(dump_icnf, f"group{g}.icnf"), "w") as fh:
+                fh.write("\n".join(["p inccnf", "c " + " ".join(names),
+                                    *enc.log]) + "\n")
     if reuse is not None and any(o.reason == "timeout"
                                  for o in run.outcomes.values()):
         # a PASS or FAIL ends its loop anyway
@@ -1025,8 +1044,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
 
 
 def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
-             last: int, next_frame: dict[str, int], deadline: float | None,
-             dump_cnf: str | None) -> PropertyOutcome | None:
+             last: int, next_frame: dict[str, int], deadline: float | None
+             ) -> PropertyOutcome | None:
     """Run one budget slice; None means still unresolved.
 
     Frames up to `last` are solved; once they all hold, so does every
@@ -1042,15 +1061,16 @@ def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
             if viol == enc.FALSE:
                 next_frame[prop.name] = f + 1
                 continue
-            res = enc.solver.solve([viol] if viol != enc.TRUE else [],
-                                   deadline)
+            assumed = [viol] if viol != enc.TRUE else []
+            if enc.log is not None:
+                enc.log.append(" ".join(["a", *map(str, assumed), "0"]))
+            res = enc.solver.solve(assumed, deadline)
             if res == "timeout":
                 return None
             if res == "unsat":
                 next_frame[prop.name] = f + 1
                 continue
             trace = _extract_trace(enc, model, prop.name, f)
-            _maybe_dump(enc, prop.name, dump_cnf)
             if not replay_counterexample(model, prop, trace):
                 raise SemiformError(
                     f"counterexample for {prop.name} at frame {f} does not "
@@ -1060,18 +1080,7 @@ def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
         return None
     finally:
         enc.deadline = None
-    _maybe_dump(enc, prop.name, dump_cnf)
     return PropertyOutcome(prop.name, "PASS", bound=k)
-
-
-def _maybe_dump(enc: Unroller, prop_name: str, dump_cnf: str | None):
-    if dump_cnf is None or enc.problem is None:
-        return
-    os.makedirs(dump_cnf, exist_ok=True)
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", prop_name)
-    path = os.path.join(dump_cnf, safe + ".cnf")
-    with open(path, "w") as fh:
-        fh.write(export_dimacs(Cnf(enc.solver.num_vars, tuple(enc.problem))))
 
 
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,

@@ -17,13 +17,15 @@ import sys
 
 from . import bmc as bmc_mod
 from . import flow, sim, sra
-from .errors import SemiformError
+from .errors import SemiformError, UnknownModule
 from .frontend import (RegisterMap, gen_xprop, parse_design, parse_esw,
                        parse_netlist, parse_props, parse_regmap,
                        serialize_props)
 from .netlist import Design, IpNetlist, elaborate
 
 EXIT_INPUT = 3
+DUMP_ICNF_HELP = ("write each solver's calls, its clauses and one 'a' line "
+                  "of assumptions per solve, as iCNF to DIR/")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +58,13 @@ def _design(args) -> tuple[Design, dict[str, IpNetlist]]:
     netlist_dir = args.netlist_dir or os.path.dirname(
         os.path.abspath(args.design))
     library = _load_library(netlist_dir)
-    return parse_design(_read(args.design), path=args.design), library
+    design = parse_design(_read(args.design), path=args.design)
+    for inst, module in design.instances:
+        if module not in library:
+            raise UnknownModule(f"instance {inst} references unknown module "
+                                f"{module}: no .net file in {netlist_dir} "
+                                "declares it")
+    return design, library
 
 
 def _design_inputs(args):
@@ -81,7 +89,7 @@ def _flow_config(args, phases=None) -> flow.FlowConfig:
         blackbox_failing_ips=args.blackbox_failing,
         bound=args.bound,
         phases=tuple(phases) if phases else (1, 2, 3, 4, 5),
-        dump_cnf=args.dump_cnf,
+        dump_icnf=args.dump_icnf,
         dump_trace=args.dump_trace,
     )
 
@@ -99,7 +107,8 @@ def _add_flow_args(p: argparse.ArgumentParser):
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--dump-cnf")
+    p.add_argument("--dump-icnf", metavar="DIR", help=DUMP_ICNF_HELP +
+                   "NNN/group<g>.icnf, NNN numbering the checks")
     p.add_argument("--dump-trace")
 
 
@@ -179,7 +188,7 @@ def _cmd_bmc(args) -> int:
     constraints += bmc_mod.create_assumes(assumes, constraints)
     constraints += [bmc_mod.Blackbox(i) for i in args.blackbox]
     run = bmc_mod.check(model, props, constraints=constraints, k=args.bound,
-                        budget=args.budget, dump_cnf=args.dump_cnf)
+                        budget=args.budget, dump_icnf=args.dump_icnf)
     for name in sorted(run.outcomes):
         o = run.outcomes[name]
         extra = ""
@@ -263,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume", action="append", default=[],
                    metavar="REG=VALUE")
     p.add_argument("--blackbox", action="append", default=[])
-    p.add_argument("--dump-cnf")
+    p.add_argument("--dump-icnf", metavar="DIR",
+                   help=DUMP_ICNF_HELP + "group<g>.icnf")
     p.add_argument("--dump-trace")
     p.set_defaults(fn=_cmd_bmc)
 

@@ -45,6 +45,7 @@ vacuous, with no pin to validate, returns before it reads a box.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -73,7 +74,7 @@ class FlowConfig:
     blackbox_failing_ips: bool = True
     bound: int = 20
     phases: tuple[int, ...] = (1, 2, 3, 4, 5)
-    dump_cnf: str | None = None
+    dump_icnf: str | None = None
     dump_trace: str | None = None
 
     def __post_init__(self):
@@ -242,6 +243,7 @@ class Flow:
         # bound, budget and properties, matched on the kinds each run's
         # cone walk met
         self._reuse: dict = {}
+        self._checks = 0  # checks made so far, which number the iCNF dumps
 
     # -- shared model builders ------------------------------------------------
 
@@ -288,9 +290,16 @@ class Flow:
 
     def _check(self, arch: Row, model: FlatModel, group, constraints,
                budget: float) -> bmc.BmcRun:
+        """Check `group` and charge `arch`; with `dump_icnf`, each check
+        writes its solvers' logs to a directory of its own, numbered by
+        check sequence (`000`, `001`, ...), so none is overwritten."""
+        dump = self.config.dump_icnf
+        if dump is not None:
+            dump = os.path.join(dump, f"{self._checks:03d}")
+        self._checks += 1
         run = bmc.check(model, group, constraints=constraints,
                         k=self.config.bound, budget=budget,
-                        dump_cnf=self.config.dump_cnf, reuse=self._reuse)
+                        dump_icnf=dump, reuse=self._reuse)
         arch.elapsed += _charge(run, budget)
         arch.note(run)
         return run

@@ -35,7 +35,6 @@ they stay valid when assumptions change).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import SemiformError
@@ -482,29 +481,3 @@ class Solver:
         a = self._model[x] if x < len(self._model) else 0
         return a == 1 if lit > 0 else a != -1  # unassigned vars read false
 
-
-# ---------------------------------------------------------------------------
-# a problem as plain clauses
-
-
-@dataclass(frozen=True)
-class Cnf:
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for c in self.clauses:
-            for lit in c:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
-
-
-# ---------------------------------------------------------------------------
-# DIMACS
-
-
-def export_dimacs(cnf: Cnf) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for c in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in c) + " 0")
-    return "\n".join(lines) + "\n"

@@ -68,40 +68,25 @@ class Simulator:
         self._ranges = self._resolve_ranges() if design is not None else []
         self._reset_bits = None
         if design is not None and design.bus.reset:
-            self._reset_bits = self._resolve_ref(design.bus.reset, 1)
+            self._reset_bits = self._resolve_ref(design.bus.reset)
 
     # -- bus plumbing --------------------------------------------------------
 
-    def _resolve_ref(self, ref: str, width_hint: int | None = None):
+    def _resolve_ref(self, ref: str) -> list[int]:
         """Net indices for a bus ref ('inst.port' or top port), LSB first.
 
-        Returns None when the ref does not resolve in this model (for
-        example the bus master is not part of a subsystem); such ranges
-        are simply not driven.
+        `elaborate` has raised for a ref that names no top port or port
+        (`netlist._check_bus_refs`), and every port bit of an instance
+        it keeps is a net of the model.
         """
-        try:
-            bits = self.model.signal_bits(ref)
-        except UnknownRegister:
-            return None
-        idx = []
-        for b in bits:
-            c = self.model.resolve(b)
-            if c not in self.cm.index:
-                return None
-            idx.append(self.cm.index[c])
-        return idx
+        index, resolve = self.cm.index, self.model.resolve
+        return [index[resolve(b)] for b in self.model.signal_bits(ref)]
 
     def _resolve_ranges(self):
-        out = []
-        for r in self.design.bus.ranges:
-            addr = self._resolve_ref(r.addr_ref)
-            wdata = self._resolve_ref(r.wdata_ref)
-            we = self._resolve_ref(r.we_ref)
-            if addr is None or wdata is None or we is None:
-                out.append((r, None))
-            else:
-                out.append((r, (addr, wdata, we)))
-        return out
+        return [(r, (self._resolve_ref(r.addr_ref),
+                     self._resolve_ref(r.wdata_ref),
+                     self._resolve_ref(r.we_ref)))
+                for r in self.design.bus.ranges]
 
     # -- core stepping -------------------------------------------------------
 
@@ -132,10 +117,7 @@ class Simulator:
             if target is None:
                 self.warnings.append(BusDecodeError(
                     f"access to 0x{stmt[1]:x} hits no bus range (cycle {self.cycle})"))
-        for r, nets in self._ranges:
-            if nets is None:
-                continue
-            addr_i, wdata_i, we_i = nets
+        for r, (addr_i, wdata_i, we_i) in self._ranges:
             if target is not None and r is target:
                 offset = stmt[1] - r.base
                 put(addr_i, offset, len(addr_i))

@@ -1,7 +1,7 @@
-"""CNF helpers the tests use on top of `semiform.sat`: a one-shot solve
-of a `Cnf` on a fresh `Solver`, and a DIMACS reader, so a problem written
-by `export_dimacs` (or `bmc.check(..., dump_cnf=...)`) can be read back
-and solved."""
+"""Solver helpers the tests use on top of `semiform.sat`: a one-shot solve
+of plain clauses on a fresh `Solver`, and an iCNF reader and replayer, so
+a log that `bmc.check(..., dump_icnf=...)` writes can be read back and
+its calls made again on a fresh solver."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 
 from semiform.errors import ParseError
-from semiform.sat import Cnf, Solver
+from semiform.sat import Solver
 
 
 @dataclass(frozen=True)
@@ -19,61 +19,60 @@ class SolveOutcome:
     elapsed: float
 
 
-def solve(cnf: Cnf, assumptions=(),
-          budget: float | None = None) -> SolveOutcome:
-    """Solve a CNF on a fresh solver."""
+def solve(clauses, assumptions=(), budget: float | None = None) -> SolveOutcome:
+    """Solve plain clauses (tuples of DIMACS literals) on a fresh solver."""
     start = time.perf_counter()
     s = Solver()
-    s.ensure_vars(cnf.num_vars)
-    for c in cnf.clauses:
+    for c in clauses:
         if not s.add_clause(list(c)):
             return SolveOutcome("UNSAT", None, time.perf_counter() - start)
     deadline = None if budget is None else start + budget
     res = s.solve(assumptions, deadline)
     elapsed = time.perf_counter() - start
     if res == "sat":
-        model = {v: s.model_value(v) for v in range(1, cnf.num_vars + 1)}
+        model = {v: s.model_value(v) for v in range(1, s.num_vars + 1)}
         return SolveOutcome("SAT", model, elapsed)
     return SolveOutcome("UNSAT" if res == "unsat" else "TIMEOUT", None, elapsed)
 
 
-def import_dimacs(text: str) -> Cnf:
-    num_vars = None
-    expected = None
-    clauses: list[tuple[int, ...]] = []
-    cur: list[int] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+def read_icnf(text: str) -> tuple[list[str], list[tuple[str, tuple[int, ...]]]]:
+    """The comments and the calls of an iCNF log.
+
+    After the `p inccnf` header each line is a comment (`c ...`), a
+    clause or an `a` line of assumptions, each ending in 0.  The calls
+    are `("add", clause)` and `("solve", assumptions)`, in file order.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].split() != ["p", "inccnf"]:
+        raise ParseError("missing iCNF header 'p inccnf'", 1, 1)
+    comments: list[str] = []
+    calls: list[tuple[str, tuple[int, ...]]] = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        toks = raw.split()
+        if toks[:1] == ["c"]:
+            comments.append(raw[2:])
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad DIMACS header {line!r}", ln, 1)
-            try:
-                num_vars, expected = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad DIMACS header {line!r}", ln, 1) from None
-            continue
-        if num_vars is None:
-            raise ParseError("clause before DIMACS header", ln, 1)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"bad literal {tok!r}", ln, 1) from None
-            if lit == 0:
-                clauses.append(tuple(cur))
-                cur = []
-            else:
-                if abs(lit) > num_vars:
-                    raise ParseError(f"literal {lit} out of range", ln, 1)
-                cur.append(lit)
-    if num_vars is None:
-        raise ParseError("missing DIMACS header", 1, 1)
-    if cur:
-        clauses.append(tuple(cur))
-    if expected is not None and len(clauses) != expected:
-        raise ParseError(
-            f"header declares {expected} clauses, found {len(clauses)}", 1, 1)
-    return Cnf(num_vars, tuple(clauses))
+        op = "add"
+        if toks[:1] == ["a"]:
+            op, toks = "solve", toks[1:]
+        try:
+            lits = [int(t) for t in toks]
+        except ValueError:
+            raise ParseError(f"bad literal in {raw!r}", ln, 1) from None
+        if not lits or lits[-1] != 0 or 0 in lits[:-1]:
+            raise ParseError(f"line {raw!r} does not end in one 0", ln, 1)
+        calls.append((op, tuple(lits[:-1])))
+    return comments, calls
+
+
+def replay(calls) -> tuple[list[str], Solver]:
+    """Make `read_icnf`'s calls on a fresh solver, which is told no
+    variable count; returns each solve's result and the solver."""
+    s = Solver()
+    results = []
+    for op, lits in calls:
+        if op == "solve":
+            results.append(s.solve(lits))
+        else:
+            s.add_clause(list(lits))
+    return results, s

@@ -14,7 +14,7 @@ from conftest import (COUNTER_TEXT, FAIL_TRACES, UNUSED_WIRE_TEXT,
                       build_model, hard_block_module, pipeline_module,
                       props_for, random_dag_module, random_prop,
                       record_fails)
-from sat_helpers import import_dimacs, solve
+from sat_helpers import read_icnf, replay
 
 UNINIT_TEXT = """\
 .module holdx
@@ -293,29 +293,31 @@ def test_scope_outside_model_is_vacuous(counter):
 
 
 def test_dump_cnf_reimports_and_solves(tmp_path, counter):
+    # the log is the group's whole problem: replayed on a fresh solver,
+    # the FAIL frame's solve is SAT again and every earlier one UNSAT
     model, design, lib = counter
     props = props_for("prop p : m0.CNT != 4\n", design, lib)
-    stem = str(tmp_path / "dump")
-    run = bmc.check(model, props, k=6, dump_cnf=stem)
+    run = bmc.check(model, props, k=6, dump_icnf=str(tmp_path / "dump"))
     assert run.outcomes["p"].status == "FAIL"
-    path = tmp_path / "dump" / "p.cnf"
-    assert path.exists()
-    cnf = import_dimacs(path.read_text())
-    assert cnf.clauses and solve(cnf).status == "SAT"
+    assert [p.name for p in (tmp_path / "dump").iterdir()] == ["group0.icnf"]
+    comments, calls = read_icnf((tmp_path / "dump" / "group0.icnf").read_text())
+    assert comments == ["p"]
+    results, _ = replay(calls)
+    assert results[-1] == "sat" and set(results[:-1]) <= {"unsat"}
+    assert calls[-1][0] == "solve" and len(calls[-1][1]) == 1
     record_fails(model, props, run)
 
 
 def test_n_clauses_counts_the_encoding_not_learnts(tmp_path):
     # an UNSAT refutation that learns clauses: the reported size must be
-    # the emitted problem, as in the DIMACS header, not the solver's list
+    # the emitted problem, the log's clause lines, not the solver's list
     model, design, lib = build_model(hard_block_module(8, 3, gated=False))
     props = props_for("prop quiet : ~(m0.bad)\n", design, lib)
-    run = bmc.check(model, props, k=1, dump_cnf=str(tmp_path))
+    run = bmc.check(model, props, k=1, dump_icnf=str(tmp_path))
     assert run.outcomes["quiet"].status == "PASS"
     assert run.n_conflicts > 0
-    header = (tmp_path / "quiet.cnf").read_text().split("\n")[0].split()
-    assert header[:2] == ["p", "cnf"]
-    assert run.n_clauses == int(header[3])
+    _, calls = read_icnf((tmp_path / "group0.icnf").read_text())
+    assert run.n_clauses == sum(op == "add" for op, _ in calls)
 
 
 def test_trace_format_mentions_every_cycle(counter):
@@ -556,10 +558,10 @@ def test_a_box_set_frees_only_what_the_rest_reads():
 
 
 def _outcome_and_cnf(model, props, cons, k, out):
-    run = bmc.check(model, props, constraints=cons, k=k, dump_cnf=str(out))
+    run = bmc.check(model, props, constraints=cons, k=k, dump_icnf=str(out))
     outcomes = {name: (o.status, o.frame, o.bound, o.trace)
                 for name, o in run.outcomes.items()}
-    cnf = {p.name: p.read_text() for p in sorted(out.glob("*.cnf"))}
+    cnf = {p.name: p.read_text() for p in sorted(out.glob("*.icnf"))}
     return outcomes, run.n_vars, run.n_clauses, run.n_conflicts, cnf
 
 
@@ -731,16 +733,60 @@ def test_cones_that_meet_at_or_behind_a_loop_share_a_solver(other,
 
 
 def test_dumped_cnf_holds_only_the_group_clauses(tmp_path):
+    # each group's log equals the log of a check of its property alone
     model, props = _duo()
     quiet = props[:2]
-    run = bmc.check(model, quiet, k=2, dump_cnf=str(tmp_path / "joint"))
-    headers = []
-    for prop in quiet:
-        text = (tmp_path / "joint" / f"{prop.name}.cnf").read_text()
-        bmc.check(model, [prop], k=2, dump_cnf=str(tmp_path / prop.name))
-        assert text == (tmp_path / prop.name / f"{prop.name}.cnf").read_text()
-        headers.append(int(text.split("\n")[0].split()[3]))
-    assert run.n_clauses == sum(headers)
+    run = bmc.check(model, quiet, k=2, dump_icnf=str(tmp_path / "joint"))
+    added = []
+    for g, prop in enumerate(quiet):
+        text = (tmp_path / "joint" / f"group{g}.icnf").read_text()
+        bmc.check(model, [prop], k=2, dump_icnf=str(tmp_path / prop.name))
+        assert text == (tmp_path / prop.name / "group0.icnf").read_text()
+        comments, calls = read_icnf(text)
+        assert comments == [prop.name]
+        added.append(sum(op == "add" for op, _ in calls))
+    assert run.n_clauses == sum(added)
+
+
+def test_icnf_log_replays_every_solve(tmp_path, monkeypatch):
+    # each group's log, replayed on a fresh solver told no variable count,
+    # answers every solve as the check's own solver did, after the same
+    # number of conflicts: the log alone is the problem
+    built = _count_unrollers(monkeypatch)
+    results = {}
+    solve = bmc.Solver.solve
+
+    def spy(self, *args, **kw):
+        results.setdefault(self, []).append(solve(self, *args, **kw))
+        return results[self][-1]
+
+    monkeypatch.setattr(bmc.Solver, "solve", spy)
+    cases = []
+    for seed in range(40):
+        rng, _, _, model, props, cuts, pins = _constrained_case(seed)
+        cons = bmc.create_stopats(cuts)
+        cons += bmc.create_assumes(pins, cons)
+        cases.append((model, props, cons, rng.randint(1, 4)))
+    model, props = _duo()
+    cases.append((model, props, (), 4))
+    for i, (model, props, cons, k) in enumerate(cases):
+        built.clear()
+        results.clear()
+        out = tmp_path / str(i)
+        run = bmc.check(model, props, constraints=cons, k=k,
+                        dump_icnf=str(out))
+        # groups are numbered by their smallest property index, and their
+        # unrollers are built in that order
+        logs = sorted(out.iterdir(), key=lambda p: int(p.stem[5:]))
+        assert len(logs) == len(built), i
+        conflicts = 0
+        for log, enc in zip(logs, built):
+            got, solver = replay(read_icnf(log.read_text())[1])
+            assert got == results.get(enc.solver, []), (i, log.name)
+            assert solver.n_conflicts == enc.solver.n_conflicts, (i, log.name)
+            conflicts += solver.n_conflicts
+        assert conflicts == run.n_conflicts, i
+    assert run.n_conflicts > 0  # the hard block's refutation learns
 
 
 def test_vacuous_check_encodes_nothing(counter, monkeypatch):

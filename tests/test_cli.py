@@ -105,6 +105,21 @@ def test_misspelled_bus_ref_exits_3(mini_files, tmp_path, capsys, old, new):
     assert new.split()[-1].split("=")[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sim", "run"])
+def test_missing_module_exits_3(mini_files, tmp_path, capsys, command):
+    # no beta.net: the design's b0 names a module the library lacks, an
+    # input error, not a FAIL verdict (exit 1)
+    for name in ("alpha.net", "mini.dsn", "mini.map"):
+        (tmp_path / name).write_text((mini_files / name).read_text())
+    args = [command, "--design", str(tmp_path / "mini.dsn"),
+            "--esw", str(mini_files / "boot.esw")]
+    if command == "run":
+        args += ["--props", str(mini_files / "user.prop")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "instance b0 references unknown module beta" in err
+
+
 def test_design_with_bus_map_exits_3(mini_files, tmp_path, capsys):
     # the .map file is the one register map
     for f in mini_files.glob("*.net"):
@@ -183,6 +198,22 @@ def test_bmc_stopat_on_unused_wire_exits_3(tmp_path, capsys):
                  "--stopat", "t0.w"])
     assert code == 3
     assert "stopat t0.w names net t0.w" in capsys.readouterr().err
+
+
+def test_bmc_dump_icnf_writes_one_log_per_group(tmp_path, capsys):
+    from conftest import COUNTER_TEXT
+    ip = tmp_path / "c.net"
+    ip.write_text(COUNTER_TEXT)
+    props = tmp_path / "p.prop"
+    props.write_text("prop p : counter0.CNT != 3\n")
+    args = ["bmc", "--ip", str(ip), "--props", str(props), "--bound", "5"]
+    assert main(args) == 1
+    plain = capsys.readouterr().out
+    assert main(args + ["--dump-icnf", str(tmp_path / "icnf")]) == 1
+    assert capsys.readouterr().out == plain
+    assert [p.name for p in (tmp_path / "icnf").iterdir()] == ["group0.icnf"]
+    text = (tmp_path / "icnf" / "group0.icnf").read_text()
+    assert text.startswith("p inccnf\nc p\n1 0\n")
 
 
 def test_bmc_xprop_generation(tmp_path, capsys):

@@ -205,6 +205,50 @@ def test_timed_out_ip_keeps_the_run_incomplete(hard_ungated, phases):
     assert row.properties == {"quiet": "UNDETERMINED"}
 
 
+@pytest.mark.parametrize("blackbox", [True, False])
+def test_xprop_past_the_bound_iterates_until_registers_run_out(mini_parsed,
+                                                                blackbox):
+    # an xprop that settles after the bound is UNDETERMINED with no clock
+    # read, so every pinned check leaves it open until a0's one mapped
+    # register is used up
+    design, lib, regmap, script, _ = mini_parsed
+    props = props_for("xprop late : known(a0.CFG) after 3\n"
+                      "prop beta_quiet : ~(b0.bad2)\n", design, lib)
+    report = run_flow(design, lib, regmap, script, props,
+                      _fast(bound=2, blackbox_failing_ips=blackbox))
+    lines = report.to_text().splitlines()
+    alpha = next(ln for ln in lines if ln.startswith("alpha "))
+    if blackbox:
+        assert report.status == STATUS_SEMIFORMAL_COMPLETE
+        assert alpha.endswith("Blackboxed      0.00s (1 iter) "
+                              "0/1 resolved, 1 vacuous")
+        assert "coverage: 1/2 resolved (0.50), 1 vacuous by abstraction, " \
+            "0 undetermined" in lines
+    else:
+        assert report.status == STATUS_SEMIFORMAL_FAIL
+        assert alpha.endswith("SemiformalFail  0.00s (1 iter) "
+                              "0/1 resolved, 1 open")
+        assert "coverage: 1/2 resolved (0.50), 0 vacuous by abstraction, " \
+            "1 undetermined" in lines
+
+
+@pytest.mark.parametrize("fixture, dirs", [("hard_gated", ["000", "001"]),
+                                           ("hard_ungated", ["000"])])
+def test_dump_icnf_gives_each_check_a_directory(fixture, dirs, request,
+                                                tmp_path):
+    # phase 2's check times out and still writes its log; the pinned
+    # check writes to a directory of its own, unless it reuses the first
+    _, design, lib, regmap, script, props = request.getfixturevalue(fixture)
+    report = run_flow(design, lib, regmap, script, props,
+                      _fast(dump_icnf=str(tmp_path)))
+    assert report.rows[0].iterations == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == dirs
+    for d in dirs:
+        assert [p.name for p in (tmp_path / d).iterdir()] == ["group0.icnf"]
+        head = (tmp_path / d / "group0.icnf").read_text().split("\n")[:2]
+        assert head == ["p inccnf", "c quiet"]
+
+
 def _rows(report) -> list:
     return [(r.name, r.engine, r.result, r.elapsed, r.iterations,
              r.properties) for r in report.rows]

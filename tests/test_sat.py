@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiform.errors import SemiformError
-from semiform.sat import Cnf, Solver, export_dimacs
+from semiform.sat import Solver
 
 import oracles
-from sat_helpers import import_dimacs, solve
+from sat_helpers import read_icnf, replay, solve
 
 
 def _random_clauses(rng, num_vars, n_clauses, max_len=4):
@@ -161,26 +161,29 @@ def test_deadline_timeout():
     for _ in range(int(nv * 4.26)):
         vs = rng.sample(range(1, nv + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-    out = solve(Cnf(nv, tuple(clauses)), budget=0.0)
+    out = solve(clauses, budget=0.0)
     assert out.status == "TIMEOUT"
     assert out.model is None
 
 
 def test_solve_wrapper_and_outcome():
-    out = solve(Cnf(2, ((1,), (-1, 2))))
+    out = solve([(1,), (-1, 2)])
     assert out.status == "SAT" and out.model == {1: True, 2: True}
-    out = solve(Cnf(2, ((1,), (-1, 2))), assumptions=(-2,))
+    out = solve([(1,), (-1, 2)], assumptions=(-2,))
     assert out.status == "UNSAT"
-    with pytest.raises(ValueError):
-        Cnf(1, ((2,),))
 
 
-def test_dimacs_round_trip():
-    cnf = Cnf(3, ((1, -2), (2, 3), (-1, -3)))
-    text = export_dimacs(cnf)
-    assert text.startswith("p cnf 3 3")
-    again = import_dimacs(text)
-    assert again == cnf
+def test_icnf_reads_and_replays_calls_in_order():
+    text = "p inccnf\nc a b\n1 -2 0\na 2 0\na -1 2 0\n-1 0\na 0\n"
+    comments, calls = read_icnf(text)
+    assert comments == ["a b"]
+    assert calls == [("add", (1, -2)), ("solve", (2,)), ("solve", (-1, 2)),
+                     ("add", (-1,)), ("solve", ())]
+    results, s = replay(calls)
+    assert results == ["sat", "unsat", "sat"] and s.num_vars == 2
+    for bad in ("p cnf 2 1\n1 0\n", "p inccnf\n1 2\n", "p inccnf\na x 0\n"):
+        with pytest.raises(SemiformError):
+            read_icnf(bad)
 
 
 @settings(max_examples=60, deadline=None)
