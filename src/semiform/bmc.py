@@ -291,9 +291,9 @@ class Unroller:
     `partner` maps the known rail of each free pair, the freed and the
     cut nets, to its value rail.
 
-    With `log`, `log` holds the solver's calls as iCNF lines in call
-    order: each clause added, and an `a <lits> 0` line for each solve
-    (`_attempt`), so the lines alone are the group's whole problem.
+    Built with `log=True`, `log` holds the solver's calls as iCNF lines
+    in call order: each clause added, and an `a <lits> 0` line for each
+    solve (`_attempt`), so the lines alone are the group's whole problem.
 
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
     just integer comparison.  `memo[f * n + id]` holds the literal of
