@@ -11,18 +11,16 @@ from .frontend import (divide_props, gen_xprop, parse_design, parse_esw,
                        serialize_props)
 from .sim import Simulator, collect_sim_values, run_until_poi, set_pois
 from .sra import combine_regs, cor, do_sra
-from .bmc import (Assume, Blackbox, Stopat, check, create_assumes,
-                  create_stopats, format_trace, replay_counterexample)
+from .bmc import check, format_trace, replay_counterexample
 from .flow import Flow, FlowConfig, VerifReport, exit_code, run_flow
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assume", "Blackbox", "Design", "ExhaustedRegisters", "FlatModel",
-    "Flow", "FlowConfig", "IpNetlist", "ParseError", "SemiformError",
-    "Simulator", "Stopat", "UnknownRegister", "VerifReport",
-    "check", "collect_sim_values", "combine_regs", "connection_scores",
-    "cor", "create_assumes", "create_stopats", "divide_props", "do_sra",
+    "Design", "ExhaustedRegisters", "FlatModel", "Flow", "FlowConfig",
+    "IpNetlist", "ParseError", "SemiformError", "Simulator",
+    "UnknownRegister", "VerifReport", "check", "collect_sim_values",
+    "combine_regs", "connection_scores", "cor", "divide_props", "do_sra",
     "elaborate", "exit_code", "fanout_cone", "format_trace", "gen_xprop",
     "list_unique_ips", "parse_design", "parse_esw", "parse_netlist",
     "parse_props", "parse_regmap", "rank_ips_by_connection",

@@ -20,19 +20,22 @@ encoding marks this once per model: `marked` is `kind` with the known
 rail of every net no such flop reaches written ONE, and its helper
 gates are never read.  A blackbox is a set of cuts: a box set's base
 kinds are `marked` with the known rails its freed nets reach given back
-(`_box`).  A check's constraints go into its own copy of those: a freed
-net, or a net a stopat cuts, becomes a free (value, known) pair whose
-driver is ignored, and an assumed bit a constant.  A cut no assume pins
-is a new unknown, so the nets it reaches get their known-rail logic
-back first (`_unmark`).
+(`_box`).  A check's cuts, pins and boxes are plain data: `cuts` maps
+each cut signal to the value it is pinned to, or to None when it is
+only cut, and `boxes` names the boxed instances.  They go into the
+check's own copy of its box set's base kinds: a freed net, or a net a
+cut signal drives, becomes a free (value, known) pair whose driver is
+ignored, and a pinned bit a constant.  A cut with no pin is a new
+unknown, so the nets it reaches get their known-rail logic back first
+(`_unmark`).
 
 Before any frame is translated, one walk over a check's cones
-(`_walk_cones`) folds what its constraints decide in every frame, on
+(`_walk_cones`) folds what its pins decide in every frame, on
 top of the known rails marked ONE: a node over constants, an AND/OR
 that meets its controlling constant or a DFF whose init equals its
 constant D becomes a ONE or ZERO of the check's `kind`, and logic that
 only such a node reads is never met.
-Pinning a register with an assume thus collapses everything behind its
+Pinning a register thus collapses everything behind its
 decode logic once per check, before the solver ever sees it, which is
 what makes the constrain-and-reprove iterations cheap.  Encoding is
 then lazy: a node/frame pair is translated to CNF only when some
@@ -78,53 +81,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import MissingStopat, SemiformError, UnknownInstance
+from .errors import SemiformError, UnknownInstance
 from .frontend import PropertyAst
 from .netlist import FlatModel
 from .sat import Solver
 from . import sim as simlib
-
-
-# ---------------------------------------------------------------------------
-# constraints
-
-
-@dataclass(frozen=True)
-class Stopat:
-    """Cut a signal: its driver is disconnected, the bits turn free."""
-
-    signal: str
-
-
-@dataclass(frozen=True)
-class Assume:
-    """Pin a (cut) register to a constant value in every frame."""
-
-    register: str
-    value: int
-
-
-@dataclass(frozen=True)
-class Blackbox:
-    """Drop an instance's logic; its outputs turn into free unknowns."""
-
-    instance: str
-
-
-def create_stopats(registers) -> tuple[Stopat, ...]:
-    return tuple(Stopat(r) for r in registers)
-
-
-def create_assumes(values: dict[str, int],
-                   stopats: tuple[Stopat, ...]) -> tuple[Assume, ...]:
-    """Assumes for captured register values; each needs a matching cut."""
-    cut = {s.signal for s in stopats}
-    out = []
-    for reg in sorted(values):
-        if reg not in cut:
-            raise MissingStopat(f"assume on {reg} without a stopat")
-        out.append(Assume(reg, values[reg]))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +246,7 @@ class Unroller:
     One Unroller, with its own solver, serves each group of a check's
     properties whose cones share no node with another group's (see
     `_walk_cones`).  The graph is `model.dual`, read through `kind`: the
-    check's copy of its box set's base kinds with its constraints and
+    check's copy of its box set's base kinds with its cuts, pins and
     folds in (see `_constrain` and `_walk_cones`), which its groups
     share.
     `partner` maps the known rail of each free pair, the freed and the
@@ -530,7 +491,7 @@ def _box(model: FlatModel, boxes: frozenset[str]):
     `_constrain`), so no cone meets the set's logic.  The base kinds are
     `marked` with the known rails the freed nets reach given back.  A
     net only the set's gates drive or read, and no model input or
-    output, is hidden: a stopat may not name it.
+    output, is hidden: a cut may not name it.
     """
     got = model.dual.boxed.get(boxes)
     if got is None:
@@ -552,33 +513,33 @@ def _box(model: FlatModel, boxes: frozenset[str]):
     return got
 
 
-def _constrain(model: FlatModel, cut, assumes, boxes=frozenset()
-               ) -> tuple[list[int], dict[int, int]]:
+def _constrain(model: FlatModel, cut, pins: dict[str, int],
+               boxes=frozenset()) -> tuple[list[int], dict[int, int]]:
     """This check's copy of its box set's base kinds (see `_box`) with
-    its constraints in.
+    its cut nets `cut`, its `{register: value}` pins and its boxes in.
 
-    A cut that no assume pins is a new unknown: each net it reaches, up
-    to the next freed or cut net, gets its known-rail node's kind back
-    from `model.dual.kind`.  Then each freed net and each net in `cut`
-    becomes a free pair (both of its nodes PAIR, its driver unread), and
-    each assumed bit a constant with a ONE known rail.  Also returns
-    `partner`, which maps the known rail of each free pair to its value
-    rail.
+    A cut net that no pin fixes is a new unknown: each net it reaches,
+    up to the next freed or cut net, gets its known-rail node's kind
+    back from `model.dual.kind`.  Then each freed net and each net in
+    `cut` becomes a free pair (both of its nodes PAIR, its driver
+    unread), and each pinned bit a constant with a ONE known rail.  Also
+    returns `partner`, which maps the known rail of each free pair to
+    its value rail.
     """
     dual = model.dual
     index, known = model.index, dual.known
     base, freed, _ = _box(model, boxes)
     kind = base.copy()
     pairs = set(freed).union(index[net] for net in cut)
-    pins = {}  # value-rail id -> pinned bit; each is cut, so checked already
-    for asm in assumes:
-        for i, bit in enumerate(model.registers[asm.register].bits):
-            pins[index[model.resolve(bit)]] = (asm.value >> i) & 1
+    bits = {}  # value-rail id -> pinned bit; each is cut, so checked already
+    for reg, value in pins.items():
+        for i, bit in enumerate(model.registers[reg].bits):
+            bits[index[model.resolve(bit)]] = (value >> i) & 1
     _unmark(dual, kind, [v for v in (index[net] for net in cut)
-                         if v not in pins], pairs)
+                         if v not in bits], pairs)
     for v in pairs:
         kind[v] = kind[known[v]] = PAIR
-    for v, bit in pins.items():
+    for v, bit in bits.items():
         kind[v] = ONE if bit else ZERO
         kind[known[v]] = ONE
     return kind, {known[v]: v for v in pairs}
@@ -882,20 +843,24 @@ class BmcRun:
 # the check itself
 
 
-def check(model: FlatModel, props, constraints=(), k: int = 20,
+def check(model: FlatModel, props,
+          cuts: dict[str, int | None] | None = None, boxes=(), k: int = 20,
           budget: float | None = None, dump_icnf: str | None = None,
           reuse: dict | None = None) -> BmcRun:
-    """Bounded check of `props` on `model` under `constraints`.
+    """Bounded check of `props` on `model` under its cuts, pins and boxes.
 
-    The dual-rail graph and each box set's base kinds come from caches
-    kept with `model`; boxes, stopats, assumes and the folds they decide
-    are written into this check's copy of the node kinds only, so the
-    model is left as it was found.  A check with no property left to
-    solve returns before the graph is encoded, unless it has a stopat to
-    validate against a box, and one that also has no stopat and no
-    assume to validate, such as a check whose every property blackboxing
-    makes vacuous, returns before any constraint is read.  A box that
-    names no instance still raises `UnknownInstance`.
+    `cuts` maps each cut signal, a register or a wire, to the value it is
+    pinned to, or to None when it is only cut; only a register can be
+    pinned.  `boxes` names the blackboxed instances.  The dual-rail
+    graph and each box set's base kinds come from caches kept with
+    `model`; cuts, pins, boxes and the folds they decide are written
+    into this check's copy of the node kinds only, so the model is left
+    as it was found.  A check with no property left to solve returns
+    before the graph is encoded, unless it has a cut to validate against
+    a box, and one that also has no cut to validate, such as a check
+    whose every property blackboxing makes vacuous, returns before any
+    box is read.  A box that names no instance still raises
+    `UnknownInstance`.
 
     The pending properties are split into groups whose cones share no
     node (see `_walk_cones`), and each group gets its own `Unroller` and
@@ -932,10 +897,8 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     if k < 0 or (budget is not None and budget < 0):
         raise ValueError(f"bound and budget must be >= 0, got {k}, {budget}")
     start = time.perf_counter()
-    stopats = tuple(c for c in constraints if isinstance(c, Stopat))
-    assumes = tuple(c for c in constraints if isinstance(c, Assume))
-    boxes = frozenset(c.instance for c in constraints
-                      if isinstance(c, Blackbox))
+    cuts = cuts or {}
+    boxes = frozenset(boxes)
 
     run = BmcRun(k=k)
     pending: list[PropertyAst] = []
@@ -955,34 +918,31 @@ def check(model: FlatModel, props, constraints=(), k: int = 20,
     if not boxes <= set(model.instances):
         unknown = min(boxes.difference(model.instances))
         raise UnknownInstance(f"model {model.name} has no instance {unknown}")
-    if not (pending or stopats or assumes):
+    if not (pending or cuts):
         return run
-    if model.dual is None and (pending or (boxes and stopats)):
+    if model.dual is None and (pending or (boxes and cuts)):
         model.dual = xprop_encode(model)
-    hidden = _box(model, boxes)[2] if boxes and stopats else ()
-    cut = {}  # net -> the stopat that cuts it
-    for st in stopats:
-        reg = model.registers.get(st.signal)
-        for bit in reg.bits if reg else model.signal_bits(st.signal):
-            cut[model.resolve(bit)] = st.signal
-    for a in assumes:
-        if a.register not in cut.values():
-            raise MissingStopat(f"assume on {a.register} without a stopat")
+    hidden = _box(model, boxes)[2] if boxes and cuts else ()
+    cut = {}  # net -> the signal that cuts it
+    for signal in cuts:
+        reg = model.registers.get(signal)
+        for bit in reg.bits if reg else model.signal_bits(signal):
+            cut[model.resolve(bit)] = signal
     for net, signal in cut.items():
         if net not in model.index or net in hidden:
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
-    for a in assumes:
-        reg = model.registers.get(a.register)
-        if reg is None:  # a boxed register's stopat raised above
-            raise SemiformError(f"assume on unknown register {a.register}")
-        if a.value >> len(reg.bits):
-            raise SemiformError(
-                f"assume value {a.value:#x} overflows {a.register}")
+    pins = {r: v for r, v in cuts.items() if v is not None}
+    for r, value in pins.items():
+        reg = model.registers.get(r)
+        if reg is None:
+            raise SemiformError(f"assume on unknown register {r}")
+        if value >> len(reg.bits):
+            raise SemiformError(f"assume value {value:#x} overflows {r}")
     if not pending:
         return run
     nets = [simlib.check_prop_nets(model, p) for p in pending]
-    kind, partner = _constrain(model, cut, assumes, boxes)
+    kind, partner = _constrain(model, cut, pins, boxes)
     key = (model, boxes, k, budget, tuple(props))
     if reuse is not None:
         for kinds_at, before, stored in reuse.get(key, ()):

@@ -7,6 +7,13 @@ Subcommands:
   bmc        standalone bounded check of a single IP
   sim        execute a register script against the design
   gen-xprop  emit one known-value obligation per register
+
+Exit codes:
+  0  success: bmc PASS, a complete flow, or a command that gives no verdict
+  1  bmc FAIL
+  2  bmc INCOMPLETE, or a flow that is not complete or fails semiformally
+  3  input error: a bad command line or an input that cannot be read or used
+  4  internal error: any other exception, with its traceback on stderr
 """
 
 from __future__ import annotations
@@ -14,16 +21,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import bmc as bmc_mod
 from . import flow, sim, sra
-from .errors import SemiformError, UnknownModule
+from .errors import MissingStopat, SemiformError
 from .frontend import (RegisterMap, gen_xprop, parse_design, parse_esw,
                        parse_netlist, parse_props, parse_regmap,
                        serialize_props)
 from .netlist import Design, IpNetlist, elaborate
 
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 DUMP_ICNF_HELP = ("write each solver's calls, its clauses and one 'a' line "
                   "of assumptions per solve, as iCNF to DIR/")
 
@@ -59,11 +68,6 @@ def _design(args) -> tuple[Design, dict[str, IpNetlist]]:
         os.path.abspath(args.design))
     library = _load_library(netlist_dir)
     design = parse_design(_read(args.design), path=args.design)
-    for inst, module in design.instances:
-        if module not in library:
-            raise UnknownModule(f"instance {inst} references unknown module "
-                                f"{module}: no .net file in {netlist_dir} "
-                                "declares it")
     return design, library
 
 
@@ -178,16 +182,15 @@ def _cmd_bmc(args) -> int:
     if not props:
         raise SemiformError("nothing to check: give --props and/or --xprop")
     model = elaborate(design, library)
-    constraints = list(bmc_mod.create_stopats(args.stopat))
-    assumes = {}
+    cuts = dict.fromkeys(args.stopat)
     for item in args.assume:
         reg, _, val = item.partition("=")
         if not val:
             raise SemiformError(f"bad --assume {item!r}, want REG=VALUE")
-        assumes[reg] = int(val, 0)
-    constraints += bmc_mod.create_assumes(assumes, constraints)
-    constraints += [bmc_mod.Blackbox(i) for i in args.blackbox]
-    run = bmc_mod.check(model, props, constraints=constraints, k=args.bound,
+        if reg not in cuts:
+            raise MissingStopat(f"assume on {reg} without a stopat")
+        cuts[reg] = int(val, 0)
+    run = bmc_mod.check(model, props, cuts, args.blackbox, k=args.bound,
                         budget=args.budget, dump_icnf=args.dump_icnf)
     for name in sorted(run.outcomes):
         o = run.outcomes[name]
@@ -306,6 +309,10 @@ def main(argv=None) -> int:
     except (SemiformError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.write("internal error\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ class UnresolvableScope(SemiformError):
 
 
 class MissingStopat(SemiformError):
-    """An assume constraint has no matching stopat on the same register."""
+    """A command-line assume names a register no stopat cuts."""
 
 
 class ExhaustedRegisters(SemiformError):

@@ -16,8 +16,10 @@ One method, `Flow._refine`, is that loop at both scales.  An IP ranks
 its own mapped registers, and all marked IPs share one simulation
 session.  A subsystem ranks the registers of its instances that are
 not blackboxed, opens a session of its own, keeps its blackboxed
-instances cut, and starts from the registers earlier refinements
-pinned (`FlowState.carryover`).
+instances boxed, and starts from the registers earlier refinements
+pinned (`FlowState.carryover`).  A check's cuts, pins and boxes are
+plain data: a map from each cut register to its pinned value, or None
+for a cut the session left unknown, and a set of boxed instance names.
 
 Every model the flow checks or simulates comes from `Flow._model(keep)`,
 which flattens the design once per distinct set of kept instances: one
@@ -259,10 +261,10 @@ class Flow:
                 out.append((inst, group))
         return out
 
-    def _blackboxes(self, k: int) -> list[bmc.Blackbox]:
-        """Constraints for the blackboxed IPs inside subsystem `k`."""
-        return [bmc.Blackbox(i) for i in sorted(
-            self.state.blackboxed & set(self.state.ranked_ips[:k + 1]))]
+    def _blackboxes(self, k: int) -> frozenset[str]:
+        """The blackboxed IPs inside subsystem `k`."""
+        return frozenset(self.state.blackboxed.intersection(
+            self.state.ranked_ips[:k + 1]))
 
     def _model(self, keep) -> FlatModel:
         """The design flattened to the instances in `keep`, built once."""
@@ -288,43 +290,45 @@ class Flow:
     def _group(self, key: str):
         return self.groups.get(key, [])
 
-    def _check(self, arch: Row, model: FlatModel, group, constraints,
-               budget: float) -> bmc.BmcRun:
-        """Check `group` and charge `arch`; with `dump_icnf`, each check
-        writes its solvers' logs to a directory of its own, numbered by
-        check sequence (`000`, `001`, ...), so none is overwritten."""
+    def _check(self, arch: Row, model: FlatModel, group, budget: float,
+               cuts=None, boxes=()) -> bmc.BmcRun:
+        """Check `group` under its cuts, pins and boxes (see `bmc.check`)
+        and charge `arch`; with `dump_icnf`, each check writes its
+        solvers' logs to a directory of its own, numbered by check
+        sequence (`000`, `001`, ...), so none is overwritten."""
         dump = self.config.dump_icnf
         if dump is not None:
             dump = os.path.join(dump, f"{self._checks:03d}")
         self._checks += 1
-        run = bmc.check(model, group, constraints=constraints,
-                        k=self.config.bound, budget=budget,
-                        dump_icnf=dump, reuse=self._reuse)
+        run = bmc.check(model, group, cuts, boxes, k=self.config.bound,
+                        budget=budget, dump_icnf=dump, reuse=self._reuse)
         arch.elapsed += _charge(run, budget)
         arch.note(run)
         return run
 
     def _refine(self, session: sim.Simulator, arch: Row, model: FlatModel,
                 group, candidates: list[str], budget: float,
-                blackboxes=(), carry=()) -> bool:
-        """Pin, capture and prove again until `group` resolves.
+                boxes=(), carry=()) -> bool:
+        """Cut, pin and prove again until `group` resolves.
 
         The `candidates` are ranked by SRA on `model`.  Each iteration
         runs `session` to the next PoI, captures the ranked registers,
-        pins one more of them (cut plus assume of the captured value)
-        and checks `group` again.  Returns True once a check finishes,
-        and False when no candidate is left.  The checks made are added
-        to `arch.iterations`, so a module counts those of all its
-        instances.  The pins of a check that finishes join
+        cuts one more of them and checks `group` again with its cuts,
+        pins and boxes: `cuts` maps each register cut so far to its
+        captured value, or to None when the session left it unknown,
+        and `boxes` names the blackboxed instances.  Returns True once a
+        check finishes, and False when no candidate is left.  The checks
+        made are added to `arch.iterations`, so a module counts those of
+        all its instances.  The pins of a check that finishes join
         `state.carryover`.
 
         The two scales differ only in what the caller passes.  An IP
-        ranks its own mapped registers.  A subsystem ranks those of its
-        non-blackboxed instances, puts `blackboxes` first among the
-        constraints, and passes the carryover as `carry`: its first
-        iteration pins the ranked registers in `carry` and adds a pick
-        only when the top-ranked one is not among them.  With nothing
-        carried both scales pick alike.  The caller sets `arch.result`.
+        ranks its own mapped registers and has no box.  A subsystem
+        ranks those of its non-blackboxed instances, boxes the others,
+        and passes the carryover as `carry`: its first iteration pins
+        the ranked registers in `carry` and adds a pick only when the
+        top-ranked one is not among them.  With nothing carried both
+        scales pick alike.  The caller sets `arch.result`.
         """
         if not candidates:
             return False
@@ -343,10 +347,8 @@ class Flow:
                     return False
             carried = False
             arch.iterations += 1
-            cons = bmc.create_stopats(pinned)
-            vals = {r: cap[r] for r in pinned if r in cap}
-            cons = [*blackboxes, *cons, *bmc.create_assumes(vals, cons)]
-            run = self._check(arch, model, group, cons, budget)
+            cuts = {r: cap.get(r) for r in pinned}
+            run = self._check(arch, model, group, budget, cuts, boxes)
             if run.status != "INCOMPLETE":
                 self.state.carryover += [r for r in pinned
                                          if r not in self.state.carryover]
@@ -377,7 +379,7 @@ class Flow:
             arch = self._arch[module]
             complete = True
             for inst, group in self._scoped(module):
-                run = self._check(arch, self._model([inst]), group, (),
+                run = self._check(arch, self._model([inst]), group,
                                   self.config.ip_time_limit)
                 if run.status == "INCOMPLETE":
                     complete = False
@@ -425,8 +427,8 @@ class Flow:
             group = self._group(arch.name)
             if group:
                 run = self._check(arch, self._model(ranked[:k + 1]), group,
-                                  self._blackboxes(k),
-                                  self.config.subsystem_time_limit)
+                                  self.config.subsystem_time_limit,
+                                  boxes=self._blackboxes(k))
                 if run.status == "INCOMPLETE":
                     arch.result = RESULT_TIMEOUT
                     return k

@@ -32,6 +32,7 @@ from .netlist import (
     Port,
     RegisterDecl,
     bit_nets,
+    instance_ips,
     list_unique_ips,
     rank_ips_by_connection,
 )
@@ -365,6 +366,7 @@ def parse_regmap(text: str, path: str | None = None,
     given `library` too, the instance's module has the register."""
     entries: dict[int, str] = {}
     insts = dict(design.instances) if design is not None else {}
+    ips = instance_ips(design, library) if library is not None else {}
     for ln, toks in _lines(text):
         if len(toks) != 2:
             raise ParseError("regmap line is HEXADDR INST.REG", ln, 1, path)
@@ -384,7 +386,7 @@ def parse_regmap(text: str, path: str | None = None,
                 raise ParseError(f"address 0x{addr:x} is outside every .bus range",
                                  ln, 1, path)
             if library is not None and all(
-                    r.name != reg for r in library[insts[inst]].registers):
+                    r.name != reg for r in ips[inst].registers):
                 raise UnknownSignal(f"module {insts[inst]} has no register {reg}",
                                     ln, 1, path)
         entries[addr] = target
@@ -580,19 +582,17 @@ def expr_scope(expr: tuple) -> frozenset[str]:
 
 
 def _signal_width(ref: str, idx, design: Design,
-                  library: dict[str, IpNetlist], ln, path) -> int:
+                  ips: dict[str, IpNetlist], ln, path) -> int:
     if "." in ref:
         inst, sig = ref.split(".", 1)
-        try:
-            mod = design.module_of(inst)
-        except Exception:
-            raise UnknownSignal(f"unknown instance {inst}", ln, 1, path) from None
-        ip = library[mod]
-        if sig not in ip.signal_widths:
-            raise UnknownSignal(f"module {mod} has no signal {sig}", ln, 1, path)
-        w = ip.signal_widths[sig]
+        if inst not in ips:
+            raise UnknownSignal(f"unknown instance {inst}", ln, 1, path)
+        if sig not in ips[inst].signal_widths:
+            raise UnknownSignal(f"module {design.module_of(inst)} has no "
+                                f"signal {sig}", ln, 1, path)
+        w = ips[inst].signal_widths[sig]
     else:
-        widths = {library[design.module_of(inst)].port(port).width
+        widths = {ips[inst].port(port).width
                   for tp, inst, port in design.tops if tp == ref}
         if not widths:
             raise UnknownSignal(f"unknown top-level port {ref}", ln, 1, path)
@@ -604,8 +604,9 @@ def _signal_width(ref: str, idx, design: Design,
     return w
 
 
-def _check_expr(expr: tuple, design, library, ln, path, boolean=True) -> int:
-    """Validate signal references and widths; returns the expression width."""
+def _check_expr(expr: tuple, design, ips, ln, path, boolean=True) -> int:
+    """Validate signal references and widths against `design` and its
+    `instance_ips`; returns the expression width."""
     kind = expr[0]
     if kind == "int":
         v = expr[1]
@@ -615,24 +616,24 @@ def _check_expr(expr: tuple, design, library, ln, path, boolean=True) -> int:
     if kind == "sig":
         w = 1
         if design is not None:
-            w = _signal_width(expr[1], expr[2], design, library, ln, path)
+            w = _signal_width(expr[1], expr[2], design, ips, ln, path)
         if boolean and design is not None and w != 1:
             raise WidthMismatch(
                 f"{path or '<prop>'}:{ln}: {expr[1]} is {w} bits wide; compare it with == or !=")
         return w
     if kind == "not":
-        _check_expr(expr[1], design, library, ln, path, boolean=True)
+        _check_expr(expr[1], design, ips, ln, path, boolean=True)
         return 1
     if kind in ("and", "or", "imp"):
-        _check_expr(expr[1], design, library, ln, path, boolean=True)
-        _check_expr(expr[2], design, library, ln, path, boolean=True)
+        _check_expr(expr[1], design, ips, ln, path, boolean=True)
+        _check_expr(expr[2], design, ips, ln, path, boolean=True)
         return 1
     if kind in ("eq", "ne"):
         a, b = expr[1], expr[2]
         if a[0] == "int" and b[0] == "int":
             raise ParseError("comparison of two literals", ln, 1, path)
-        wa = _check_expr(a, design, library, ln, path, boolean=False)
-        wb = _check_expr(b, design, library, ln, path, boolean=False)
+        wa = _check_expr(a, design, ips, ln, path, boolean=False)
+        wb = _check_expr(b, design, ips, ln, path, boolean=False)
         if design is not None:
             if a[0] == "sig" and b[0] == "sig" and wa != wb:
                 raise WidthMismatch(
@@ -650,6 +651,7 @@ def parse_props(text: str, path: str | None = None,
                 library: dict[str, IpNetlist] | None = None) -> list[PropertyAst]:
     props: list[PropertyAst] = []
     names: set[str] = set()
+    ips = instance_ips(design, library) if design is not None else None
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -666,16 +668,15 @@ def parse_props(text: str, path: str | None = None,
         names.add(name)
         if x:  # a generated obligation, as `serialize_props` writes it
             inst, reg = x.group(2), x.group(3)
-            mod = dict(design.instances).get(inst) if design else None
-            if design and (mod is None or reg not in
-                           {r.name for r in library[mod].registers}):
+            if design and (inst not in ips or reg not in
+                           {r.name for r in ips[inst].registers}):
                 raise UnknownSignal(f"no register {inst}.{reg}", ln, 1, path)
             props.append(PropertyAst(name, "xprop", None, frozenset({inst}),
                                      f"{inst}.{reg}", int(x.group(4))))
             continue
         toks = _tokenize_expr(m.group(2), ln, path)
         expr = _ExprParser(toks, ln, path).parse()
-        _check_expr(expr, design, library, ln, path, boolean=True)
+        _check_expr(expr, design, ips, ln, path, boolean=True)
         props.append(PropertyAst(name=name, kind="user", expr=expr,
                                  scope=expr_scope(expr)))
     return props
@@ -709,8 +710,8 @@ def gen_xprop(design: Design, library: dict[str, IpNetlist],
     if settle < 0:
         raise ValueError(f"settle must be >= 0, got {settle}")
     props = []
-    for inst, mod in design.instances:
-        for r in library[mod].registers:
+    for inst, ip in instance_ips(design, library).items():
+        for r in ip.registers:
             props.append(PropertyAst(
                 name=f"xprop_{inst}_{r.name}", kind="xprop", expr=None,
                 scope=frozenset({inst}), register=f"{inst}.{r.name}",

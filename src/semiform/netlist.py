@@ -172,6 +172,20 @@ def list_unique_ips(design: Design) -> list[str]:
     return sorted({m for _, m in design.instances})
 
 
+def instance_ips(design: Design,
+                 library: dict[str, IpNetlist]) -> dict[str, IpNetlist]:
+    """Each instance of `design`, in declaration order, mapped to its
+    module's netlist; an instance whose module `library` lacks raises
+    `UnknownModule`."""
+    out = {}
+    for inst, mod in design.instances:
+        if mod not in library:
+            raise UnknownModule(
+                f"instance {inst} references unknown module {mod}")
+        out[inst] = library[mod]
+    return out
+
+
 def connection_scores(design: Design,
                       library: dict[str, IpNetlist]) -> dict[str, int]:
     """Total width of each instance's ports bound to inter-instance nets.
@@ -182,11 +196,8 @@ def connection_scores(design: Design,
     for ia, pa, ib, pb in design.connects:
         bound[ia].add(pa)
         bound[ib].add(pb)
-    scores = {}
-    for inst, mod in design.instances:
-        ip = library[mod]
-        scores[inst] = sum(ip.port(p).width for p in bound[inst])
-    return scores
+    return {inst: sum(ip.port(p).width for p in bound[inst])
+            for inst, ip in instance_ips(design, library).items()}
 
 
 def rank_ips_by_connection(design: Design, library: dict[str, IpNetlist]) -> list[str]:
@@ -335,7 +346,7 @@ def _desugar_dff(node: Node, inst: str, fresh: list[Node]) -> Node:
     return Node("DFF", q, (d,), init=node.init)
 
 
-def _check_bus_refs(design: Design, library: dict[str, IpNetlist]):
+def _check_bus_refs(design: Design, ips: dict[str, IpNetlist]):
     """Raise on a `.bus reset` or `.bus range` ref that names no top port,
     no declared instance or no port of that instance's module: the
     simulator would leave what it drives undriven without a word."""
@@ -346,21 +357,17 @@ def _check_bus_refs(design: Design, library: dict[str, IpNetlist]):
                  (("addr", r.addr_ref), ("wdata", r.wdata_ref),
                   ("we", r.we_ref))]
     tops = {tp for tp, _, _ in design.tops}
-    insts = dict(design.instances)
     for what, ref in refs:
         inst, dot, port = ref.partition(".")
         if not dot:
             if ref not in tops:
                 raise SemiformError(f".bus {what}{ref} names no top port")
-        elif inst not in insts:
+        elif inst not in ips:
             raise SemiformError(f".bus {what}{ref} names no declared "
                                 "instance")
-        elif insts[inst] not in library:
-            raise UnknownModule(
-                f"instance {inst} references unknown module {insts[inst]}")
-        elif all(p.name != port for p in library[insts[inst]].ports):
-            raise SemiformError(f".bus {what}{ref}: module {insts[inst]} "
-                                f"has no port {port}")
+        elif all(p.name != port for p in ips[inst].ports):
+            raise SemiformError(f".bus {what}{ref}: module "
+                                f"{design.module_of(inst)} has no port {port}")
 
 
 def elaborate(design: Design, library: dict[str, IpNetlist],
@@ -369,10 +376,11 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
 
     `keep` restricts the model to a subset of instances; connections to
     dropped instances turn inputs into unconstrained model inputs and
-    outputs into observable model outputs.  A bus ref is checked against
-    the whole design whatever `keep` is.
+    outputs into observable model outputs.  Each instance's module and
+    each bus ref are checked against the whole design whatever `keep` is.
     """
-    _check_bus_refs(design, library)
+    ips = instance_ips(design, library)
+    _check_bus_refs(design, ips)
     insts = [(i, m) for i, m in design.instances if keep is None or i in keep]
     if keep is not None:
         missing = keep - {i for i, _ in insts}
@@ -380,24 +388,20 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
             raise UnknownInstance(f"unknown instances {sorted(missing)}")
     inst_names = [i for i, _ in insts]
     present = set(inst_names)
-    for i, m in insts:
-        if m not in library:
-            raise UnknownModule(f"instance {i} references unknown module {m}")
 
     uf = _UnionFind()
     ext_alias: list[tuple[str, str, str, str]] = []  # absent inst, port <-> kept inst, port
 
     def port_bits(inst: str, port: str) -> tuple[str, ...]:
-        ip = library[design.module_of(inst)]
-        p = ip.port(port)
+        p = ips[inst].port(port)
         return tuple(f"{inst}.{b}" for b in bit_nets(p.name, p.width))
 
     for ia, pa, ib, pb in design.connects:
         in_a, in_b = ia in present, ib in present
         if not in_a and not in_b:
             continue
-        wa = library[design.module_of(ia)].port(pa).width
-        wb = library[design.module_of(ib)].port(pb).width
+        wa = ips[ia].port(pa).width
+        wb = ips[ib].port(pb).width
         if wa != wb:
             raise WidthMismatch(
                 f"connect {ia}.{pa}({wa}) to {ib}.{pb}({wb})")
@@ -416,7 +420,7 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
         top_ports.setdefault(tp, []).append((inst, port))
     top_width: dict[str, int] = {}
     for tp, binds in top_ports.items():
-        widths = {library[design.module_of(i)].port(p).width for i, p in binds}
+        widths = {ips[i].port(p).width for i, p in binds}
         if len(widths) != 1:
             raise WidthMismatch(f"top port {tp} binds differing widths {sorted(widths)}")
         w = widths.pop()
@@ -427,13 +431,11 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
 
     # Identify internally driven bits to pick canonical names.
     driven: set[str] = set()
-    for inst, mod in insts:
-        ip = library[mod]
-        for n in ip.nodes:
+    for inst in inst_names:
+        for n in ips[inst].nodes:
             driven.add(f"{inst}.{n.output}")
     top_is_input = {
-        tp: all(library[design.module_of(i)].port(p).direction == "in"
-                for i, p in binds)
+        tp: all(ips[i].port(p).direction == "in" for i, p in binds)
         for tp, binds in top_ports.items()
     }
     top_bits_all: set[str] = set()
@@ -465,8 +467,8 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
     registers: dict[str, FlatRegister] = {}
     signals: dict[str, tuple[str, ...]] = {}
 
-    for inst, mod in insts:
-        ip = library[mod]
+    for inst in inst_names:
+        ip = ips[inst]
         for sig, width in ip.signal_widths.items():
             signals[f"{inst}.{sig}"] = tuple(
                 cn(f"{inst}.{b}") for b in bit_nets(sig, width))
@@ -497,8 +499,7 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
 
     aliases = {k: v for k, v in canon.items() if k != v}
     for absent_i, absent_p, kept_i, kept_p in ext_alias:
-        ip_a = library[design.module_of(absent_i)]
-        pa = ip_a.port(absent_p)
+        pa = ips[absent_i].port(absent_p)
         for x, y in zip(bit_nets(f"{absent_i}.{absent_p}", pa.width),
                         port_bits(kept_i, kept_p)):
             aliases[x] = cn(y)
@@ -516,9 +517,8 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
     # Undriven input-port bits are free model inputs; output-port bits not
     # consumed by a present instance or top binding are observable.
     driven_canon = {n.output for n in nodes}
-    for inst, mod in insts:
-        ip = library[mod]
-        for p in ip.ports:
+    for inst in inst_names:
+        for p in ips[inst].ports:
             if p.direction != "in":
                 continue
             for b in bit_nets(p.name, p.width):
@@ -533,9 +533,8 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
     for tp, binds in top_ports.items():
         for i, p in binds:
             bound_outputs.update(port_bits(i, p))
-    for inst, mod in insts:
-        ip = library[mod]
-        for p in ip.ports:
+    for inst in inst_names:
+        for p in ips[inst].ports:
             if p.direction != "out":
                 continue
             for b in port_bits(inst, p.name):

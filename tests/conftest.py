@@ -551,8 +551,8 @@ def hard_ungated(tmp_path_factory):
     return _hard_setup(tmp_path_factory, False, "hardu")
 
 
-# two gated hard blocks on one bus: a property over both instances lands
-# in subsystem-1, where pinning the right CFG folds it
+# two hard blocks on one bus: a property over both instances lands in
+# subsystem-1, where pinning the right CFG folds it when they are gated
 PAIR_DSN = """\
 .design pair
 .instance hard h0
@@ -572,10 +572,19 @@ wait 2
 """
 
 
-@pytest.fixture(scope="session")
-def hard_pair():
-    lib = {"hard": parse_netlist(hard_block_module(20, 7, gated=True))}
+def _pair(gated: bool):
+    lib = {"hard": parse_netlist(hard_block_module(20, 7, gated=gated))}
     design = parse_design(PAIR_DSN)
     regmap = parse_regmap("0x0 h0.CFG\n0x10 h1.CFG\n", design=design,
                           library=lib)
     return design, lib, regmap, parse_esw(PAIR_ESW)
+
+
+@pytest.fixture(scope="session")
+def hard_pair():
+    return _pair(True)
+
+
+@pytest.fixture(scope="session")
+def hard_pair_ungated():
+    return _pair(False)

@@ -1,4 +1,5 @@
-"""Bounded checking: outcomes, constraints, traces, unknown-value encoding."""
+"""Bounded checking: outcomes, cuts, pins and boxes, traces, unknown-value
+encoding."""
 
 import random
 
@@ -115,8 +116,7 @@ def test_multiple_props_individual_outcomes(counter):
 def test_stopat_cuts_cone(counter):
     model, design, lib = counter
     props = props_for("prop p : m0.CNT != 10\n", design, lib)
-    cons = bmc.create_stopats(["m0.CNT"])
-    run = bmc.check(model, props, constraints=cons, k=12)
+    run = bmc.check(model, props, {"m0.CNT": None}, k=12)
     # with the register cut free, frame 0 already violates
     o = run.outcomes["p"]
     assert o.status == "FAIL" and o.frame == 0
@@ -125,28 +125,21 @@ def test_stopat_cuts_cone(counter):
 def test_assume_pins_value(counter):
     model, design, lib = counter
     props = props_for("prop p : m0.CNT != 10\n", design, lib)
-    cons = list(bmc.create_stopats(["m0.CNT"]))
-    cons += list(bmc.create_assumes({"m0.CNT": 7}, tuple(cons)))
-    run = bmc.check(model, props, constraints=cons, k=12)
+    cuts = {"m0.CNT": 7}
+    run = bmc.check(model, props, cuts, k=12)
     assert run.outcomes["p"].status == "PASS"
     # assumption makes the complementary claim fail immediately
     props7 = props_for("prop q : m0.CNT != 7\n", design, lib)
-    run7 = bmc.check(model, props7, constraints=cons, k=12)
+    run7 = bmc.check(model, props7, cuts, k=12)
     assert run7.outcomes["q"].status == "FAIL"
     assert run7.outcomes["q"].frame == 0
-
-
-def test_assume_needs_stopat():
-    with pytest.raises(errors.MissingStopat):
-        bmc.create_assumes({"m0.CNT": 7}, ())
 
 
 def test_blackbox_vacuous(mini_parsed):
     design, lib, _, _, props = mini_parsed
     from semiform.netlist import elaborate
     model = elaborate(design, lib)
-    cons = [bmc.Blackbox("a0")]
-    run = bmc.check(model, props, constraints=cons, k=4)
+    run = bmc.check(model, props, boxes={"a0"}, k=4)
     assert run.outcomes["alpha_quiet"].status == "VACUOUS"
     assert run.outcomes["cross_ok"].status == "VACUOUS"
     assert run.outcomes["beta_quiet"].status in ("PASS", "FAIL")
@@ -169,8 +162,8 @@ def test_blackboxed_model_is_built_once(mini_parsed, monkeypatch):
         return box(model, boxes)
     monkeypatch.setattr(netlist.FlatModel, "__init__", counted)
     monkeypatch.setattr(bmc, "_box", found)
-    runs = [bmc.check(model, props, constraints=cons, k=4)
-            for cons in [[bmc.Blackbox("a0")]] * 2 + [[bmc.Blackbox("b0")]]]
+    runs = [bmc.check(model, props, boxes=boxes, k=4)
+            for boxes in [{"a0"}] * 2 + [{"b0"}]]
     assert built == [] and boxed == [frozenset({"a0"}), frozenset({"b0"})]
     assert runs[0].outcomes == runs[1].outcomes
 
@@ -347,10 +340,7 @@ def test_free_inputs_may_stay_unknown(mini_parsed):
     # sig = GAIN[0] & sense with sense freed by the box: claiming "sig is
     # never 1" must fail only through a definitely-1 witness
     props = props_for("prop s : ~b0.sig\n", design, lib)
-    cut = bmc.create_stopats(["b0.GAIN"])
-    cons = (bmc.Blackbox("a0"),) + cut + \
-        bmc.create_assumes({"b0.GAIN": 1}, cut)
-    run = bmc.check(model, props, constraints=cons, k=3)
+    run = bmc.check(model, props, {"b0.GAIN": 1}, {"a0"}, k=3)
     o = run.outcomes["s"]
     assert o.status == "FAIL"
     assert bmc.replay_counterexample(model, props[0], o.trace)
@@ -391,8 +381,7 @@ def test_stopat_on_not_output_frees_only_that_net():
     # at frame 0) and reach w's readers (q: g = w & a is 1 at frame 0)
     model, design, lib = build_model(CUT_NOT_TEXT)
     props = props_for("prop p : m0.R\nprop q : ~m0.g\n", design, lib)
-    run = bmc.check(model, props, constraints=bmc.create_stopats(["m0.w"]),
-                    k=3)
+    run = bmc.check(model, props, {"m0.w": None}, k=3)
     for prop, frame in zip(props, (1, 0)):
         assert oracles.explicit_check(model, prop, 3, cut=["m0.w"]) == frame
         o = run.outcomes[prop.name]
@@ -405,16 +394,20 @@ def test_stopat_on_unused_wire_is_an_error():
     model, design, lib = build_model(UNUSED_WIRE_TEXT)
     props = props_for("prop p : ~m0.R\n", design, lib)
     with pytest.raises(errors.SemiformError, match="stopat m0.w .* m0.w"):
-        bmc.check(model, props, constraints=bmc.create_stopats(["m0.w"]),
-                  k=2)
+        bmc.check(model, props, {"m0.w": None}, k=2)
 
 
 def _forced_nets(model, signals):
     return [model.resolve(model.signal_bits(s)[0]) for s in signals]
 
 
-def _match_oracle(seed, model, props, k, constraints=(), cut=(), pinned=None):
-    run = bmc.check(model, props, constraints=constraints, k=k)
+def _cut_map(cuts, pins):
+    """`bmc.check`'s cuts: each of `cuts` to its value in `pins`, or None."""
+    return {c: pins.get(c) for c in cuts}
+
+
+def _match_oracle(seed, model, props, k, cuts=None, cut=(), pinned=None):
+    run = bmc.check(model, props, cuts, k=k)
     for prop in props:
         frame = oracles.explicit_check(model, prop, k, cut, pinned)
         want = ("PASS", k, None) if frame is None else ("FAIL", None, frame)
@@ -442,15 +435,13 @@ def _constrained_case(seed):
 
 @pytest.mark.parametrize("chunk", range(2))
 def test_constrained_check_matches_explicit_oracle(chunk):
-    # stopats on registers and wires, NOT outputs among them, and assumes
-    # on some cut registers, against the oracle's forced nets
+    # cuts on registers and wires, NOT outputs among them, and pins on
+    # some cut registers, against the oracle's forced nets
     for seed in range(chunk * 40, (chunk + 1) * 40):
         rng, _, _, model, props, cuts, pins = _constrained_case(seed)
-        cons = bmc.create_stopats(cuts)
-        cons += bmc.create_assumes(pins, cons)
         pinned = dict(zip(_forced_nets(model, pins), pins.values()))
-        _match_oracle(seed, model, props, rng.randint(1, 4), cons,
-                      _forced_nets(model, cuts), pinned)
+        _match_oracle(seed, model, props, rng.randint(1, 4),
+                      _cut_map(cuts, pins), _forced_nets(model, cuts), pinned)
 
 
 @pytest.mark.parametrize("chunk", range(2))
@@ -473,11 +464,9 @@ def test_xprop_check_matches_explicit_oracle(chunk):
         cuts = rng.sample(names, rng.randint(0, 2))
         pins = {c: rng.randrange(2) for c in cuts
                 if ".R" in c and rng.random() < 0.5}
-        cons = bmc.create_stopats(cuts)
-        cons += bmc.create_assumes(pins, cons)
         pinned = dict(zip(_forced_nets(model, pins), pins.values()))
-        _match_oracle(seed, model, props, k, cons, _forced_nets(model, cuts),
-                      pinned)
+        _match_oracle(seed, model, props, k, _cut_map(cuts, pins),
+                      _forced_nets(model, cuts), pinned)
 
 
 # d0 reads s0's output `o`; blackboxing s0 leaves d0.i free to read X.
@@ -531,8 +520,7 @@ def test_blackboxed_instance_matches_explicit_oracle(settle):
         "prop hold : d0.R -> d0.Q\nprop low : ~d0.R\n", design, lib)
     got = {}
     for box in (False, True):
-        cons = (bmc.Blackbox("s0"),) if box else ()
-        run = bmc.check(model, props, constraints=cons, k=4)
+        run = bmc.check(model, props, boxes={"s0"} if box else (), k=4)
         for prop in props:
             frame = oracles.explicit_check(model, prop, 4,
                                            cut=freed if box else ())
@@ -546,19 +534,18 @@ def test_blackboxed_instance_matches_explicit_oracle(settle):
 
 
 def test_a_box_set_frees_only_what_the_rest_reads():
-    # s0's output is read by d0 alone: boxing s0 frees it, so a stopat
-    # may cut it, and boxing d0 too hides it
+    # s0's output is read by d0 alone: boxing s0 frees it, so a cut may
+    # name it, and boxing d0 too hides it
     lib = {"src": parse_netlist(SRC_TEXT), "dst": parse_netlist(DST_TEXT)}
     model = elaborate(parse_design(SRC_DST_DSN), lib)
-    cut = bmc.create_stopats(["s0.o"])
-    s0, d0 = bmc.Blackbox("s0"), bmc.Blackbox("d0")
-    assert bmc.check(model, [], constraints=(s0,) + cut).outcomes == {}
+    cut = {"s0.o": None}
+    assert bmc.check(model, [], cut, {"s0"}).outcomes == {}
     with pytest.raises(errors.SemiformError, match="stopat s0.o names net"):
-        bmc.check(model, [], constraints=(s0, d0) + cut)
+        bmc.check(model, [], cut, {"s0", "d0"})
 
 
-def _outcome_and_cnf(model, props, cons, k, out):
-    run = bmc.check(model, props, constraints=cons, k=k, dump_icnf=str(out))
+def _outcome_and_cnf(model, props, cuts, k, out):
+    run = bmc.check(model, props, cuts, k=k, dump_icnf=str(out))
     outcomes = {name: (o.status, o.frame, o.bound, o.trace)
                 for name, o in run.outcomes.items()}
     cnf = {p.name: p.read_text() for p in sorted(out.glob("*.icnf"))}
@@ -577,15 +564,13 @@ def test_reused_model_checks_as_a_fresh_one(tmp_path, monkeypatch):
         rng, n_regs, module, model, props, _, _ = _constrained_case(seed)
         k = rng.randint(1, 4)
         regs = rng.sample([f"m0.R{r}" for r in range(n_regs)], 2)
-        cut = bmc.create_stopats(regs)
-        # no constraints, a cut NOT output (`d<r> = ~x`), cut registers
-        # with a pin, and no constraints again
-        steps = [(), bmc.create_stopats([f"m0.d{rng.randrange(n_regs)}"]),
-                 cut + bmc.create_assumes({regs[0]: rng.randrange(2)}, cut),
-                 ()]
-        for step, cons in enumerate(steps):
+        # no cut, a cut NOT output (`d<r> = ~x`), cut registers with a
+        # pin, and no cut again
+        steps = [{}, {f"m0.d{rng.randrange(n_regs)}": None},
+                 {regs[0]: rng.randrange(2), regs[1]: None}, {}]
+        for step, cuts in enumerate(steps):
             warm, cold = (
-                _outcome_and_cnf(m, props, cons, k,
+                _outcome_and_cnf(m, props, cuts, k,
                                  tmp_path / f"{seed}-{step}-{side}")
                 for side, m in enumerate((model, build_model(module)[0])))
             assert warm == cold, (seed, step)
@@ -764,17 +749,14 @@ def test_icnf_log_replays_every_solve(tmp_path, monkeypatch):
     cases = []
     for seed in range(40):
         rng, _, _, model, props, cuts, pins = _constrained_case(seed)
-        cons = bmc.create_stopats(cuts)
-        cons += bmc.create_assumes(pins, cons)
-        cases.append((model, props, cons, rng.randint(1, 4)))
+        cases.append((model, props, _cut_map(cuts, pins), rng.randint(1, 4)))
     model, props = _duo()
-    cases.append((model, props, (), 4))
-    for i, (model, props, cons, k) in enumerate(cases):
+    cases.append((model, props, {}, 4))
+    for i, (model, props, cuts, k) in enumerate(cases):
         built.clear()
         results.clear()
         out = tmp_path / str(i)
-        run = bmc.check(model, props, constraints=cons, k=k,
-                        dump_icnf=str(out))
+        run = bmc.check(model, props, cuts, k=k, dump_icnf=str(out))
         # groups are numbered by their smallest property index, and their
         # unrollers are built in that order
         logs = sorted(out.iterdir(), key=lambda p: int(p.stem[5:]))
@@ -798,17 +780,11 @@ def test_vacuous_check_encodes_nothing(counter, monkeypatch):
     run = bmc.check(model, [prop], k=2)
     assert run.outcomes["p"].status == "VACUOUS"
     assert (run.n_vars, run.n_clauses, run.n_conflicts) == (0, 0, 0)
-    cut = bmc.create_stopats(["m0.CNT"])
     with pytest.raises(errors.SemiformError, match="overflows m0.CNT"):
-        bmc.check(model, [prop], k=2,
-                  constraints=cut + (bmc.Assume("m0.CNT", 16),))
-    cut = bmc.create_stopats(["m0.c0"])
+        bmc.check(model, [prop], {"m0.CNT": 16}, k=2)
     with pytest.raises(errors.SemiformError,
                        match="assume on unknown register m0.c0"):
-        bmc.check(model, [prop], k=2,
-                  constraints=cut + (bmc.Assume("m0.c0", 1),))
-    with pytest.raises(errors.MissingStopat):
-        bmc.check(model, [prop], k=2, constraints=[bmc.Assume("m0.CNT", 1)])
+        bmc.check(model, [prop], {"m0.c0": 1}, k=2)
     assert encoded == [] and model.dual is None
 
 
@@ -816,34 +792,26 @@ def test_all_vacuous_box_only_check_builds_no_blackboxed_model(mini_parsed):
     design, lib, _, _, props = mini_parsed
     model = elaborate(design, lib)
     boxed = [p for p in props if "a0" in p.scope]
-    run = bmc.check(model, boxed, constraints=[bmc.Blackbox("a0")], k=4)
+    run = bmc.check(model, boxed, boxes={"a0"}, k=4)
     assert model.dual is None
     assert {n: (o.status, o.reason) for n, o in run.outcomes.items()} == {
         "alpha_quiet": ("VACUOUS", "scope blackboxed: a0"),
         "cross_ok": ("VACUOUS", "scope blackboxed: a0")}
     # a check with something to prove reports them alike
-    full = bmc.check(model, props, constraints=[bmc.Blackbox("a0")], k=4)
+    full = bmc.check(model, props, boxes={"a0"}, k=4)
     assert model.dual is not None
     assert {n: full.outcomes[n] for n in run.outcomes} == run.outcomes
     with pytest.raises(errors.UnknownInstance, match="no instance zz"):
-        bmc.check(model, boxed, k=4,
-                  constraints=[bmc.Blackbox("a0"), bmc.Blackbox("zz")])
-    # with a stopat or an assume the constraints are validated on the
-    # blackboxed model, as for a check with something to prove
-    box = bmc.Blackbox("a0")
-    cfg, led = (bmc.create_stopats([s]) for s in ("a0.CFG", "a0.led"))
-    gain = bmc.create_stopats(["b0.GAIN"])
-    for cons, error, match in (
-            (cfg, errors.SemiformError, "stopat a0.CFG names net a0.CFG"),
-            (led + (bmc.Assume("a0.led", 1),), errors.SemiformError,
-             "assume on unknown register a0.led"),
-            (gain + (bmc.Assume("b0.GAIN", 999),), errors.SemiformError,
-             "assume value 0x3e7 overflows b0.GAIN"),
-            ((bmc.Assume("b0.GAIN", 1),), errors.MissingStopat,
-             "assume on b0.GAIN without a stopat")):
-        with pytest.raises(error, match=match):
-            bmc.check(model, boxed, constraints=(box,) + cons, k=4)
-    run = bmc.check(model, boxed, constraints=(box,) + led, k=4)
+        bmc.check(model, boxed, boxes={"a0", "zz"}, k=4)
+    # with a cut the cuts and pins are validated on the blackboxed model,
+    # as for a check with something to prove
+    for cuts, match in (
+            ({"a0.CFG": None}, "stopat a0.CFG names net a0.CFG"),
+            ({"a0.led": 1}, "assume on unknown register a0.led"),
+            ({"b0.GAIN": 999}, "assume value 0x3e7 overflows b0.GAIN")):
+        with pytest.raises(errors.SemiformError, match=match):
+            bmc.check(model, boxed, cuts, {"a0"}, k=4)
+    run = bmc.check(model, boxed, {"a0.led": None}, {"a0"}, k=4)
     assert {o.status for o in run.outcomes.values()} == {"VACUOUS"}
 
 
@@ -884,18 +852,22 @@ def _pinned_case(seed):
             for r in rng.sample(regs, rng.randint(1, n_regs - 1))}
     cuts = list(pins) + rng.sample([f"m0.n{g}" for g in range(12)],
                                    rng.randrange(2))
-    cons = bmc.create_stopats(cuts)
-    cons += bmc.create_assumes(pins, cons)
-    return rng, model, props, cons, _forced_nets(model, cuts), \
+    return rng, model, props, _cut_map(cuts, pins), \
+        _forced_nets(model, cuts), \
         dict(zip(_forced_nets(model, pins), pins.values()))
 
 
-def _walk(model, props, cut=(), assumes=(), boxes=frozenset()):
+def _pins(cuts):
+    """The `{register: value}` pins among `bmc.check`'s cuts."""
+    return {c: v for c, v in cuts.items() if v is not None}
+
+
+def _walk(model, props, cut=(), pins=None, boxes=frozenset()):
     """A check's kind before and after a fresh walk, its pairs, and the
     walk's depths and groups, the ids it met and their kinds before."""
     if model.dual is None:
         model.dual = bmc.xprop_encode(model)
-    plain, partner = bmc._constrain(model, cut, assumes, boxes)
+    plain, partner = bmc._constrain(model, cut, pins or {}, boxes)
     kind = plain.copy()
     nets = [simlib.check_prop_nets(model, p) for p in props]
     return plain, kind, partner, \
@@ -952,12 +924,11 @@ def test_folds_hold_in_every_frame(chunk):
     # unfolded graph; the depth covers every input the folds leave live,
     # and the verdicts are the oracle's
     for seed in range(chunk * 60, (chunk + 1) * 60):
-        rng, model, props, cons, cut, pinned = _pinned_case(seed)
+        rng, model, props, cuts, cut, pinned = _pinned_case(seed)
         k = rng.randint(1, 5)
-        _match_oracle(seed, model, props, k, cons, cut, pinned)
-        assumes = [c for c in cons if isinstance(c, bmc.Assume)]
+        _match_oracle(seed, model, props, k, cuts, cut, pinned)
         plain, kind, partner, (depths, *_) = _walk(model, props, cut,
-                                                   assumes)
+                                                   _pins(cuts))
         unmarked = _unmarked(model, plain, cut)
         marked = [i for i, (x, y) in enumerate(zip(unmarked, plain)) if x != y]
         folded = [i for i, (x, y) in enumerate(zip(plain, kind)) if x != y]
@@ -1002,13 +973,13 @@ def test_pin_that_cuts_a_flop_loop_bounds_the_depth():
     model, design, lib = build_model(LATCH_TEXT)
     props = props_for("prop same : m0.H == m0.G\n", design, lib)
     en = _forced_nets(model, ["m0.EN"])
-    pin = _pin("m0.EN", 1)
+    pin = {"m0.EN": 1}
     assert _walk(model, props)[3][0] == [None]
-    assert _walk(model, props, en, pin[1:])[3][0] == [1]
-    runs = {k: bmc.check(model, props, constraints=pin, k=k) for k in (1, 6)}
+    assert _walk(model, props, en, pin)[3][0] == [1]
+    runs = {k: bmc.check(model, props, pin, k=k) for k in (1, 6)}
     assert [runs[k].outcomes["same"].status for k in (1, 6)] == ["PASS"] * 2
     assert runs[6].n_vars == runs[1].n_vars  # frames 2 to 6 are not solved
-    free = bmc.check(model, props, constraints=pin[:1], k=6)
+    free = bmc.check(model, props, {"m0.EN": None}, k=6)
     assert runs[6].n_vars < free.n_vars
     assert oracles.explicit_check(model, props[0], 6, en, {en[0]: 1}) is None
     o = free.outcomes["same"]
@@ -1059,11 +1030,11 @@ def test_check_whose_properties_all_fold_calls_no_solver(monkeypatch):
     monkeypatch.setattr(bmc.Solver, "solve",
                         lambda self, *a, **kw: calls.append(a) or
                         solve(self, *a, **kw))
-    run = bmc.check(model, props, constraints=_pin("m0.EN", 0), k=8)
+    run = bmc.check(model, props, {"m0.EN": 0}, k=8)
     assert {o.status for o in run.outcomes.values()} == {"PASS"}
     assert calls == [] and run.n_vars == 1
     en = _forced_nets(model, ["m0.EN"])
-    kind = _walk(model, props, en, _pin("m0.EN", 0)[1:])[1]
+    kind = _walk(model, props, en, {"m0.EN": 0})[1]
     z = model.index["m0.Z"]
     assert (kind[z], kind[model.dual.known[z]]) == (bmc.ZERO, bmc.ONE)
     for prop in props:
@@ -1106,15 +1077,14 @@ def test_unpinned_cut_restores_its_readers_known_rails():
     model, design, lib = build_model(PR_TEXT)
     props = props_for("xprop r : known(m0.R) after 0\n", design, lib)
     p = _forced_nets(model, ["m0.P"])
-    cut = bmc.create_stopats(["m0.P"])
-    for cons, pinned, want in (((), None, None), (cut, None, 1),
-                               (_pin("m0.P", 1), {p[0]: 1}, None)):
-        run = bmc.check(model, props, constraints=cons, k=3)
+    for cuts, pinned, want in (({}, None, None), ({"m0.P": None}, None, 1),
+                               ({"m0.P": 1}, {p[0]: 1}, None)):
+        run = bmc.check(model, props, cuts, k=3)
         o = run.outcomes["r"]
         assert (o.status, o.frame) == \
             (("PASS", None) if want is None else ("FAIL", want))
         assert oracles.explicit_check(
-            model, props[0], 3, p if cons else (), pinned) == want
+            model, props[0], 3, p if cuts else (), pinned) == want
         record_fails(model, props, run)
 
 
@@ -1142,9 +1112,8 @@ def _boxed_case(seed):
 
 
 def _pin_steps(rng, inst, n_regs):
-    """Constraints as `Flow._refine` grows them, one more register pinned
-    per step, and from a random step on, sometimes, a wire cut no assume
-    pins."""
+    """Cuts as `Flow._refine` grows them, one more register pinned per
+    step, and from a random step on, sometimes, a wire cut with no pin."""
     order = rng.sample(range(n_regs), n_regs)
     wire = f"{inst}.n{rng.randrange(12)}" if rng.random() < 0.6 else None
     at = rng.randrange(n_regs + 1)
@@ -1152,9 +1121,10 @@ def _pin_steps(rng, inst, n_regs):
     for step in range(n_regs + 1):
         if step:
             values[f"{inst}.R{order[step - 1]}"] = rng.randrange(2)
-        cons = bmc.create_stopats(
-            list(values) + ([wire] if wire and step >= at else []))
-        steps.append(cons + bmc.create_assumes(values, cons))
+        cuts = dict(values)
+        if wire and step >= at:
+            cuts[wire] = None
+        steps.append(cuts)
     return steps
 
 
@@ -1169,35 +1139,33 @@ def test_remembered_walks_equal_fresh_ones(boxed):
     for seed in range(40):
         make = _boxed_case if boxed else lambda s: _pinned_case(s)[:3]
         rng, model, props = make(seed)
-        boxes = (bmc.Blackbox("m0"),) if boxed else ()
+        boxes = frozenset({"m0"} if boxed else ())
         inst, n_regs = ("m1", 3) if boxed else ("m0", len(model.registers))
         stored = []  # (kinds at the ids met, the kinds there, the walk)
-        for cons in _pin_steps(rng, inst, n_regs):
-            stops = [c.signal for c in cons if isinstance(c, bmc.Stopat)]
-            cut = _forced_nets(model, stops)
-            assumes = [c for c in cons if isinstance(c, bmc.Assume)]
+        for cuts in _pin_steps(rng, inst, n_regs):
+            cut = _forced_nets(model, cuts)
+            pins = _pins(cuts)
             plain, kind, partner, (depths, groups, met, was) = \
-                _walk(model, props, cut, assumes,
-                      frozenset(bx.instance for bx in boxes))
+                _walk(model, props, cut, pins, boxes)
             kinds_at = bmc._kinds_at(met)
-            assert was == [plain[i] for i in met], (seed, cons)
+            assert was == [plain[i] for i in met], (seed, cuts)
             assert all(plain[i] == kind[i] for i in set(range(len(kind)))
-                       - set(met)), (seed, cons)  # it folds only what it met
+                       - set(met)), (seed, cuts)  # it folds only what it met
             walk = (met, kinds_at(kind), depths, groups)
             matches = [want for at, before, want in stored
                        if at(plain) == before]
-            assert all(want == walk for want in matches), (seed, cons)
+            assert all(want == walk for want in matches), (seed, cuts)
             if matches:
                 hits += 1
-                hits_with_cut += len(stops) > len(assumes)
+                hits_with_cut += len(cuts) > len(pins)
             else:
                 stored.append((kinds_at, kinds_at(plain), walk))
             fresh = make(seed)[1]
-            runs = [bmc.check(m, props, constraints=boxes + cons, k=4)
+            runs = [bmc.check(m, props, cuts, boxes, k=4)
                     for m in (model, fresh)]
             seen = [({n: (o.status, o.frame) for n, o in r.outcomes.items()},
                      r.n_vars, r.n_clauses, r.n_conflicts) for r in runs]
-            assert seen[0] == seen[1], (seed, cons)
+            assert seen[0] == seen[1], (seed, cuts)
     # these seeds hit 5 times (2 with an unpinned cut), 6 (3) boxed
     assert hits >= 4 and hits_with_cut >= 2
 
@@ -1249,32 +1217,25 @@ def _trio(live=".gate OR live CFG[0] sel", init=0, widths=(1, 1)):
     return elaborate(design, lib), design, lib
 
 
-def _pin(reg, value):
-    cons = bmc.create_stopats([reg])
-    return cons + bmc.create_assumes({reg: value}, cons)
-
-
 def _two_checks(first, second):
-    """Run two (model, props, constraints, k, budget) checks on one store;
-    returns the runs and how many runs the store keeps."""
+    """Run two (model, props, cuts, boxes, k, budget) checks on one
+    store; returns the runs and how many runs the store keeps."""
     reuse = {}
-    runs = [bmc.check(m, props, constraints=cons, k=k, budget=budget,
-                      reuse=reuse) for m, props, cons, k, budget in
+    runs = [bmc.check(m, props, cuts, boxes, k=k, budget=budget,
+                      reuse=reuse) for m, props, cuts, boxes, k, budget in
             (first, second)]
     return runs, sum(map(len, reuse.values()))
 
 
 @pytest.mark.parametrize("boxes, pin", [
-    ((), ()), ((), _pin("h1.CFG", 9)),
-    ((bmc.Blackbox("h1"),), _pin("f0.R", 1))],
+    ((), {}), ((), {"h1.CFG": 9}), ({"h1"}, {"f0.R": 1})],
     ids=["None", "h1.CFG", "h1_boxed-f0.R"])
 def test_timed_out_check_is_solved_once(boxes, pin):
     # a pin outside the cone leaves every kind the walk meets as it was
     model, design, lib = _trio()
     props = props_for(QUIET_H0, design, lib)
-    cons = boxes + pin
-    (r1, r2), stored = _two_checks((model, props, boxes, 20, 0.05),
-                                   (model, props, cons, 20, 0.05))
+    (r1, r2), stored = _two_checks((model, props, {}, boxes, 20, 0.05),
+                                   (model, props, pin, boxes, 20, 0.05))
     assert r1.outcomes["quiet"].reason == "timeout"
     assert r2 is r1 and stored == 1
 
@@ -1284,8 +1245,8 @@ def test_checks_on_separate_models_are_solved_twice():
     # matches runs per model
     design, lib = _trio()[1:]
     props = props_for(QUIET_H0, design, lib)
-    (r1, r2), stored = _two_checks((_trio()[0], props, (), 20, 0.05),
-                                   (_trio()[0], props, (), 20, 0.05))
+    (r1, r2), stored = _two_checks((_trio()[0], props, {}, (), 20, 0.05),
+                                   (_trio()[0], props, {}, (), 20, 0.05))
     assert r2 is not r1 and stored == 2
     assert {r.outcomes["quiet"].reason for r in (r1, r2)} == {"timeout"}
 
@@ -1300,20 +1261,20 @@ XOR_LIVE = ".wire p 1\n.wire q 1\n.gate XOR p e0 e1\n" \
 def test_checks_that_differ_are_solved_twice(change):
     model, design, lib = _trio()
     props = props_for(QUIET_H0, design, lib)
-    a, b = [model, props, (), 20, 0.05], [model, props, (), 20, 0.05]
+    a, b = ([model, props, {}, (), 20, 0.05] for _ in range(2))
     if change == "assume":  # CFG[0] is 1, then 0; both leave `bad` live
-        a[2], b[2] = _pin("h0.CFG", 1), _pin("h0.CFG", 2)
+        a[2], b[2] = {"h0.CFG": 1}, {"h0.CFG": 2}
     elif change == "init":
         b[0] = _trio(init=1)[0]
     elif change == "wiring":  # the same kinds, read in another order
         a[0] = _trio(live=XOR_LIVE.format("e1"))[0]
         b[0] = _trio(live=XOR_LIVE.format("e0"))[0]
     elif change == "cone_box":  # frees h0.sel
-        b[2] = [bmc.Blackbox("f0")]
+        b[3] = {"f0"}
     elif change == "scope_box":  # only the xprop's outcome changes
         a[1] = b[1] = props + props_for(
             "xprop hold : known(h1.CFG) after 30\n", design, lib)
-        b[2] = [bmc.Blackbox("h1")]
+        b[3] = {"h1"}
     elif change == "name":
         b[1] = props_for(QUIET_H0.replace("quiet", "calm"), design, lib)
     elif change == "split":  # six rails, read 4 + 2 and then 2 + 4
@@ -1321,12 +1282,12 @@ def test_checks_that_differ_are_solved_twice(change):
             "prop ra : f0.R == 0\nprop sb : f0.S == 0\n", design, lib)
         a[0], b[0] = _trio(widths=(2, 1))[0], _trio(widths=(1, 2))[0]
     elif change == "bound":
-        b[3] = 19
+        b[4] = 19
     else:
-        b[4] = 0.06
+        b[5] = 0.06
     (r1, r2), stored = _two_checks(a, b)
     assert r2 is not r1 and stored == 2
-    for r, (_, props, _, _, _) in ((r1, a), (r2, b)):
+    for r, (_, props, *_) in ((r1, a), (r2, b)):
         assert set(r.outcomes) == {p.name for p in props}
         assert any(o.reason == "timeout" for o in r.outcomes.values())
     if change == "scope_box":
@@ -1344,8 +1305,8 @@ def test_pins_count_for_reuse_only_where_the_cone_reads_them(second, same):
     model, design, lib = _trio(live=DEAD_LIVE)
     props = props_for(QUIET_H0, design, lib)
     (r1, r2), stored = _two_checks(
-        (model, props, _pin("h0.CFG", 0), 20, 0.05),
-        (model, props, _pin("h0.CFG", second), 20, 0.05))
+        (model, props, {"h0.CFG": 0}, (), 20, 0.05),
+        (model, props, {"h0.CFG": second}, (), 20, 0.05))
     assert {r.outcomes["quiet"].reason for r in (r1, r2)} == {"timeout"}
     assert (r2 is r1) == same and stored == 2 - same
 

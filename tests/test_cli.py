@@ -188,6 +188,37 @@ def test_bmc_stopat_assume_and_trace(tmp_path, capsys):
     assert (tmp_path / "cex.p.trace").exists()
 
 
+def test_bmc_assume_without_stopat_exits_3(tmp_path, capsys):
+    # a pin is a value on a cut: the command line is where an assume can
+    # still name a register no --stopat cuts
+    from conftest import COUNTER_TEXT
+    ip = tmp_path / "c.net"
+    ip.write_text(COUNTER_TEXT)
+    props = tmp_path / "p.prop"
+    props.write_text("prop p : counter0.CNT != 9\n")
+    code = main(["bmc", "--ip", str(ip), "--props", str(props),
+                 "--assume", "counter0.CNT=9"])
+    assert code == 3
+    assert "assume on counter0.CNT without a stopat" in \
+        capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_4(mini_files, capsys, monkeypatch):
+    # a crash must not read as a verdict: exit 1 is bmc's FAIL
+    from semiform import cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_sim", crash)
+    code = main(["sim", "--design", str(mini_files / "mini.dsn"),
+                 "--esw", str(mini_files / "boot.esw")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert err.rstrip().endswith("internal error")
+
+
 def test_bmc_stopat_on_unused_wire_exits_3(tmp_path, capsys):
     from conftest import UNUSED_WIRE_TEXT
     ip = tmp_path / "t.net"

@@ -267,6 +267,29 @@ def test_subsystem_resolves_semiformally(hard_pair):
     ]
 
 
+def test_subsystem_out_of_registers_fails_semiformally(hard_pair_ungated,
+                                                        monkeypatch):
+    # ungated blocks: phase 4 times out on subsystem-1, and phase 5 pins
+    # h0.CFG and then h1.CFG, both outside the cone, so each of its checks
+    # returns phase 4's stored run, until no register is left to pin
+    from semiform import bmc
+    design, lib, regmap, script = hard_pair_ungated
+    runs, check = [], bmc.check
+    monkeypatch.setattr(bmc, "check",
+                        lambda *a, **kw: runs.append(check(*a, **kw)) or
+                        runs[-1])
+    props = props_for("prop both : ~(h0.bad & h1.bad)\n", design, lib)
+    report = run_flow(design, lib, regmap, script, props, _fast())
+    assert report.status == STATUS_SEMIFORMAL_FAIL
+    assert exit_code(report) == 2
+    assert _rows(report) == [
+        ("hard", "formal", "Finished", 0.0, 0, {}),
+        ("subsystem-1", "semiformal", "SemiformalFail", pytest.approx(1.8),
+         2, {"both": "UNDETERMINED"}),
+    ]
+    assert len(runs) == 3 and runs[1] is runs[0] and runs[2] is runs[0]
+
+
 def test_subsystem_starts_from_the_ip_pins(hard_pair):
     # phase 3 pins h1.CFG; subsystem-1's first iteration starts from that
     # pin and adds h0.CFG, the top pick, so one iteration folds `cross`.

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from semiform import bmc, errors
-from semiform.frontend import parse_design, parse_netlist, parse_props
+from semiform.frontend import (gen_xprop, parse_design, parse_netlist,
+                               parse_props, parse_regmap)
 from semiform.netlist import (connection_scores, elaborate, fanout_cone,
                               list_unique_ips, rank_ips_by_connection)
 from semiform.sim import Simulator
@@ -85,6 +86,22 @@ def test_elaborate_keep_frees_dropped_connections(mini_parsed):
         elaborate(design, lib, keep={"b0", "zz"})
 
 
+@pytest.mark.parametrize("call", [
+    lambda d, lib: parse_regmap("0x0 a0.CFG\n", None, d, lib),
+    lambda d, lib: parse_props("prop q : ~(a0.bad)\n", None, d, lib),
+    gen_xprop, rank_ips_by_connection,
+    lambda d, lib: elaborate(d, lib, keep={"a0"})],
+    ids=["parse_regmap", "parse_props", "gen_xprop",
+         "rank_ips_by_connection", "elaborate"])
+def test_missing_module_raises_unknown_module(mini_parsed, call):
+    # each reader meets the library through one lookup, which covers
+    # every instance of the design, whatever the call itself reads
+    design, lib, _, _, _ = mini_parsed
+    with pytest.raises(errors.UnknownModule,
+                       match="instance b0 references unknown module beta"):
+        call(design, {"alpha": lib["alpha"]})
+
+
 def test_blackbox_marks_and_frees(mini_parsed):
     # a box frees the nets it drives that the rest reads or that are
     # observable, and hides the nets only its own gates drive or read
@@ -98,7 +115,7 @@ def test_blackbox_marks_and_frees(mini_parsed):
     assert hidden.isdisjoint(model.inputs)
     assert bmc._box(model, frozenset({"a0"}))[0] is base
     with pytest.raises(errors.UnknownInstance):
-        bmc.check(model, [], constraints=[bmc.Blackbox("nope")])
+        bmc.check(model, [], boxes={"nope"})
 
 
 # R loads d while e is 1 and 2 while rst is 1; PLAIN_DFF_TEXT writes the

@@ -593,12 +593,9 @@ def check_corpus(out_dir, probe):
 
     # pinning the gating registers collapses the blocks instantly
     can_props = [p for p in props if p.name.startswith("can_block")]
-    cons = bmc.create_stopats(["can0.MODE", "can0.COMMAND"])
-    cons = cons + bmc.create_assumes(
-        {"can0.MODE": 1, "can0.COMMAND": 2}, cons)
+    cuts = {"can0.MODE": 1, "can0.COMMAND": 2}
     t0 = time.perf_counter()
-    run = bmc.check(models["can0"], can_props, constraints=cons, k=20,
-                    budget=30.0)
+    run = bmc.check(models["can0"], can_props, cuts, k=20, budget=30.0)
     dt = time.perf_counter() - t0
     assert all(o.status == "PASS" for o in run.outcomes.values()), \
         run.outcomes
