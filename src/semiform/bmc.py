@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -533,8 +532,8 @@ def _constrain(model: FlatModel, cut, pins: dict[str, int],
     pairs = set(freed).union(index[net] for net in cut)
     bits = {}  # value-rail id -> pinned bit; each is cut, so checked already
     for reg, value in pins.items():
-        for i, bit in enumerate(model.registers[reg].bits):
-            bits[index[model.resolve(bit)]] = (value >> i) & 1
+        for i, bit in enumerate(model.registers[reg]):
+            bits[index[bit]] = (value >> i) & 1
     _unmark(dual, kind, [v for v in (index[net] for net in cut)
                          if v not in bits], pairs)
     for v in pairs:
@@ -574,55 +573,49 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
       A node is open from its first visit to its close, when its depth
       is taken from its visited inputs: one still open is on the path
       to it, which closes a loop.
-    - its group: nodes are numbered as the walks first meet them, each
-      property's rails first, so a node numbered below the first number
-      of the current walk was met by an earlier property's walk, and the
-      two groups merge.  A pair's two rails are one leaf, as `lit`
-      allocates them together.  Properties of different groups share no
-      node.  A group is named by its smallest property index.
+    - its group: each node's owner is the property whose walk met it
+      first, each property's rails first, so a node owned by an earlier
+      property was met by that property's walk, and the two groups
+      merge.  A pair's two rails are one leaf, as `lit` allocates them
+      together.  Properties of different groups share no node.  A group
+      is named by its smallest property index.
 
     Returns the depths and the groups, then the ids the walk met in the
-    order it numbered them and each one's kind when it was numbered.  A
-    node folds only after it is met, so that is its kind before the walk:
-    what `check`'s store matches a later check's `kind` against.
+    order it first met them and each one's kind then.  A node folds only
+    after it is met, so that is its kind before the walk: what `check`'s
+    store matches a later check's `kind` against.
     """
     dual = model.dual
     index, known, A, B, C = model.index, dual.known, dual.a, dual.b, dual.c
     unseen, loop, first, rest = _UNSEEN, _LOOP, _FIRST, _REST
     ctrl = (ZERO, ONE, -1, -1, -1, -1)  # an AND's, an OR's; -1 is no kind
     d = [unseen] * len(kind)
-    # nodes are numbered as the walks first meet them, so the nodes a
-    # walk meets first are those numbered from its `starts` entry on
-    num = [-1] * len(kind)
-    starts: list[int] = []
+    # the property whose walk met each node first; a node with a depth
+    # mark has one
+    owner = [-1] * len(kind)
     group = list(range(len(nets)))  # union-find parents
     depths: list[int | None] = []
-    met: list[int] = []  # ids in the order they are numbered
-    was: list[int] = []  # the kind of each when it was numbered
-    count = 0
+    met: list[int] = []  # ids in the order they are first met
+    was: list[int] = []  # the kind of each when it was first met
 
     def find(p: int) -> int:
         while group[p] != p:
             p = group[p]
         return p
 
-    def merge(p: int, x: int):
-        """Merge group p with that of the walk that numbered node x."""
-        p, q = find(p), find(bisect_right(starts, x) - 1)
+    def merge(p: int, q: int):
+        p, q = find(p), find(q)
         group[max(p, q)] = min(p, q)
 
     for p, ns in enumerate(nets):
-        start = count
-        starts.append(start)
         rails = [r for net in ns for r in (index[net], known[index[net]])]
         for r in rails:
-            if num[r] < 0:
-                num[r] = count
-                count += 1
+            if owner[r] < 0:
+                owner[r] = p
                 met.append(r)
                 was.append(kind[r])
-            elif num[r] < start:
-                merge(p, num[r])
+            elif owner[r] < p:
+                merge(p, owner[r])
         worst = 0
         for root in rails:
             stack = [root]
@@ -631,9 +624,8 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                 di = d[i]
                 if di == unseen:
                     k = kind[i]
-                    if num[i] < 0:
-                        num[i] = count
-                        count += 1
+                    if owner[i] < 0:
+                        owner[i] = p
                         met.append(i)
                         was.append(k)
                     if k > DFF:  # a leaf; a pair closes both of its rails
@@ -642,9 +634,8 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                         if k == PAIR:
                             j = partner[i] if i in partner else known[i]
                             d[j] = 0
-                            if num[j] < 0:
-                                num[j] = count
-                                count += 1
+                            if owner[j] < 0:
+                                owner[j] = p
                                 met.append(j)
                                 was.append(kind[j])
                         continue
@@ -653,8 +644,8 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                     if d[j] == unseen:
                         stack.append(j)
                         continue
-                    if num[j] < start:
-                        merge(p, num[j])
+                    if owner[j] < p:
+                        merge(p, owner[j])
                 elif di <= loop:  # closed
                     stack.pop()
                     continue
@@ -674,8 +665,8 @@ def _walk_cones(model: FlatModel, kind: list[int], partner: dict[int, int],
                     for j in ins:
                         if d[j] == unseen:
                             stack.append(j)
-                        elif num[j] < start:
-                            merge(p, num[j])
+                        elif owner[j] < p:
+                            merge(p, owner[j])
                     if len(stack) > top:
                         continue
                 # close: fold, or take the depth over the visited inputs
@@ -790,11 +781,10 @@ def _operand_bits(enc: Unroller, model: FlatModel, a, b, frame: int):
 def _violation_lit(enc: Unroller, model: FlatModel, prop: PropertyAst,
                    frame: int) -> int:
     if prop.kind == "xprop":
-        reg = model.registers.get(prop.register)
-        if reg is None:
+        bits = model.registers.get(prop.register)
+        if bits is None:
             raise SemiformError(f"xprop register {prop.register} missing")
-        return enc._or([-enc.known(model.resolve(bit), frame)
-                        for bit in reg.bits])
+        return enc._or([-enc.known(bit, frame) for bit in bits])
     v, k = _expr_pair(enc, model, prop.expr, frame)
     return enc._and([k, -v])  # definitely false, not merely unknown
 
@@ -925,19 +915,18 @@ def check(model: FlatModel, props,
     hidden = _box(model, boxes)[2] if boxes and cuts else ()
     cut = {}  # net -> the signal that cuts it
     for signal in cuts:
-        reg = model.registers.get(signal)
-        for bit in reg.bits if reg else model.signal_bits(signal):
-            cut[model.resolve(bit)] = signal
+        for bit in model.signal_bits(signal):
+            cut[bit] = signal
     for net, signal in cut.items():
         if net not in model.index or net in hidden:
             raise SemiformError(f"stopat {signal} names net {net}, which "
                                 "nothing drives or reads")
     pins = {r: v for r, v in cuts.items() if v is not None}
     for r, value in pins.items():
-        reg = model.registers.get(r)
-        if reg is None:
+        bits = model.registers.get(r)
+        if bits is None:
             raise SemiformError(f"assume on unknown register {r}")
-        if value >> len(reg.bits):
+        if value >> len(bits):
             raise SemiformError(f"assume value {value:#x} overflows {r}")
     if not pending:
         return run

@@ -6,6 +6,12 @@ IP they are `name` or `name[i]`, after elaboration `inst.name[i]`.  Multi-bit
 signals are blasted to one net per bit at parse time, so gates are always
 single-bit.
 
+Bits that connections and top ports join share one flat net, named by its
+driver, else by a top port bit, else by the smallest name in the group.
+Only those names appear in the model: `signals` and `registers` map each
+signal and register to them, so a reader looks a name up there and never
+translates a net.
+
 A flat net's integer id is its place in the sorted `model.nets`, looked up
 in `model.index`; the kernel's value arrays, the dual-rail graph and
 property evaluation all use these ids.  Gates run in `model.comb_order()`,
@@ -230,43 +236,38 @@ class _UnionFind:
 
 
 @dataclass
-class FlatRegister:
-    name: str  # "inst.REG"
-    width: int
-    bits: tuple[str, ...]  # canonical net names
-    init: int | None
-    instance: str
-
-
-@dataclass
 class CompiledModel:
-    """Index tuples for `kernels.eval_comb`, gates in topological order."""
+    """Index tuples for `kernels.eval_comb`, gates in topological order;
+    each index is a net's place in `FlatModel.nets`."""
 
-    index: dict[str, int]
     gates: tuple[tuple[int, int, int, int, int], ...]  # (kind, a, b, c, out)
     dff_q: tuple[int, ...]
     dff_d: tuple[int, ...]
     dff_init: tuple[int, ...]  # 2 = unknown
     const_idx: tuple[int, ...]
     const_val: tuple[int, ...]
-    n_nets: int
 
 
 class FlatModel:
-    """Flattened design: one namespace of nets, pure DFFs, gate basis only."""
+    """Flattened design: one namespace of nets, pure DFFs, gate basis only.
 
-    def __init__(self, name, instances, module_of, nodes, node_instance,
-                 registers, inputs, outputs, signals, aliases):
+    `signals` maps each signal (`inst.name` or a top port) to its bits,
+    LSB first, and `registers` each register to the same tuple as
+    `signals`.  Each bit is named as its net is in `nets`, the only name
+    a reader looks up; `nets` leaves out a declared wire that no gate
+    drives or reads.
+    """
+
+    def __init__(self, name, instances, nodes, node_instance, registers,
+                 inputs, outputs, signals):
         self.name: str = name
         self.instances: tuple[str, ...] = tuple(instances)
-        self.module_of: dict[str, str] = dict(module_of)
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.node_instance: tuple[str, ...] = tuple(node_instance)
-        self.registers: dict[str, FlatRegister] = dict(registers)
+        self.registers: dict[str, tuple[str, ...]] = dict(registers)
         self.inputs: tuple[str, ...] = tuple(inputs)
         self.outputs: tuple[str, ...] = tuple(outputs)
         self.signals: dict[str, tuple[str, ...]] = dict(signals)
-        self.aliases: dict[str, str] = dict(aliases)
         nets: set[str] = set(self.inputs)
         nets.update(self.outputs)
         for n in self.nodes:
@@ -280,9 +281,6 @@ class FlatModel:
         self._consumers: dict[str, list[int]] | None = None
 
     # -- naming ------------------------------------------------------------
-
-    def resolve(self, net: str) -> str:
-        return self.aliases.get(net, net)
 
     def signal_bits(self, signal: str) -> tuple[str, ...]:
         if signal in self.signals:
@@ -319,13 +317,12 @@ class FlatModel:
         dffs = [n for n in self.nodes if n.kind == "DFF"]
         consts = [n for n in self.nodes if n.kind == "CONST"]
         self._compiled = CompiledModel(
-            index=index, gates=gates,
+            gates=gates,
             dff_q=tuple(index[n.output] for n in dffs),
             dff_d=tuple(index[n.inputs[0]] for n in dffs),
             dff_init=tuple(X if n.init is None else n.init for n in dffs),
             const_idx=tuple(index[n.output] for n in consts),
-            const_val=tuple(n.value for n in consts),
-            n_nets=len(self.nets))
+            const_val=tuple(n.value for n in consts))
         return self._compiled
 
 
@@ -381,16 +378,12 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
     """
     ips = instance_ips(design, library)
     _check_bus_refs(design, ips)
-    insts = [(i, m) for i, m in design.instances if keep is None or i in keep]
-    if keep is not None:
-        missing = keep - {i for i, _ in insts}
-        if missing:
-            raise UnknownInstance(f"unknown instances {sorted(missing)}")
-    inst_names = [i for i, _ in insts]
+    inst_names = [i for i in ips if keep is None or i in keep]
     present = set(inst_names)
+    if keep is not None and keep - present:
+        raise UnknownInstance(f"unknown instances {sorted(keep - present)}")
 
     uf = _UnionFind()
-    ext_alias: list[tuple[str, str, str, str]] = []  # absent inst, port <-> kept inst, port
 
     def port_bits(inst: str, port: str) -> tuple[str, ...]:
         p = ips[inst].port(port)
@@ -408,10 +401,6 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
         if in_a and in_b:
             for x, y in zip(port_bits(ia, pa), port_bits(ib, pb)):
                 uf.union(x, y)
-        elif in_a:
-            ext_alias.append((ib, pb, ia, pa))
-        else:
-            ext_alias.append((ia, pa, ib, pb))
 
     top_ports: dict[str, list[tuple[str, str]]] = {}
     for tp, inst, port in design.tops:
@@ -464,7 +453,7 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
 
     nodes: list[Node] = []
     node_instance: list[str] = []
-    registers: dict[str, FlatRegister] = {}
+    registers: dict[str, tuple[str, ...]] = {}
     signals: dict[str, tuple[str, ...]] = {}
 
     for inst in inst_names:
@@ -490,19 +479,7 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
             nodes.append(f)
             node_instance.append(inst)
         for r in ip.registers:
-            fname = f"{inst}.{r.name}"
-            registers[fname] = FlatRegister(
-                name=fname, width=r.width,
-                bits=tuple(cn(f"{inst}.{b}") for b in r.bits),
-                init=r.init,
-                instance=inst)
-
-    aliases = {k: v for k, v in canon.items() if k != v}
-    for absent_i, absent_p, kept_i, kept_p in ext_alias:
-        pa = ips[absent_i].port(absent_p)
-        for x, y in zip(bit_nets(f"{absent_i}.{absent_p}", pa.width),
-                        port_bits(kept_i, kept_p)):
-            aliases[x] = cn(y)
+            registers[f"{inst}.{r.name}"] = signals[f"{inst}.{r.name}"]
 
     inputs: set[str] = set()
     outputs: list[str] = []
@@ -543,10 +520,9 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
 
     model = FlatModel(
         name=design.name, instances=inst_names,
-        module_of={i: m for i, m in insts},
         nodes=nodes, node_instance=node_instance,
         registers=registers, inputs=sorted(inputs),
-        outputs=sorted(set(outputs)), signals=signals, aliases=aliases)
+        outputs=sorted(set(outputs)), signals=signals)
     model.comb_order()  # a cycle raises here
     return model
 
@@ -600,10 +576,10 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
     registers' flops.  Paths run through combinational logic only and end
     at a primary output or at another register's data input.
     """
-    reg = model.registers.get(register)
-    if reg is None:
+    bits = model.registers.get(register)
+    if bits is None:
         raise UnknownRegister(f"no register {register} in {model.name}")
-    own_bits = set(reg.bits)
+    own_bits = set(bits)
     cons = model.consumers()
     outputs = set(model.outputs)
 
@@ -615,7 +591,7 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
     # element reach: cross every flop, count nodes once
     seen_nodes: set[int] = set()
     seen_nets: set[str] = set()
-    frontier = list(reg.bits)
+    frontier = list(bits)
     while frontier:
         net = frontier.pop()
         if net in seen_nets:
@@ -628,22 +604,13 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
             frontier.append(model.nodes[ci].output)
 
     # path count: combinational DP, per connection edge
-    bit_owner: dict[str, str] = {}
-    for rname, r in model.registers.items():
-        for b in r.bits:
-            bit_owner[b] = rname
-    dff_reg_of: dict[int, str] = {}
-    for i, n in enumerate(model.nodes):
-        if n.kind == "DFF" and n.output in bit_owner:
-            dff_reg_of[i] = bit_owner[n.output]
-
     def path_count(net: str) -> int:
         total = 1 if net in outputs else 0
         for ci in cons.get(net, ()):
             node = model.nodes[ci]
             if node.kind != "DFF":
                 total += paths[node.output]
-            elif dff_reg_of.get(ci) != register:
+            elif ci not in own_dffs:
                 total += 1
         return total
 
@@ -653,5 +620,5 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
     for g in reversed(model.comb_order()):
         if g.output in seen_nets:
             paths[g.output] = path_count(g.output)
-    total_paths = sum(path_count(b) for b in reg.bits)
+    total_paths = sum(path_count(b) for b in bits)
     return FanoutCone(elements=tuple(sorted(seen_nodes)), paths=total_paths)

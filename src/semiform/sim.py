@@ -51,9 +51,9 @@ class Simulator:
         self.design = design
         self.script = script
         self.cm = model.compile()
-        self.values = bytearray([X]) * self.cm.n_nets
+        self.values = bytearray([X]) * len(model.nets)
         self.frame = bytes(self.values)  # pre-latch snapshot of last cycle
-        self.locked = bytearray(self.cm.n_nets)
+        self.locked = bytearray(len(model.nets))
         self._forced: tuple[int, ...] = ()  # nets locked last cycle
         self.cycle = 0
         self.script_pc = 0
@@ -79,8 +79,8 @@ class Simulator:
         (`netlist._check_bus_refs`), and every port bit of an instance
         it keeps is a net of the model.
         """
-        index, resolve = self.cm.index, self.model.resolve
-        return [index[resolve(b)] for b in self.model.signal_bits(ref)]
+        index = self.model.index
+        return [index[b] for b in self.model.signal_bits(ref)]
 
     def _resolve_ranges(self):
         return [(r, (self._resolve_ref(r.addr_ref),
@@ -93,13 +93,12 @@ class Simulator:
     def step(self, drive: dict[str, int] | None = None):
         """One cycle: force nets, settle combinational logic, latch flops.
 
+        `drive` maps nets of `model.nets` to the values forced on them.
         Returns the settled pre-latch frame.
         """
-        idx_drive = {}
-        if drive:
-            for net, val in drive.items():
-                idx_drive[self.cm.index[self.model.resolve(net)]] = val
-        return self._step_indices(idx_drive)
+        index = self.model.index
+        return self._step_indices({index[net]: val
+                                   for net, val in (drive or {}).items()})
 
     def _bus_drive(self, stmt) -> dict[str, int]:
         drive: dict[int, int] = {}
@@ -164,12 +163,12 @@ class Simulator:
 
     def register_value(self, register: str):
         """Concrete register value from current state, or None if any bit X."""
-        reg = self.model.registers.get(register)
-        if reg is None:
+        bits = self.model.registers.get(register)
+        if bits is None:
             raise UnknownRegister(f"no register {register}")
         v = 0
-        for i, b in enumerate(reg.bits):
-            bit = self.values[self.cm.index[self.model.resolve(b)]]
+        for i, b in enumerate(bits):
+            bit = self.values[self.model.index[b]]
             if bit == X:
                 return None
             v |= bit << i
@@ -220,11 +219,10 @@ def collect_sim_values(sim: Simulator, registers: list[str]) -> dict[str, int]:
 
 
 def sig_nets(model: FlatModel, e) -> tuple[str, ...]:
-    """Canonical nets of a `("sig", name, index)` expression leaf."""
+    """The nets a `("sig", name, index)` leaf reads, named as in
+    `model.nets`."""
     bits = model.signal_bits(e[1])
-    if e[2] is not None:
-        bits = (bits[e[2]],)
-    return tuple(model.resolve(b) for b in bits)
+    return bits if e[2] is None else (bits[e[2]],)
 
 
 def check_prop_nets(model: FlatModel, prop) -> list[str]:
@@ -233,8 +231,7 @@ def check_prop_nets(model: FlatModel, prop) -> list[str]:
     `model.nets` leaves out a declared wire that no gate drives or reads.
     """
     if prop.kind == "xprop":
-        reg = model.registers.get(prop.register)
-        nets = [model.resolve(b) for b in reg.bits] if reg else []
+        nets = list(model.registers.get(prop.register, ()))
     else:
         nets, todo = [], [prop.expr]
         while todo:
@@ -301,9 +298,6 @@ def violated_at(model: FlatModel, frame, prop, cycle: int) -> bool:
     if prop.kind == "xprop":
         if cycle < (prop.settle or 0):
             return False
-        reg = model.registers.get(prop.register)
-        if reg is None:
-            return False
-        return any(frame[model.index[model.resolve(b)]] == X
-                   for b in reg.bits)
+        return any(frame[model.index[b]] == X
+                   for b in model.registers.get(prop.register, ()))
     return eval_expr3(model, frame, prop.expr) == 0

@@ -51,12 +51,12 @@ def enumerate_paths(model, register) -> int:
     cons = _consumers(model)
     outputs = set(model.outputs)
     owner = {}
-    for rname, r in model.registers.items():
-        for b in r.bits:
+    for rname, bits in model.registers.items():
+        for b in bits:
             owner[b] = rname
 
     count = 0
-    stack: list[tuple[str, ...]] = [(b,) for b in reg.bits]
+    stack: list[tuple[str, ...]] = [(b,) for b in reg]
     while stack:
         path = stack.pop()
         net = path[-1]
@@ -81,10 +81,10 @@ def reach_elements(model, register) -> int:
     reg = model.registers[register]
     cons = _consumers(model)
     own = {i for i, n in enumerate(model.nodes)
-           if n.kind == "DFF" and n.output in set(reg.bits)}
+           if n.kind == "DFF" and n.output in set(reg)}
     reached: set[int] = set()
     seen: set[str] = set()
-    work = list(reg.bits)
+    work = list(reg)
     while work:
         net = work.pop()
         if net in seen:
@@ -162,7 +162,7 @@ def eval_prop3(model, netval: dict[str, int], expr) -> int:
 
     def bits(e):
         _, name, idx = e
-        bs = [model.resolve(b) for b in model.signal_bits(name)]
+        bs = list(model.signal_bits(name))
         if idx is not None:
             bs = [bs[idx]]
         return [netval[b] for b in bs]
@@ -218,7 +218,7 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
     first = 0
     if prop.kind == "xprop":
         first = prop.settle
-        bits = [model.resolve(b) for b in model.registers[prop.register].bits]
+        bits = model.registers[prop.register]
 
         def bad(netval):
             return any(netval[b] == X for b in bits)

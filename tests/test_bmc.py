@@ -398,7 +398,7 @@ def test_stopat_on_unused_wire_is_an_error():
 
 
 def _forced_nets(model, signals):
-    return [model.resolve(model.signal_bits(s)[0]) for s in signals]
+    return [model.signal_bits(s)[0] for s in signals]
 
 
 def _cut_map(cuts, pins):
@@ -512,7 +512,7 @@ def test_blackboxed_instance_matches_explicit_oracle(settle):
     design = parse_design(SRC_DST_DSN)
     model = elaborate(design, lib)
     # blackboxing s0 frees the nets of its ports that d0 reads
-    freed = [model.resolve(bit) for ia, pa, _, _ in design.connects
+    freed = [bit for ia, pa, _, _ in design.connects
              if ia == "s0" for bit in model.signal_bits(f"s0.{pa}")]
     props = props_for(
         f"xprop r : known(d0.R) after {settle}\n"

@@ -1,7 +1,10 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -331,3 +334,92 @@ def test_import_loads_no_numpy():
          "assert 'numpy' not in sys.modules, 'numpy imported'"],
         capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
+
+
+# ---------------------------------------------------------------------------
+# seeded single edits to a copy of the inputs: whatever an edit breaks, each
+# subcommand exits with a code it documents, and a crash (4) is never one
+
+
+def _edit_inputs(rng, files: dict[str, str]) -> str:
+    """Make one seeded edit to `files`, a map of name to text, in place:
+    delete, duplicate, swap or truncate a line, replace a token with one
+    from elsewhere in the file, or delete the file.  Returns what it did."""
+    name = rng.choice(sorted(files))
+    op = rng.choice(("delete", "duplicate", "swap", "truncate", "token",
+                     "unlink"))
+    lines = files[name].splitlines(keepends=True)
+    if op == "unlink" or not lines:
+        del files[name]
+        return f"unlink {name}"
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "truncate":
+        lines[i] = lines[i][:rng.randrange(len(lines[i]))]
+    else:
+        tokens = files[name].split()
+        words = lines[i].split()
+        if words:
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+            lines[i] = " ".join(words) + "\n"
+    files[name] = "".join(lines)
+    return f"{op} {name}:{i + 1}"
+
+
+def _mini_commands(d):
+    design, esw = str(d / "mini.dsn"), str(d / "boot.esw")
+    return [(["run", "--design", design, "--esw", esw,
+              "--props", str(d / "user.prop"), "--ip-limit", "0.2",
+              "--sub-limit", "0.2", "--format", "json",
+              "--out", str(d / "report.json")], {0, 2, 3}),
+            (["sim", "--design", design, "--esw", esw], {0, 3})]
+
+
+def _corpus_commands(d):
+    return [(["sim", "--design", str(d / "gateway.dsn"),
+              "--esw", str(d / "boot.esw")], {0, 3}),
+            (["sra-rank", "--ip", str(d / "can.net"),
+              "--regmap", str(d / "gateway.map")], {0, 3})]
+
+
+def _fuzz_exit_codes(source, commands, seed: int, cases: int, tmp_path):
+    """Make `cases` seeded edits, each to a fresh copy of the inputs in
+    `source`, and run `commands` on each copy.  Returns one `(edit,
+    command, code, stderr)` per run; stderr only for a code the command
+    does not document, else None."""
+    base = {p.name: p.read_text() for p in sorted(source.iterdir())
+            if p.suffix in (".net", ".dsn", ".map", ".esw", ".prop")}
+    rng = random.Random(seed)
+    out = []
+    for n in range(cases):
+        files = dict(base)
+        what = _edit_inputs(rng, files)
+        d = tmp_path / str(n)
+        d.mkdir()
+        for name, text in files.items():
+            (d / name).write_text(text)
+        for argv, allowed in commands(d):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            out.append((what, argv[0], code,
+                        None if code in allowed else err.getvalue()))
+    return out
+
+
+@pytest.mark.parametrize("inputs, seed", [("mini", 1), ("corpus", 1)])
+def test_edited_inputs_exit_with_documented_codes(mini_files, tmp_path,
+                                                  inputs, seed):
+    source, commands = ((mini_files, _mini_commands) if inputs == "mini"
+                        else (CORPUS, _corpus_commands))
+    got = _fuzz_exit_codes(source, commands, seed, 50, tmp_path)
+    bad = [g for g in got if g[3] is not None]
+    assert not bad, bad[0]
+    # the edits reach both outcomes: most break the input, some do not
+    assert {code for _, _, code, _ in got} >= {0, 3}

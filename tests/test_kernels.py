@@ -29,7 +29,7 @@ def test_tables_pessimism_corners():
 def test_locked_nets_keep_their_value(counter):
     model, _, _ = counter
     cm = model.compile()
-    n = cm.n_nets
+    n = len(model.nets)
     rng = random.Random(3)
     values = bytearray(rng.choice((0, 1, 2)) for _ in range(n))
     locked = bytearray(n)

@@ -56,22 +56,48 @@ def test_elaborate_counter_basics(counter):
     model, _, _ = counter
     assert model.instances == ("m0",)
     assert "m0.CNT" in model.registers
-    assert model.registers["m0.CNT"].width == 4
+    assert len(model.registers["m0.CNT"]) == 4
     assert set(model.inputs) >= {"m0.rst", "m0.en"}
     # every node output single-driven, comb graph compiled topologically
     cm = model.compile()
-    assert cm.n_nets == len(model.nets)
+    assert {o for *_, o in cm.gates} <= set(range(len(model.nets)))
     assert len(cm.dff_q) == 4
 
 
-def test_elaborate_connects_alias_nets(mini_parsed):
+def _flow_keep_sets(design, lib):
+    """The instance sets the flow elaborates: each instance alone, each
+    prefix of the connection ranking, and all of them."""
+    ranked = rank_ips_by_connection(design, lib)
+    keeps = {frozenset({i}) for i in design.instance_names()}
+    keeps.update(frozenset(ranked[:k + 1]) for k in range(len(ranked)))
+    return sorted(keeps, key=sorted)
+
+
+def test_elaborate_connects_alias_nets(mini_parsed, gateway):
     design, lib, _, _, _ = mini_parsed
     model = elaborate(design, lib)
-    # a0.led drives b0.sense: both resolve to one canonical net
-    led = model.resolve(model.signal_bits("a0.led")[0])
-    sense = model.resolve(model.signal_bits("b0.sense")[0])
-    assert led == sense
-    assert "b0.sense" not in {model.resolve(n) for n in model.inputs}
+    # a0.led drives b0.sense: both are one net, named by its driver
+    led = model.signal_bits("a0.led")[0]
+    sense = model.signal_bits("b0.sense")[0]
+    assert led == sense == "a0.led"
+    assert "b0.sense" not in model.inputs
+    # connected bits share one name at every instance set the flow builds,
+    # so no reader has a name to translate
+    for design, lib in ((design, lib), gateway[:2]):
+        for keep in _flow_keep_sets(design, lib):
+            model = elaborate(design, lib, keep=keep)
+            for ia, pa, ib, pb in design.connects:
+                if ia in keep and ib in keep:
+                    assert model.signal_bits(f"{ia}.{pa}") == \
+                        model.signal_bits(f"{ib}.{pb}"), (keep, ia, pa)
+            for tp, inst, port in design.tops:
+                if inst in keep:
+                    assert model.signal_bits(tp) == \
+                        model.signal_bits(f"{inst}.{port}"), (keep, tp)
+            assert model.registers
+            for reg, bits in model.registers.items():
+                assert bits == model.signals[reg]
+                assert all(b in model.index for b in bits), (keep, reg)
 
 
 def test_elaborate_keep_frees_dropped_connections(mini_parsed):
@@ -79,7 +105,7 @@ def test_elaborate_keep_frees_dropped_connections(mini_parsed):
     sub = elaborate(design, lib, keep={"b0"})
     assert sub.instances == ("b0",)
     # the net formerly driven by a0.led is now an unconstrained input
-    sense = sub.resolve(sub.signal_bits("b0.sense")[0])
+    sense = sub.signal_bits("b0.sense")[0]
     assert sense in sub.inputs
     assert sense not in {n.output for n in sub.nodes}
     with pytest.raises(errors.UnknownInstance):
@@ -109,9 +135,9 @@ def test_blackbox_marks_and_frees(mini_parsed):
     model = elaborate(design, lib)
     model.dual = bmc.xprop_encode(model)
     base, freed, hidden = bmc._box(model, frozenset({"a0"}))
-    sense = model.resolve(model.signal_bits("b0.sense")[0])
+    sense = model.signal_bits("b0.sense")[0]
     assert [model.nets[v] for v in freed] == ["a0.bad", sense]
-    assert set(model.registers["a0.CFG"].bits) <= hidden
+    assert set(model.registers["a0.CFG"]) <= hidden
     assert hidden.isdisjoint(model.inputs)
     assert bmc._box(model, frozenset({"a0"}))[0] is base
     with pytest.raises(errors.UnknownInstance):
@@ -158,7 +184,7 @@ def test_dff_options_simulate_and_check_as_explicit_gates():
                  for net in ("m0.rst", "m0.e", "m0.d[0]", "m0.d[1]")}
         frames = [(sim.step(drive), model) for sim, (model, _, _)
                   in zip(sims, built)]
-        got = [[frame[model.index[b]] for b in model.registers["m0.R"].bits]
+        got = [[frame[model.index[b]] for b in model.registers["m0.R"]]
                for frame, model in frames]
         assert got[0] == got[1]
     assert 2 in {s.register_value("m0.R") for s in sims}  # a reset showed
@@ -246,7 +272,7 @@ def test_connection_ranking_gateway(gateway):
 def test_state_bits(counter):
     # the model's state is its registers' bits, one flop each
     model, _, _ = counter
-    bits = [b for r in model.registers.values() for b in r.bits]
+    bits = [b for r in model.registers.values() for b in r]
     assert len(bits) == 4
     assert sorted(bits) == sorted(n.output for n in model.nodes
                                   if n.kind == "DFF")

@@ -100,8 +100,8 @@ def test_bus_script_drives_registers(mini_parsed):
         sim.run_statement()
     assert sim.register_value("a0.CFG") == 5
     assert sim.register_value("b0.GAIN") == 9
-    assert sim.frame[model.index[model.resolve("a0.led")]] == 1
-    assert sim.frame[model.index[model.resolve("b0.sig")]] == 1
+    assert sim.frame[model.index["a0.led"]] == 1
+    assert sim.frame[model.index["b0.sig"]] == 1
     assert sim.warnings == []
 
 
@@ -208,16 +208,15 @@ def _differential_steps(model, rng, cycles):
     """Step the simulator under random 0/1/X drives and compare every net of
     each frame with the recursive oracle, fed the simulator's latched state."""
     sim = Simulator(model)
-    cm = sim.cm
+    index = model.index
     flops = [n.output for n in model.nodes if n.kind == "DFF"]
-    inputs = sorted({model.resolve(i) for i in model.inputs})
     for cycle in range(cycles):
-        state = {q: sim.values[cm.index[q]] for q in flops}
-        drive = {i: rng.choice((0, 1, 2)) for i in inputs}
+        state = {q: sim.values[index[q]] for q in flops}
+        drive = {i: rng.choice((0, 1, 2)) for i in model.inputs}
         frame = sim.step(drive)
         want = oracles.eval_nets3(model, state, drive)
         for net in model.nets:
-            assert frame[cm.index[net]] == want[net], (model.name, cycle, net)
+            assert frame[index[net]] == want[net], (model.name, cycle, net)
 
 
 @pytest.mark.parametrize("seed", range(24))
