@@ -5,8 +5,8 @@ that value is known.  Unknowns (x) are the pair (0,0).  The known rail
 of each gate follows the same pessimistic rules the simulator uses, so
 a counterexample found here replays exactly in simulation.
 
-`xprop_encode` builds both rails as one graph over integer ids, held in
-flat `kind/a/b/c` lists: the value rails of the model's nets first, in
+`xprop_encode` builds both rails from `model.compile()` as one graph over
+integer ids, held in flat `kind/a/b/c` lists: the value rails first, in
 `model.nets` order, then the known rails and the helper gates that
 compute them.  Every net has a known-rail node of its own; a NOT
 output's is the AND of its input's known rail with itself, which
@@ -77,12 +77,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import SemiformError, UnknownInstance
 from .frontend import PropertyAst
-from .netlist import FlatModel
+from .netlist import X, FlatModel
 from .sat import Solver
 from . import sim as simlib
 
@@ -90,7 +89,7 @@ from . import sim as simlib
 # ---------------------------------------------------------------------------
 # dual-rail model
 
-# node kinds of the dual-rail graph
+# node kinds of the dual-rail graph; AND..MUX are `netlist.KIND_CODE`'s
 AND, OR, XOR, NOT, MUX, DFF, ZERO, ONE, INPUT, PAIR = range(10)
 
 
@@ -101,8 +100,9 @@ class DualModel:
     Node `i` is `kind[i]` over the ids `a[i]`, `b[i]`, `c[i]`; a DFF
     reads `a` one frame back and starts at `b` (0/1).  ZERO and ONE are
     constants, INPUT is a fresh variable per frame (a net the environment
-    drives to a known value) and PAIR a free (value, known) pair.  The
-    model's `index` gives each net's value-rail id.
+    drives to a known value) and PAIR a free (value, known) pair.  A
+    net's value-rail id is its id in `model.index`, and a value rail
+    reads what the net's gate or flop reads in `model.compile()`.
 
     `marked` is `kind` with the known rail of each net that no flop
     without init reaches written ONE.  `boxed` keeps what `_box` finds
@@ -120,37 +120,24 @@ class DualModel:
     c: list[int]
     boxed: dict = field(default_factory=dict)  # box set -> `_box`'s result
 
-    @cached_property
-    def readers(self) -> list[list[int]]:
-        """The value-rail ids of the gates and flops that read each net,
-        by value-rail id, for the walks that follow an unknown forward;
-        built on first use, from the value rails' own inputs."""
-        kind, a, b, c = self.kind, self.a, self.b, self.c
-        readers: list[list[int]] = [[] for _ in self.known]
-        for o in range(len(readers)):
-            k = kind[o]
-            if k <= DFF:
-                readers[a[o]].append(o)
-                if k < NOT or k == MUX:  # AND, OR, XOR and MUX read b
-                    readers[b[o]].append(o)
-                if k == MUX:
-                    readers[c[o]].append(o)
-        return readers
 
-
-def _unmark(dual: DualModel, kind: list[int], starts, stops=()):
+def _unmark(model: FlatModel, dual: DualModel, kind: list[int], starts,
+            stops=()):
     """Give the known rails of `starts`, and of every net they reach
     before a net in `stops`, their kinds in `dual.kind` back in `kind`.
 
-    A reader whose known rail is already `dual.kind`'s is not walked: in
-    every list this fills, an unknown reaches it and all it drives.
+    The walk follows the readers of `model.compile()`, whose net ids are
+    the value-rail ids.  A reader whose known rail is already
+    `dual.kind`'s is not walked: in every list this fills, an unknown
+    reaches it and all it drives.
     """
     known, orig = dual.known, dual.kind
+    readers = model.compile().readers
     work = list(starts)
     for v in work:
         kind[known[v]] = orig[known[v]]
-    while work:  # `readers` is built on first use, so only if needed
-        for o in dual.readers[work.pop()]:
+    while work:
+        for o in readers[work.pop()]:
             ko = known[o]
             if kind[ko] != orig[ko] and o not in stops:
                 kind[ko] = orig[ko]
@@ -161,12 +148,13 @@ def xprop_encode(model: FlatModel) -> DualModel:
     """Attach a known rail to every net of the flat model.
 
     Ids `0..len(model.nets)-1` are the value rails in `model.nets` order;
-    the known rails and the helper nodes that compute them follow.  Every
-    net has a known-rail node of its own, so a check can free any net by
-    writing its two nodes over (see `_constrain`).
+    the known rails follow, then the helper nodes that compute them, in
+    the order of the compiled gates.  Every net has a known-rail node of
+    its own, so a check can free any net by writing its two nodes over
+    (see `_constrain`).
     """
-    nets, index = model.nets, model.index
-    n = len(nets)
+    cm = model.compile()
+    n = cm.n_nets
     kind, a, b, c = [INPUT] * n, [0] * n, [0] * n, [0] * n
 
     def node(k: int, x: int = 0, y: int = 0, z: int = 0) -> int:
@@ -181,52 +169,40 @@ def xprop_encode(model: FlatModel) -> DualModel:
 
     # every rail starts out known: the environment drives undriven nets
     known = [node(ONE) for _ in range(n)]
-    for nd in model.nodes:
-        o = index[nd.output]
-        ko = known[o]
-        ins = [index[x] for x in nd.inputs]
-        k = nd.kind
-        if k == "CONST":
-            kind[o] = ONE if nd.value else ZERO
-        elif k == "DFF":
-            gate(o, DFF, ins[0], nd.init or 0)
-            gate(ko, DFF, known[ins[0]], int(nd.init is not None))
-        elif k == "NOT":
-            gate(o, NOT, ins[0])
+    for o, value in zip(cm.const_idx, cm.const_val):
+        kind[o] = ONE if value else ZERO
+    for q, d, init in zip(cm.dff_q, cm.dff_d, cm.dff_init):
+        gate(q, DFF, d, 0 if init == X else init)
+        gate(known[q], DFF, known[d], int(init != X))
+    for k, x, y, z, o in cm.gates:
+        gate(o, k, x, y, z)
+        kx, ky, ko = known[x], known[y], known[o]
+        if k == NOT:
             # known exactly when the input is; `Unroller.lit` folds the
             # AND of a rail with itself to that rail's literal
-            gate(ko, AND, known[ins[0]], known[ins[0]])
-        elif k == "XOR":
-            x, y = ins
-            gate(o, XOR, x, y)
-            gate(ko, AND, known[x], known[y])
-        elif k in ("AND", "OR"):
-            x, y = ins
-            kx, ky = known[x], known[y]
-            gate(o, AND if k == "AND" else OR, x, y)
+            gate(ko, AND, kx, kx)
+        elif k == XOR:
+            gate(ko, AND, kx, ky)
+        elif k == MUX:  # y when x, else z
+            kz = known[z]
+            t1 = node(AND, kx, node(MUX, x, ky, kz))
+            nx = node(NOT, node(XOR, y, z))
+            t3 = node(AND, node(AND, ky, kz), nx)
+            gate(ko, OR, t1, t3)
+        else:
             # known when both sides known, or either side is known at
             # the controlling value (0 for AND, 1 for OR)
-            if k == "AND":
+            if k == AND:
                 cx, cy = node(NOT, x), node(NOT, y)
             else:
                 cx, cy = x, y
             t1, t2, t3 = node(AND, kx, ky), node(AND, kx, cx), node(AND, ky, cy)
             gate(ko, OR, node(OR, t1, t2), t3)
-        elif k == "MUX":
-            s, x, y = ins
-            ks, kx, ky = known[s], known[x], known[y]
-            gate(o, MUX, s, x, y)
-            t1 = node(AND, ks, node(MUX, s, kx, ky))
-            nx = node(NOT, node(XOR, x, y))
-            t3 = node(AND, node(AND, kx, ky), nx)
-            gate(ko, OR, t1, t3)
-        else:
-            raise SemiformError(f"unexpected node kind {k}")
 
     dual = DualModel(known, kind, kind.copy(), a, b, c)
     dual.marked[n:2 * n] = [ONE] * n  # the known rails, in `known` order
-    _unmark(dual, dual.marked, [index[nd.output] for nd in model.nodes
-                                if nd.kind == "DFF" and nd.init is None])
+    _unmark(model, dual, dual.marked,
+            [q for q, init in zip(cm.dff_q, cm.dff_init) if init == X])
     dual.boxed[frozenset()] = dual.marked, (), frozenset()  # no box
     return dual
 
@@ -506,7 +482,7 @@ def _box(model: FlatModel, boxes: frozenset[str]):
         freed = tuple(sorted(model.index[net] for net in driven
                              if net in outside or net in outputs))
         base = model.dual.marked.copy()
-        _unmark(model.dual, base, freed)
+        _unmark(model, model.dual, base, freed)
         hidden = (driven | inside) - outside - outputs.union(model.inputs)
         got = model.dual.boxed[boxes] = base, freed, frozenset(hidden)
     return got
@@ -534,8 +510,8 @@ def _constrain(model: FlatModel, cut, pins: dict[str, int],
     for reg, value in pins.items():
         for i, bit in enumerate(model.registers[reg]):
             bits[index[bit]] = (value >> i) & 1
-    _unmark(dual, kind, [v for v in (index[net] for net in cut)
-                         if v not in bits], pairs)
+    _unmark(model, dual, kind, [v for v in (index[net] for net in cut)
+                                if v not in bits], pairs)
     for v in pairs:
         kind[v] = kind[known[v]] = PAIR
     for v, bit in bits.items():

@@ -45,14 +45,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_library(netlist_dir: str) -> dict[str, IpNetlist]:
+    """Each `.net` file's module, by name; two files that declare one
+    module raise, so no file order picks which one a design uses."""
     lib: dict[str, IpNetlist] = {}
+    paths: dict[str, str] = {}
     if not os.path.isdir(netlist_dir):
         raise SemiformError(f"netlist directory {netlist_dir} not found")
     for name in sorted(os.listdir(netlist_dir)):
         if name.endswith(".net"):
             path = os.path.join(netlist_dir, name)
             ip = parse_netlist(_read(path), path=path)
-            lib[ip.name] = ip
+            if ip.name in lib:
+                raise SemiformError(f"module {ip.name} is declared in both "
+                                    f"{paths[ip.name]} and {path}")
+            lib[ip.name], paths[ip.name] = ip, path
     if not lib:
         raise SemiformError(f"no .net files in {netlist_dir}")
     return lib

@@ -342,7 +342,7 @@ class Flow:
             cap = sim.collect_sim_values(session, order)
             if not carried:
                 try:
-                    pinned += sra.combine_regs(ranked, 1, already=pinned)
+                    pinned.append(sra.combine_regs(ranked, pinned))
                 except ExhaustedRegisters:
                     return False
             carried = False

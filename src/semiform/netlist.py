@@ -13,17 +13,18 @@ signal and register to them, so a reader looks a name up there and never
 translates a net.
 
 A flat net's integer id is its place in the sorted `model.nets`, looked up
-in `model.index`; the kernel's value arrays, the dual-rail graph and
-property evaluation all use these ids.  Gates run in `model.comb_order()`,
-one topological order found by an iterative depth-first search when the
-model is elaborated (a combinational cycle raises there).  The kernel
-settles them in that order, and `fanout_cone` counts paths over it in
-reverse.
+in `model.index`.  `model.compile()` lowers the model to these ids once,
+when it is elaborated: its gates in one topological order (an iterative
+depth-first search, where a combinational cycle raises), its flops and
+constants and, built on first use, each net's readers.  The simulator,
+the dual-rail encoder and the forward walks of `fanout_cone` and
+`bmc._unmark` all read this one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -39,8 +40,7 @@ from .errors import (
 # Gate basis.  MUX(sel, a, b) = a when sel else b.
 GATE_ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1, "MUX": 3}
 COMB_KINDS = ("AND", "OR", "XOR", "NOT", "MUX")
-
-KIND_CODE = {"AND": 0, "OR": 1, "XOR": 2, "NOT": 3, "MUX": 4}
+KIND_CODE = {k: i for i, k in enumerate(COMB_KINDS)}  # bmc's codes too
 
 X = 2  # three-valued unknown
 
@@ -237,15 +237,34 @@ class _UnionFind:
 
 @dataclass
 class CompiledModel:
-    """Index tuples for `kernels.eval_comb`, gates in topological order;
-    each index is a net's place in `FlatModel.nets`."""
+    """A flat model over net ids, each a net's place in `FlatModel.nets`.
 
+    `gates` are in topological order, each kind coded by `KIND_CODE`
+    with unused inputs 0; a flop `i` drives `dff_q[i]` from `dff_d[i]`,
+    and a constant sets `const_idx[i]` to `const_val[i]`.
+    """
+
+    n_nets: int
     gates: tuple[tuple[int, int, int, int, int], ...]  # (kind, a, b, c, out)
     dff_q: tuple[int, ...]
     dff_d: tuple[int, ...]
     dff_init: tuple[int, ...]  # 2 = unknown
     const_idx: tuple[int, ...]
     const_val: tuple[int, ...]
+
+    @cached_property
+    def readers(self) -> list[list[int]]:
+        """For each net id, the ids of the nets driven by the gates and
+        flops that read it, one entry per input read (`AND x x` gives
+        two); built on first use."""
+        readers: list[list[int]] = [[] for _ in range(self.n_nets)]
+        arity = [GATE_ARITY[k] for k in COMB_KINDS]  # by kind code
+        for k, *ins, o in self.gates:
+            for i in ins[:arity[k]]:
+                readers[i].append(o)
+        for q, d in zip(self.dff_q, self.dff_d):
+            readers[d].append(q)
+        return readers
 
 
 class FlatModel:
@@ -275,10 +294,8 @@ class FlatModel:
             nets.update(n.inputs)
         self.nets: tuple[str, ...] = tuple(sorted(nets))
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.nets)}
-        self._order: tuple[Node, ...] | None = None
         self._compiled: CompiledModel | None = None
         self.dual = None  # `bmc.xprop_encode(self)`, set by `bmc.check`
-        self._consumers: dict[str, list[int]] | None = None
 
     # -- naming ------------------------------------------------------------
 
@@ -287,24 +304,10 @@ class FlatModel:
             return self.signals[signal]
         raise UnknownRegister(f"model {self.name} has no signal {signal}")
 
-    def consumers(self) -> dict[str, list[int]]:
-        if self._consumers is None:
-            cons: dict[str, list[int]] = {}
-            for i, n in enumerate(self.nodes):
-                for inp in n.inputs:
-                    cons.setdefault(inp, []).append(i)
-            self._consumers = cons
-        return self._consumers
-
-    def comb_order(self) -> tuple[Node, ...]:
-        """The gates in topological order, found once per model."""
-        if self._order is None:
-            self._order = _comb_order(self.nodes)
-        return self._order
-
-    # -- compilation for the kernel -----------------------------------------
+    # -- the model over net ids --------------------------------------------
 
     def compile(self) -> CompiledModel:
+        """The model over net ids, lowered once (see `CompiledModel`)."""
         if self._compiled is not None:
             return self._compiled
         index = self.index
@@ -312,11 +315,12 @@ class FlatModel:
         def pick(n: Node, j: int) -> int:
             return index[n.inputs[j]] if j < len(n.inputs) else 0
         gates = tuple((KIND_CODE[n.kind], pick(n, 0), pick(n, 1), pick(n, 2),
-                       index[n.output]) for n in self.comb_order())
+                       index[n.output]) for n in _comb_order(self.nodes))
 
         dffs = [n for n in self.nodes if n.kind == "DFF"]
         consts = [n for n in self.nodes if n.kind == "CONST"]
         self._compiled = CompiledModel(
+            n_nets=len(self.nets),
             gates=gates,
             dff_q=tuple(index[n.output] for n in dffs),
             dff_d=tuple(index[n.inputs[0]] for n in dffs),
@@ -523,7 +527,7 @@ def elaborate(design: Design, library: dict[str, IpNetlist],
         nodes=nodes, node_instance=node_instance,
         registers=registers, inputs=sorted(inputs),
         outputs=sorted(set(outputs)), signals=signals)
-    model.comb_order()  # a cycle raises here
+    model.compile()  # a cycle raises here
     return model
 
 
@@ -565,7 +569,7 @@ def _comb_order(nodes, where: str = "") -> tuple[Node, ...]:
 class FanoutCone:
     """Forward cone of a register: reached elements plus output path count."""
 
-    elements: tuple[int, ...]  # node indices in model.nodes
+    elements: tuple[int, ...]  # ids of the nets the reached nodes drive
     paths: int
 
 
@@ -574,51 +578,49 @@ def fanout_cone(model: FlatModel, register: str) -> FanoutCone:
 
     Elements are counted once each; traversal continues through other
     registers' flops.  Paths run through combinational logic only and end
-    at a primary output or at another register's data input.
+    at a primary output or at another register's data input.  Each node
+    drives one net, so the walk goes over net ids in `model.compile()`'s
+    readers, and an element is the id of the net its node drives.
     """
     bits = model.registers.get(register)
     if bits is None:
         raise UnknownRegister(f"no register {register} in {model.name}")
-    own_bits = set(bits)
-    cons = model.consumers()
-    outputs = set(model.outputs)
+    cm = model.compile()
+    readers, index = cm.readers, model.index
+    starts = [index[b] for b in bits]
+    flops = set(cm.dff_q)
+    own_flops = flops.intersection(starts)
+    outputs = {index[o] for o in model.outputs}
 
-    own_dffs = set()
-    for i, n in enumerate(model.nodes):
-        if n.kind == "DFF" and n.output in own_bits:
-            own_dffs.add(i)
-
-    # element reach: cross every flop, count nodes once
-    seen_nodes: set[int] = set()
-    seen_nets: set[str] = set()
-    frontier = list(bits)
-    while frontier:
-        net = frontier.pop()
-        if net in seen_nets:
+    # element reach: cross every flop but the register's own
+    seen: set[int] = set()
+    elements: set[int] = set()
+    work = starts.copy()
+    while work:
+        v = work.pop()
+        if v in seen:
             continue
-        seen_nets.add(net)
-        for ci in cons.get(net, ()):
-            if ci in own_dffs:
-                continue
-            seen_nodes.add(ci)
-            frontier.append(model.nodes[ci].output)
+        seen.add(v)
+        for r in readers[v]:
+            if r not in own_flops:
+                elements.add(r)
+                work.append(r)
 
     # path count: combinational DP, per connection edge
-    def path_count(net: str) -> int:
-        total = 1 if net in outputs else 0
-        for ci in cons.get(net, ()):
-            node = model.nodes[ci]
-            if node.kind != "DFF":
-                total += paths[node.output]
-            elif ci not in own_dffs:
+    def path_count(v: int) -> int:
+        total = int(v in outputs)
+        for r in readers[v]:
+            if r not in flops:
+                total += paths[r]
+            elif r not in own_flops:
                 total += 1
         return total
 
-    # gates in reverse topological order, so each reads settled consumers;
-    # DFF nodes reached across boundaries do not restart path counting
-    paths: dict[str, int] = {}
-    for g in reversed(model.comb_order()):
-        if g.output in seen_nets:
-            paths[g.output] = path_count(g.output)
-    total_paths = sum(path_count(b) for b in bits)
-    return FanoutCone(elements=tuple(sorted(seen_nodes)), paths=total_paths)
+    # gates in reverse topological order, so each reads settled readers;
+    # flops reached across boundaries do not restart path counting
+    paths: dict[int, int] = {}
+    for *_, o in reversed(cm.gates):
+        if o in seen:
+            paths[o] = path_count(o)
+    total_paths = sum(path_count(v) for v in starts)
+    return FanoutCone(elements=tuple(sorted(elements)), paths=total_paths)

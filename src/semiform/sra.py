@@ -58,16 +58,16 @@ def do_sra(model: FlatModel, mapped: tuple[str, ...] | list[str],
     return RankedRegisters(tuple(s.register for s in scores), tuple(scores))
 
 
-def combine_regs(ranked: RankedRegisters, n: int,
-                 already: tuple[str, ...] = ()) -> tuple[str, ...]:
-    """Next `n` registers to pin, skipping ones already constrained.
+def combine_regs(ranked: RankedRegisters,
+                 already: tuple[str, ...] | list[str] = ()) -> str:
+    """The highest-ranked register not in `already`: each iteration of
+    the refinement loop pins one more.
 
     Raises ExhaustedRegisters when the ranking has nothing left to give,
     which is the caller's signal to stop iterating on this block.
     """
-    taken = set(already)
-    fresh = [r for r in ranked.order if r not in taken]
-    if not fresh:
-        raise ExhaustedRegisters(
-            f"all {len(ranked.order)} ranked registers already constrained")
-    return tuple(fresh[:n])
+    for r in ranked.order:
+        if r not in already:
+            return r
+    raise ExhaustedRegisters(
+        f"all {len(ranked.order)} ranked registers already constrained")

@@ -9,7 +9,7 @@ import pytest
 
 from semiform.frontend import (parse_design, parse_esw, parse_netlist,
                                parse_props, parse_regmap)
-from semiform.netlist import elaborate
+from semiform.netlist import elaborate, rank_ips_by_connection
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -60,6 +60,15 @@ def build_model(module_text: str, instance: str = "m0"):
     ip = parse_netlist(module_text, path="<test>")
     design = parse_design(f".design solo\n.instance {ip.name} {instance}\n")
     return elaborate(design, {ip.name: ip}), design, {ip.name: ip}
+
+
+def flow_keep_sets(design, lib):
+    """The instance sets the flow elaborates: each instance alone, each
+    prefix of the connection ranking, and all of them."""
+    ranked = rank_ips_by_connection(design, lib)
+    keeps = {frozenset({i}) for i in design.instance_names()}
+    keeps.update(frozenset(ranked[:k + 1]) for k in range(len(ranked)))
+    return sorted(keeps, key=sorted)
 
 
 def props_for(text: str, design, library):

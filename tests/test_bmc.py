@@ -376,6 +376,18 @@ def test_check_matches_explicit_oracle(chunk):
             assert (o.status, o.frame) == want, (seed, prop.name)
 
 
+def test_value_rails_copy_the_compiled_gates(counter):
+    # the encoder copies each compiled gate into its net's value rail, so
+    # the dual-rail kinds AND..MUX must be netlist's kind codes
+    assert netlist.KIND_CODE == {"AND": bmc.AND, "OR": bmc.OR,
+                                 "XOR": bmc.XOR, "NOT": bmc.NOT,
+                                 "MUX": bmc.MUX}
+    model, _, _ = counter
+    dual = bmc.xprop_encode(model)
+    for k, x, y, z, o in model.compile().gates:
+        assert (dual.kind[o], dual.a[o], dual.b[o], dual.c[o]) == (k, x, y, z)
+
+
 def test_stopat_on_not_output_frees_only_that_net():
     # cutting w = ~R must leave R's own known rail alone (p: R is unknown
     # at frame 0) and reach w's readers (q: g = w & a is 1 at frame 0)

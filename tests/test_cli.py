@@ -123,6 +123,23 @@ def test_missing_module_exits_3(mini_files, tmp_path, capsys, command):
     assert "instance b0 references unknown module beta" in err
 
 
+def test_module_declared_twice_exits_3(mini_files, tmp_path, capsys):
+    # two files that declare one module: no file order may pick the one
+    # the design uses
+    for f in mini_files.glob("*.net"):
+        (tmp_path / f.name).write_text(f.read_text())
+    (tmp_path / "mini.dsn").write_text((mini_files / "mini.dsn").read_text())
+    (tmp_path / "zeta.net").write_text(
+        ".module beta\n.input i 1\n.output o 1\n.gate NOT o i\n"
+        ".endmodule\n")
+    code = main(["sim", "--design", str(tmp_path / "mini.dsn"),
+                 "--esw", str(mini_files / "boot.esw")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "module beta is declared in both" in err
+    assert "beta.net" in err and "zeta.net" in err
+
+
 def test_design_with_bus_map_exits_3(mini_files, tmp_path, capsys):
     # the .map file is the one register map
     for f in mini_files.glob("*.net"):

@@ -12,7 +12,8 @@ from semiform.netlist import (connection_scores, elaborate, fanout_cone,
 from semiform.sim import Simulator
 from semiform.sra import do_sra
 
-from conftest import COUNTER_TEXT, build_model, random_dag_module
+from conftest import (COUNTER_TEXT, build_model, flow_keep_sets,
+                      random_dag_module)
 import oracles
 
 
@@ -64,15 +65,6 @@ def test_elaborate_counter_basics(counter):
     assert len(cm.dff_q) == 4
 
 
-def _flow_keep_sets(design, lib):
-    """The instance sets the flow elaborates: each instance alone, each
-    prefix of the connection ranking, and all of them."""
-    ranked = rank_ips_by_connection(design, lib)
-    keeps = {frozenset({i}) for i in design.instance_names()}
-    keeps.update(frozenset(ranked[:k + 1]) for k in range(len(ranked)))
-    return sorted(keeps, key=sorted)
-
-
 def test_elaborate_connects_alias_nets(mini_parsed, gateway):
     design, lib, _, _, _ = mini_parsed
     model = elaborate(design, lib)
@@ -84,7 +76,7 @@ def test_elaborate_connects_alias_nets(mini_parsed, gateway):
     # connected bits share one name at every instance set the flow builds,
     # so no reader has a name to translate
     for design, lib in ((design, lib), gateway[:2]):
-        for keep in _flow_keep_sets(design, lib):
+        for keep in flow_keep_sets(design, lib):
             model = elaborate(design, lib, keep=keep)
             for ia, pa, ib, pb in design.connects:
                 if ia in keep and ib in keep:
@@ -222,9 +214,8 @@ def test_fanout_cone_crosses_flops():
     ca = fanout_cone(model, "m0.A")
     cb = fanout_cone(model, "m0.B")
     assert ca.paths == 1  # ends at B's flop
-    kinds_a = [model.nodes[i].kind for i in ca.elements]
-    assert kinds_a.count("DFF") == 1  # B's flop is an element of A's cone
-    assert "NOT" in kinds_a and len(ca.elements) == 3
+    # each element is the net its node drives: w's NOT, B's flop and o's NOT
+    assert [model.nets[v] for v in ca.elements] == ["m0.B", "m0.o", "m0.w"]
     assert cb.paths == 1 and len(cb.elements) == 1
 
 
@@ -258,6 +249,60 @@ def test_paths_match_enumeration_on_random_dags():
             cone = fanout_cone(model, reg)
             assert cone.paths == oracles.enumerate_paths(model, reg)
             assert len(cone.elements) == oracles.reach_elements(model, reg)
+
+
+# A's flop has an enable and a reset (MUX and CONST readers once
+# desugared), H has no `.dff` and so reads itself, and w, x and o each
+# read one net twice
+MIXED_FANOUT_TEXT = """\
+.module mix
+.input rst 1
+.input e 1
+.input i 1
+.output o 1
+.output p 1
+.reg A 2 init=1
+.reg H 1
+.reg B 1 init=0
+.wire w 1
+.wire x 1
+.wire y 1
+.wire z 2
+.gate AND w A[0] A[0]
+.gate MUX x A[1] w w
+.gate XOR y x H
+.gate OR z[0] y i
+.gate NOT z[1] w
+.dff A z en=e rst=rst rstval=2
+.dff B y en=x
+.gate AND o B B
+.gate OR p x H
+.endmodule
+"""
+
+
+@pytest.mark.parametrize("case", ["mix", "mix_chain", "mini"])
+def test_paths_match_enumeration_beyond_random_dags(case, mini_parsed):
+    # what the random DAGs never make: flop options, a register holding
+    # its value, gates reading one net twice and connected instances
+    if case == "mix":
+        model, _, _ = build_model(MIXED_FANOUT_TEXT)
+    elif case == "mix_chain":
+        ip = parse_netlist(MIXED_FANOUT_TEXT)
+        design = parse_design(
+            ".design chain\n.instance mix s0\n.instance mix s1\n"
+            ".connect s0.o s1.i\n.connect s1.p s0.i\n"
+            ".top rst s0.rst\n.top rst s1.rst\n")
+        model = elaborate(design, {"mix": ip})
+    else:
+        design, lib, _, _, _ = mini_parsed
+        model = elaborate(design, lib)
+    assert len(model.instances) == (1 if case == "mix" else 2)
+    for reg in model.registers:
+        cone = fanout_cone(model, reg)
+        assert cone.paths == oracles.enumerate_paths(model, reg), reg
+        assert len(cone.elements) == oracles.reach_elements(model, reg), reg
+        assert cone.paths > 0, reg
 
 
 def test_connection_ranking_gateway(gateway):
