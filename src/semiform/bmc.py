@@ -697,6 +697,9 @@ def _kinds_at(ids: list[int]):
 
 
 def _expr_pair(enc: Unroller, model: FlatModel, expr, frame: int):
+    """(value, known) literals of a property expression at `frame`, by
+    `sim.eval_expr3`'s rules, which replay checks: `("known", sig)` is a
+    known 1 when every bit of `sig` is known, else a known 0."""
     op = expr[0]
     if op == "sig":
         bits = simlib.sig_nets(model, expr)
@@ -735,6 +738,9 @@ def _expr_pair(enc: Unroller, model: FlatModel, expr, frame: int):
         if op == "ne":
             v = -v
         return v, k
+    if op == "known":
+        return enc._and([enc.known(bit, frame)
+                         for bit in simlib.sig_nets(model, expr[1])]), enc.TRUE
     raise SemiformError(f"unexpected expression {op}")
 
 
@@ -756,11 +762,6 @@ def _operand_bits(enc: Unroller, model: FlatModel, a, b, frame: int):
 
 def _violation_lit(enc: Unroller, model: FlatModel, prop: PropertyAst,
                    frame: int) -> int:
-    if prop.kind == "xprop":
-        bits = model.registers.get(prop.register)
-        if bits is None:
-            raise SemiformError(f"xprop register {prop.register} missing")
-        return enc._or([-enc.known(bit, frame) for bit in bits])
     v, k = _expr_pair(enc, model, prop.expr, frame)
     return enc._and([k, -v])  # definitely false, not merely unknown
 
@@ -833,9 +834,9 @@ def check(model: FlatModel, props,
     so its own solver; `n_vars`, `n_clauses` and `n_conflicts` are sums
     over the groups.  The budget is split evenly over the unresolved
     properties and redistributed in rounds, so one stubborn property
-    cannot starve the rest.  Each property is solved frame by frame on
-    its group's incremental solver; a FAIL therefore carries its
-    earliest reachable frame.  A property whose live cone has no loop
+    cannot starve the rest.  Each property is solved frame by frame, from
+    its `settle` on, on its group's incremental solver; a FAIL therefore
+    carries its earliest reachable frame.  A property whose live cone has no loop
     through a flop is solved only up to `min(k, max(first frame, depth))`;
     when those frames hold it passes with bound `k`, since every later
     frame is a renamed copy of the last one solved.
@@ -875,7 +876,7 @@ def check(model: FlatModel, props,
         if dead:
             run.outcomes[prop.name] = PropertyOutcome(
                 prop.name, "VACUOUS", reason=f"scope blackboxed: {dead[0]}")
-        elif prop.kind == "xprop" and prop.settle > k:
+        elif prop.settle > k:
             run.outcomes[prop.name] = PropertyOutcome(
                 prop.name, "UNDETERMINED", reason="bound",
                 bound=k)
@@ -915,8 +916,7 @@ def check(model: FlatModel, props,
                 return stored
     depths, groups, met, before = _walk_cones(model, kind, partner, nets)
     total_deadline = None if budget is None else start + budget
-    next_frame = {p.name: (p.settle if p.kind == "xprop" else 0)
-                  for p in pending}
+    next_frame = {p.name: p.settle for p in pending}
     last, encs, units = {}, {}, {}
     for p, d, g in zip(pending, depths, groups):
         last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))

@@ -167,8 +167,7 @@ def _cmd_sra_rank(args) -> int:
     # the instance with the most matching entries is the one meant
     inst = sorted(by_inst, key=lambda i: (-len(by_inst[i]), i))[0]
     model = elaborate(_solo_design(ip.name, inst), {ip.name: ip})
-    ranked = sra.do_sra(model, by_inst[inst], w_paths=args.w_paths,
-                        w_elements=args.w_elements)
+    ranked = sra.do_sra(model, by_inst[inst])
     print(f"{'register':<28} {'paths':>7} {'elements':>9} {'score':>9}")
     for s in ranked.scores:
         print(f"{s.register:<28} {s.paths:>7} {s.elements:>9} {s.score:>9}")
@@ -196,8 +195,8 @@ def _cmd_bmc(args) -> int:
         if reg not in cuts:
             raise MissingStopat(f"assume on {reg} without a stopat")
         cuts[reg] = int(val, 0)
-    run = bmc_mod.check(model, props, cuts, args.blackbox, k=args.bound,
-                        budget=args.budget, dump_icnf=args.dump_icnf)
+    run = bmc_mod.check(model, props, cuts, k=args.bound, budget=args.budget,
+                        dump_icnf=args.dump_icnf)
     for name in sorted(run.outcomes):
         o = run.outcomes[name]
         extra = ""
@@ -265,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sra-rank", help="rank one IP's mapped registers")
     p.add_argument("--ip", required=True)
     p.add_argument("--regmap", required=True)
-    p.add_argument("--w-paths", type=int, default=100)
-    p.add_argument("--w-elements", type=int, default=1)
     p.set_defaults(fn=_cmd_sra_rank)
 
     p = sub.add_parser("bmc", help="bounded check of a single IP")
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopat", action="append", default=[])
     p.add_argument("--assume", action="append", default=[],
                    metavar="REG=VALUE")
-    p.add_argument("--blackbox", action="append", default=[])
     p.add_argument("--dump-icnf", metavar="DIR",
                    help=DUMP_ICNF_HELP + "group<g>.icnf")
     p.add_argument("--dump-trace")

@@ -452,19 +452,19 @@ def parse_esw(text: str, path: str | None = None) -> EswScript:
 
 @dataclass(frozen=True)
 class PropertyAst:
-    """A per-cycle safety invariant.
+    """A safety invariant: `expr` must not read 0 in any cycle from
+    `settle` on.
 
-    `kind` is "user" for parsed properties and "xprop" for generated
-    known-after-reset obligations, which carry `register` and `settle`
-    instead of an expression.
+    A known-after-reset obligation (`gen_xprop`, or an `xprop` line) is
+    the expression `("known", ("sig", "INST.REG", None))`, which reads 1
+    when every bit of the register is known and 0 otherwise; a `prop`
+    line cannot write `known`, and its `settle` is 0.
     """
 
     name: str
-    kind: str
-    expr: tuple | None
+    expr: tuple
     scope: frozenset[str]
-    register: str | None = None
-    settle: int | None = None
+    settle: int = 0
 
 
 _EXPR_TOKEN = re.compile(
@@ -478,8 +478,6 @@ def _tokenize_expr(text: str, ln: int, path):
         m = _EXPR_TOKEN.match(text, pos)
         if not m:
             rest = text[pos:].strip()
-            if not rest:
-                break
             raise ParseError(f"bad token at {rest[:10]!r}", ln, pos + 1, path)
         toks.append((m.group(1), m.start(1) + 1))
         pos = m.end()
@@ -571,7 +569,7 @@ def expr_scope(expr: tuple) -> frozenset[str]:
     def walk(e):
         if e[0] == "sig" and "." in e[1]:
             out.add(e[1].split(".", 1)[0])
-        elif e[0] in ("not",):
+        elif e[0] in ("not", "known"):
             walk(e[1])
         elif e[0] in ("and", "or", "imp", "eq", "ne"):
             walk(e[1])
@@ -671,15 +669,19 @@ def parse_props(text: str, path: str | None = None,
             if design and (inst not in ips or reg not in
                            {r.name for r in ips[inst].registers}):
                 raise UnknownSignal(f"no register {inst}.{reg}", ln, 1, path)
-            props.append(PropertyAst(name, "xprop", None, frozenset({inst}),
-                                     f"{inst}.{reg}", int(x.group(4))))
+            props.append(_known_after(name, f"{inst}.{reg}", int(x.group(4))))
             continue
         toks = _tokenize_expr(m.group(2), ln, path)
         expr = _ExprParser(toks, ln, path).parse()
         _check_expr(expr, design, ips, ln, path, boolean=True)
-        props.append(PropertyAst(name=name, kind="user", expr=expr,
-                                 scope=expr_scope(expr)))
+        props.append(PropertyAst(name, expr, expr_scope(expr)))
     return props
+
+
+def _known_after(name: str, register: str, settle: int) -> PropertyAst:
+    """The obligation that `register` is known from cycle `settle` on."""
+    expr = ("known", ("sig", register, None))
+    return PropertyAst(name, expr, expr_scope(expr), settle)
 
 
 def render_expr(expr: tuple) -> str:
@@ -690,6 +692,8 @@ def render_expr(expr: tuple) -> str:
         return f"0x{expr[1]:x}" if expr[1] > 9 else str(expr[1])
     if kind == "not":
         return f"~{render_expr(expr[1])}"
+    if kind == "known":
+        return f"known({render_expr(expr[1])})"
     op = {"and": "&", "or": "|", "imp": "->", "eq": "==", "ne": "!="}[kind]
     return f"({render_expr(expr[1])} {op} {render_expr(expr[2])})"
 
@@ -697,8 +701,8 @@ def render_expr(expr: tuple) -> str:
 def serialize_props(props: list[PropertyAst]) -> str:
     out = []
     for p in props:
-        if p.kind == "xprop":
-            out.append(f"xprop {p.name} : known({p.register}) after {p.settle}")
+        if p.expr[0] == "known":
+            out.append(f"xprop {p.name} : {render_expr(p.expr)} after {p.settle}")
         else:
             out.append(f"prop {p.name} : {render_expr(p.expr)}")
     return "\n".join(out) + "\n"
@@ -709,14 +713,9 @@ def gen_xprop(design: Design, library: dict[str, IpNetlist],
     """One known-after-settle obligation per register of every instance."""
     if settle < 0:
         raise ValueError(f"settle must be >= 0, got {settle}")
-    props = []
-    for inst, ip in instance_ips(design, library).items():
-        for r in ip.registers:
-            props.append(PropertyAst(
-                name=f"xprop_{inst}_{r.name}", kind="xprop", expr=None,
-                scope=frozenset({inst}), register=f"{inst}.{r.name}",
-                settle=settle))
-    return props
+    return [_known_after(f"xprop_{inst}_{r.name}", f"{inst}.{r.name}", settle)
+            for inst, ip in instance_ips(design, library).items()
+            for r in ip.registers]
 
 
 def divide_props(props: list[PropertyAst], design: Design,

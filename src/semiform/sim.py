@@ -230,16 +230,13 @@ def check_prop_nets(model: FlatModel, prop) -> list[str]:
 
     `model.nets` leaves out a declared wire that no gate drives or reads.
     """
-    if prop.kind == "xprop":
-        nets = list(model.registers.get(prop.register, ()))
-    else:
-        nets, todo = [], [prop.expr]
-        while todo:
-            e = todo.pop()
-            if e[0] == "sig":
-                nets.extend(sig_nets(model, e))
-            elif e[0] != "int":
-                todo.extend(e[1:])
+    nets, todo = [], [prop.expr]
+    while todo:
+        e = todo.pop()
+        if e[0] == "sig":
+            nets.extend(sig_nets(model, e))
+        elif e[0] != "int":
+            todo.extend(e[1:])
     for net in nets:
         if net not in model.index:
             raise SemiformError(f"property {prop.name} reads net {net}, "
@@ -258,7 +255,10 @@ _XOR = kernels.XOR3
 
 
 def eval_expr3(model: FlatModel, frame, expr) -> int:
-    """Evaluate a property expression to 0, 1, or X on one cycle's values."""
+    """Evaluate a property expression to 0, 1, or X on one cycle's values.
+
+    `("known", sig)` is 1 when no bit of `sig` is X, else 0.
+    """
 
     def ev(e) -> int:
         k = e[0]
@@ -287,17 +287,15 @@ def eval_expr3(model: FlatModel, frame, expr) -> int:
             for x, y in zip(abits, bbits):
                 acc = _AND[acc * 3 + _NOT[_XOR[x * 3 + y]]]
             return acc if k == "eq" else _NOT[acc]
+        if k == "known":
+            return int(X not in _bits3(model, frame, e[1]))
         raise AssertionError(k)
 
     return ev(expr)
 
 
 def violated_at(model: FlatModel, frame, prop, cycle: int) -> bool:
-    """A property is violated only when it evaluates to a definite 0."""
+    """A property is violated at a cycle from its `settle` on where it
+    evaluates to a definite 0, not merely X."""
     check_prop_nets(model, prop)
-    if prop.kind == "xprop":
-        if cycle < (prop.settle or 0):
-            return False
-        return any(frame[model.index[b]] == X
-                   for b in model.registers.get(prop.register, ()))
-    return eval_expr3(model, frame, prop.expr) == 0
+    return cycle >= prop.settle and eval_expr3(model, frame, prop.expr) == 0

@@ -3,9 +3,9 @@
 Scores each software-visible register by how much downstream logic its
 value can steer: a weighted sum of the distinct combinational paths
 leaving the register and the logic elements inside its fan-out cone.
-Path weight dominates element weight (100:1 by default) so a register
-feeding many separate control decisions outranks one feeding a single
-wide datapath blob.
+Path weight dominates element weight (`W_PATHS`:`W_ELEMENTS`, 100:1) so
+a register feeding many separate control decisions outranks one feeding
+a single wide datapath blob.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .errors import ExhaustedRegisters, UnknownRegister
 from .netlist import FanoutCone, FlatModel, fanout_cone
+
+W_PATHS = 100  # score per distinct path out of the register
+W_ELEMENTS = 1  # score per logic element in its fan-out cone
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,15 @@ class RankedRegisters:
     scores: tuple[CorScore, ...]
 
 
-def cor(model: FlatModel, register: str, w_paths: int = 100,
-        w_elements: int = 1) -> CorScore:
+def cor(model: FlatModel, register: str) -> CorScore:
     """Cone-of-influence score for one register of the flat model."""
     cone: FanoutCone = fanout_cone(model, register)
-    score = w_paths * cone.paths + w_elements * len(cone.elements)
+    score = W_PATHS * cone.paths + W_ELEMENTS * len(cone.elements)
     return CorScore(register, cone.paths, len(cone.elements), score)
 
 
-def do_sra(model: FlatModel, mapped: tuple[str, ...] | list[str],
-           w_paths: int = 100, w_elements: int = 1) -> RankedRegisters:
+def do_sra(model: FlatModel,
+           mapped: tuple[str, ...] | list[str]) -> RankedRegisters:
     """Rank the mapped (software-writable) registers of `model`.
 
     Highest score first; ties broken by register name so the order is
@@ -53,7 +55,7 @@ def do_sra(model: FlatModel, mapped: tuple[str, ...] | list[str],
     for name in mapped:
         if name not in known:
             raise UnknownRegister(f"not a register of this model: {name}")
-        scores.append(cor(model, name, w_paths, w_elements))
+        scores.append(cor(model, name))
     scores.sort(key=lambda s: (-s.score, s.register))
     return RankedRegisters(tuple(s.register for s in scores), tuple(scores))
 

@@ -204,9 +204,10 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
     inputs branch over {0, 1} each cycle (the environment drives them to
     known values); uninitialized registers start at X.  Nets in `cut` ignore
     their drivers and branch over {0, 1, X} each cycle; nets in `pinned`
-    (net -> 0/1) ignore their drivers and read that constant.  An `xprop`
-    property is violated at a frame from its `settle` on where any bit
-    of its register reads X.
+    (net -> 0/1) ignore their drivers and read that constant.  A
+    property is violated at a frame from its `settle` on: a `known(REG)`
+    obligation where any bit of its register reads X, any other where
+    its expression reads a definite 0.
     """
     pinned = pinned or {}
     dffs = [n for n in model.nodes if n.kind == "DFF"]
@@ -215,10 +216,9 @@ def explicit_check(model, prop, bound: int, cut=(), pinned=None):
     choices = [(0, 1)] * len(free) + [(0, 1, X)] * len(cut)
     free += cut
     init = tuple(X if n.init is None else n.init for n in dffs)
-    first = 0
-    if prop.kind == "xprop":
-        first = prop.settle
-        bits = model.registers[prop.register]
+    first = prop.settle
+    if prop.expr[0] == "known":
+        bits = model.registers[prop.expr[1][1]]
 
         def bad(netval):
             return any(netval[b] == X for b in bits)

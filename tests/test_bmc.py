@@ -235,6 +235,22 @@ def test_property_bit_select_matches_explicit_oracle(counter):
     record_fails(model, props, run)
 
 
+def test_literal_on_the_left_of_a_comparison(counter):
+    # `3 == m0.CNT` reads as `m0.CNT == 3`: the encoder, the simulator's
+    # replay and the oracle each put the literal on the right themselves
+    model, design, lib = counter
+    props = props_for("prop lhs : ~(3 == m0.CNT)\n"
+                      "prop rhs : ~(m0.CNT == 3)\n"
+                      "prop ne : 5 != m0.CNT\n", design, lib)
+    run = bmc.check(model, props, k=6)
+    for prop in props:
+        o = run.outcomes[prop.name]
+        assert oracles.explicit_check(model, prop, 6) == o.frame, prop.name
+        assert bmc.replay_counterexample(model, prop, o.trace), prop.name
+    assert [run.outcomes[n].frame for n in ("lhs", "rhs", "ne")] == [3, 3, 5]
+    record_fails(model, props, run)
+
+
 def test_xprop_outcomes(mini_parsed):
     design, lib, _, _, _ = mini_parsed
     from semiform.netlist import elaborate
@@ -250,16 +266,16 @@ def test_xprop_passes_when_environment_always_writes():
     # an ungated register latches its (binary) input every cycle, so it
     # is known from frame 1 on regardless of the missing reset value
     model, design, lib = build_model(UNINIT_TEXT)
-    prop = PropertyAst(name="x", kind="xprop", expr=None,
-                       scope=frozenset({"m0"}), register="m0.R", settle=2)
+    prop = PropertyAst(name="x", expr=("known", ("sig", "m0.R", None)),
+                       scope=frozenset({"m0"}), settle=2)
     run = bmc.check(model, [prop], k=6)
     assert run.outcomes["x"].status == "PASS"
 
 
 def test_xprop_fails_when_enable_can_stall():
     model, design, lib = build_model(GATED_UNINIT_TEXT)
-    prop = PropertyAst(name="x", kind="xprop", expr=None,
-                       scope=frozenset({"m0"}), register="m0.R", settle=2)
+    prop = PropertyAst(name="x", expr=("known", ("sig", "m0.R", None)),
+                       scope=frozenset({"m0"}), settle=2)
     run = bmc.check(model, [prop], k=6)
     o = run.outcomes["x"]
     assert o.status == "FAIL" and o.frame == 2
@@ -270,8 +286,8 @@ def test_xprop_fails_when_enable_can_stall():
 
 def test_xprop_settle_beyond_bound():
     model, design, lib = build_model(UNINIT_TEXT)
-    prop = PropertyAst(name="x", kind="xprop", expr=None,
-                       scope=frozenset({"m0"}), register="m0.R", settle=9)
+    prop = PropertyAst(name="x", expr=("known", ("sig", "m0.R", None)),
+                       scope=frozenset({"m0"}), settle=9)
     run = bmc.check(model, [prop], k=6)
     o = run.outcomes["x"]
     assert o.status == "UNDETERMINED" and o.reason == "bound"
@@ -279,8 +295,7 @@ def test_xprop_settle_beyond_bound():
 
 def test_scope_outside_model_is_vacuous(counter):
     model, design, lib = counter
-    prop = PropertyAst(name="p", kind="user", expr=("int", 1),
-                       scope=frozenset({"zz"}))
+    prop = PropertyAst(name="p", expr=("int", 1), scope=frozenset({"zz"}))
     run = bmc.check(model, [prop], k=2)
     assert run.outcomes["p"].status == "VACUOUS"
 
@@ -787,8 +802,7 @@ def test_vacuous_check_encodes_nothing(counter, monkeypatch):
     model, design, lib = counter
     encoded = []
     monkeypatch.setattr(bmc, "xprop_encode", encoded.append)
-    prop = PropertyAst(name="p", kind="user", expr=("int", 1),
-                       scope=frozenset({"zz"}))
+    prop = PropertyAst(name="p", expr=("int", 1), scope=frozenset({"zz"}))
     run = bmc.check(model, [prop], k=2)
     assert run.outcomes["p"].status == "VACUOUS"
     assert (run.n_vars, run.n_clauses, run.n_conflicts) == (0, 0, 0)

@@ -27,6 +27,7 @@ def test_run_mini(mini_files, capsys, tmp_path):
     assert doc["status"] == "FORMAL_COMPLETE"
     assert {r["name"] for r in doc["rows"]} == \
         {"alpha", "beta", "subsystem-1"}
+    assert doc["config"]["blackbox_failing_ips"] is True
 
 
 def test_run_text_to_stdout(mini_files, capsys):
@@ -45,12 +46,57 @@ def test_phase_subset(mini_files, capsys):
                  "--design", str(mini_files / "mini.dsn"),
                  "--esw", str(mini_files / "boot.esw"),
                  "--props", str(mini_files / "user.prop"),
-                 "--format", "json"])
+                 "--format", "json", "--no-blackbox-failing"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     rows = {r["name"]: r for r in doc["rows"]}
     assert rows["subsystem-1"]["result"] == "Skipped"
     assert doc["config"]["phases"] == [1, 2]
+    assert doc["config"]["blackbox_failing_ips"] is False
+
+
+def test_run_reads_netlists_from_another_directory(mini_files, tmp_path,
+                                                  capsys):
+    # the .net files default to the design's directory; --netlist-dir
+    # names another
+    (tmp_path / "lib").mkdir()
+    for f in mini_files.glob("*.net"):
+        (tmp_path / "lib" / f.name).write_text(f.read_text())
+    for name in ("mini.dsn", "mini.map", "boot.esw", "user.prop"):
+        (tmp_path / name).write_text((mini_files / name).read_text())
+    args = ["run", "--design", str(tmp_path / "mini.dsn"),
+            "--esw", str(tmp_path / "boot.esw"),
+            "--props", str(tmp_path / "user.prop"), "--format", "json"]
+    assert main(args) == 3
+    assert "no .net files in" in capsys.readouterr().err
+    assert main(args + ["--netlist-dir", str(tmp_path / "lib")]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "FORMAL_COMPLETE"
+
+
+def test_run_dump_trace_is_a_prefix_of_the_sim_trace(mini_files, tmp_path,
+                                                     capsys):
+    # the xprop settles after the bound, so phase 3 runs a boot-script
+    # session; a session starts from reset like `sim`, so its trace is
+    # the first part of the whole script's, byte for byte
+    props = tmp_path / "late.prop"
+    props.write_text("xprop late : known(a0.CFG) after 3\n"
+                     "prop beta_quiet : ~(b0.bad2)\n")
+    args = ["run", "--design", str(mini_files / "mini.dsn"),
+            "--esw", str(mini_files / "boot.esw"), "--props", str(props),
+            "--bound", "2", "--format", "json"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    stem = tmp_path / "run"
+    assert main(args + ["--dump-trace", str(stem)]) == 0
+    assert capsys.readouterr().out == plain
+    full = tmp_path / "sim.trace"
+    assert main(["sim", "--design", str(mini_files / "mini.dsn"),
+                 "--esw", str(mini_files / "boot.esw"),
+                 "--trace", str(full)]) == 0
+    traces = sorted(tmp_path.glob("run.*.trace"))
+    assert [t.name for t in traces] == ["run.phase3.trace"]
+    session = traces[0].read_text()
+    assert session and full.read_text().startswith(session)
 
 
 def test_missing_required_arg_exits_3(capsys):
@@ -206,6 +252,24 @@ def test_bmc_stopat_assume_and_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out and "at frame 0" in out
     assert (tmp_path / "cex.p.trace").exists()
+
+
+def test_bmc_prints_the_bound_an_open_property_reached(tmp_path, capsys):
+    # no budget at all leaves the property open at frame 0, and an
+    # obligation that settles after the bound is open at the bound
+    from conftest import COUNTER_TEXT
+    ip = tmp_path / "c.net"
+    ip.write_text(COUNTER_TEXT)
+    props = tmp_path / "p.prop"
+    props.write_text("prop p : counter0.CNT != 9\n")
+    code = main(["bmc", "--ip", str(ip), "--props", str(props), "--xprop",
+                 "--settle", "3", "--bound", "2", "--budget", "0"])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "UNDETERMINED p (timeout, bound reached 0)",
+        "UNDETERMINED xprop_counter0_CNT (bound, bound reached 2)"]
+    assert lines[2].startswith("result: INCOMPLETE (k=2, ")
 
 
 def test_bmc_assume_without_stopat_exits_3(tmp_path, capsys):

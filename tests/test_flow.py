@@ -51,6 +51,18 @@ def test_report_serialization_deterministic(mini_parsed):
     assert "status: FORMAL_COMPLETE" in text
 
 
+def test_text_report_lists_warnings(mini_parsed):
+    # with no register map every bus access of the script dangles
+    design, lib, _, script, props = mini_parsed
+    report = run_flow(design, lib, RegisterMap(()), script, props,
+                      _fast(phases=(1,)))
+    assert report.to_text().splitlines()[1:3] == [
+        "warning: dangling-address: script statement 1 accesses unmapped "
+        "address 0x0",
+        "warning: dangling-address: script statement 2 accesses unmapped "
+        "address 0x103"]
+
+
 def test_phase_subset_skips_subsystems(mini_parsed):
     design, lib, regmap, script, props = mini_parsed
     report = run_flow(design, lib, regmap, script, props,

@@ -6,6 +6,8 @@ from semiform import errors
 from semiform.frontend import (divide_props, gen_xprop, parse_design,
                                parse_esw, parse_netlist, parse_props,
                                parse_regmap, render_expr, serialize_props)
+from semiform.kernels import X
+from semiform.sim import Simulator
 
 from conftest import (COUNTER_TEXT, MINI_DSN, MINI_ESW, MINI_MAP, MINI_PROP,
                       build_model)
@@ -54,6 +56,17 @@ def test_netlist_const_and_bit_refs():
     ip = parse_netlist(text)
     consts = [n for n in ip.nodes if n.kind == "CONST"]
     assert [c.value for c in consts] == [0, 1]
+    # a bit-indexed target takes exactly one bit and drives only it: the
+    # other bits read X
+    text = ".module t\n.output w 3\n.const w[2] 1\n.endmodule\n"
+    assert [(n.kind, n.output, n.value) for n in parse_netlist(text).nodes] \
+        == [("CONST", "w[2]", 1)]
+    model, _, _ = build_model(text)
+    assert model.nets == ("m0.w[0]", "m0.w[1]", "m0.w[2]")
+    assert Simulator(model).step() == bytes([X, X, 1])
+    with pytest.raises(errors.WidthMismatch,
+                       match="single bit target needs 1 const bit"):
+        parse_netlist(text.replace("w[2] 1", "w[2] 10"))
 
 
 # -- designs -------------------------------------------------------------------
@@ -267,8 +280,8 @@ def test_gen_xprop(mini_parsed):
     design, lib, _, _, _ = mini_parsed
     xs = gen_xprop(design, lib)
     assert [x.name for x in xs] == ["xprop_a0_CFG", "xprop_b0_GAIN"]
-    assert all(x.kind == "xprop" and x.settle == 4 for x in xs)
-    assert xs[0].register == "a0.CFG" and xs[0].scope == {"a0"}
+    assert all(x.expr[0] == "known" and x.settle == 4 for x in xs)
+    assert xs[0].expr[1] == ("sig", "a0.CFG", None) and xs[0].scope == {"a0"}
     assert gen_xprop(design, lib, settle=7)[0].settle == 7
     text = serialize_props(xs)
     assert "known(a0.CFG) after 4" in text
@@ -309,7 +322,6 @@ def test_divide_props_corpus(gateway):
 def test_divide_props_unresolvable(gateway):
     design, lib, _, _, _ = gateway
     from semiform.frontend import PropertyAst
-    p = PropertyAst(name="q", kind="user", expr=("int", 1),
-                    scope=frozenset())
+    p = PropertyAst(name="q", expr=("int", 1), scope=frozenset())
     with pytest.raises(errors.UnresolvableScope):
         divide_props([p], design, lib)

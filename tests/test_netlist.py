@@ -104,6 +104,18 @@ def test_elaborate_keep_frees_dropped_connections(mini_parsed):
         elaborate(design, lib, keep={"b0", "zz"})
 
 
+def test_undriven_connection_is_named_by_its_smallest_name():
+    # no instance drives the group and no top port names it, so it is an
+    # input of the model under the smallest of its names
+    ip = parse_netlist(".module buf\n.input i 1\n.output o 1\n"
+                       ".gate NOT o i\n.endmodule\n")
+    design = parse_design(".design pair\n.instance buf b\n.instance buf a\n"
+                          ".connect b.i a.i\n")
+    model = elaborate(design, {"buf": ip})
+    assert model.signal_bits("b.i") == model.signal_bits("a.i") == ("a.i",)
+    assert model.inputs == ("a.i",) and "b.i" not in model.index
+
+
 @pytest.mark.parametrize("call", [
     lambda d, lib: parse_regmap("0x0 a0.CFG\n", None, d, lib),
     lambda d, lib: parse_props("prop q : ~(a0.bad)\n", None, d, lib),

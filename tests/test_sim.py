@@ -185,8 +185,8 @@ def test_eval_expr3_unknowns():
 
 def test_xprop_violated_after_settle():
     model, _, _ = build_model(UNINIT_TEXT)
-    prop = PropertyAst(name="x", kind="xprop", expr=None,
-                       scope=frozenset({"m0"}), register="m0.R", settle=2)
+    prop = PropertyAst(name="x", expr=("known", ("sig", "m0.R", None)),
+                       scope=frozenset({"m0"}), settle=2)
     sim = Simulator(model)
     hits = []
     for cycle in range(4):

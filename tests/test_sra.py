@@ -31,14 +31,6 @@ def test_example_order(fig_example):
     assert [s.score for s in ranked.scores] == [313, 109]
 
 
-def test_weight_overrides(fig_example):
-    model, _, _ = fig_example
-    ranked = do_sra(model, ["m0.reg1", "m0.reg2"], w_paths=1, w_elements=0)
-    assert [s.score for s in ranked.scores] == [3, 1]
-    ranked = do_sra(model, ["m0.reg1", "m0.reg2"], w_paths=0, w_elements=1)
-    assert [s.score for s in ranked.scores] == [13, 9]
-
-
 def test_tie_breaks_by_name(counter):
     model, _, _ = counter
     ranked = do_sra(model, ["m0.CNT"])
