@@ -49,7 +49,14 @@ node, found by the same walk.  Each group has its own `Unroller` and so
 its own incremental solver, whose heap, watch lists and learnt clauses
 hold only its own cones.  Frames are solved one at a time on the
 group's solver, so a failing property always reports its earliest
-reachable frame.
+reachable frame.  A check with no budget solves each group to the end
+on its own, so its results do not depend on who solves which group:
+with two or more groups and two or more CPUs in the caller's affinity
+set, forked workers, one per CPU and each pinned to its CPU, claim the
+groups one at a time and send back their outcomes, counts and logs
+(`_fork_map`); the calling process solves none.  A check with a budget
+shares it out over all its groups in rounds, so its groups stay in
+process until budgets count work rather than seconds.
 
 A property stops at its cone's sequential depth `d`: the most DFF edges
 on any path from the rails it reads to a leaf (an input, a cut or free
@@ -832,11 +839,18 @@ def check(model: FlatModel, props,
     The pending properties are split into groups whose cones share no
     node (see `_walk_cones`), and each group gets its own `Unroller` and
     so its own solver; `n_vars`, `n_clauses` and `n_conflicts` are sums
-    over the groups.  The budget is split evenly over the unresolved
-    properties and redistributed in rounds, so one stubborn property
-    cannot starve the rest.  Each property is solved frame by frame, from
-    its `settle` on, on its group's incremental solver; a FAIL therefore
-    carries its earliest reachable frame.  A property whose live cone has no loop
+    over the groups.  With no budget each group is solved to the end,
+    its properties in name order (`_solve_group`): by forked workers,
+    one per CPU of the caller's affinity set and pinned to it, when
+    there are two or more of each (`_fork_map`), else in process.  The
+    caller solves no group itself, and the outcomes, counts and logs are
+    those of the in-process run.  A budget is split evenly over the
+    unresolved properties and redistributed in rounds, so one stubborn
+    property cannot starve the rest; such checks are solved in process,
+    since their rounds share out seconds across the groups.  Each
+    property is solved frame by frame, from its `settle` on, on its
+    group's incremental solver; a FAIL therefore carries its earliest
+    reachable frame.  A property whose live cone has no loop
     through a flop is solved only up to `min(k, max(first frame, depth))`;
     when those frames hold it passes with bound `k`, since every later
     frame is a renamed copy of the last one solved.
@@ -915,52 +929,63 @@ def check(model: FlatModel, props,
             if kinds_at(kind) == before:
                 return stored
     depths, groups, met, before = _walk_cones(model, kind, partner, nets)
-    total_deadline = None if budget is None else start + budget
     next_frame = {p.name: p.settle for p in pending}
-    last, encs, units = {}, {}, {}
+    last, units, members = {}, {}, {}
     for p, d, g in zip(pending, depths, groups):
-        last[p.name] = k if d is None else min(k, max(next_frame[p.name], d))
+        last[p.name] = k if d is None else min(k, max(p.settle, d))
         if g not in units:
             units[g] = Unroller(model, kind, partner,
                                 log=dump_icnf is not None)
-        encs[p.name] = units[g]
+            members[g] = []
+        members[g].append(p)
 
-    while pending:
-        now = time.perf_counter()
-        if total_deadline is not None and total_deadline - now < 0.005:
-            for prop in pending:
-                run.outcomes[prop.name] = PropertyOutcome(
-                    prop.name, "UNDETERMINED", reason="timeout",
-                    bound=max(0, next_frame[prop.name] - 1))
-            break
-        share = None
-        if total_deadline is not None:
-            share = (total_deadline - now) / len(pending)
-        still = []
+    if budget is None:
+        jobs = [(units[g], model, members[g], k, last, next_frame)
+                for g in units]
+        cpus = sorted(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else []  # Linux only
+        if len(cpus) > 1 and len(jobs) > 1:
+            solved = _fork_map(_solve_group, jobs, cpus[:len(jobs)])
+        else:
+            solved = [_solve_group(*job) for job in jobs]
+        found = {o.prop: o for outs, _ in solved for o in outs}
         for prop in pending:
-            deadline = None if share is None else \
-                min(time.perf_counter() + share, total_deadline)
-            out = _attempt(encs[prop.name], model, prop, k, last[prop.name],
-                           next_frame, deadline)
-            if out is None:
-                still.append(prop)
-            else:
-                run.outcomes[prop.name] = out
-        pending = still
-        if share is None:
-            break  # unbounded: one pass resolves everything
+            run.outcomes[prop.name] = found[prop.name]
+        tallies = [tally for _, tally in solved]
+    else:
+        total_deadline = start + budget
+        enc_of = {p.name: units[g] for p, g in zip(pending, groups)}
+        while pending:
+            now = time.perf_counter()
+            if total_deadline - now < 0.005:
+                for prop in pending:
+                    run.outcomes[prop.name] = PropertyOutcome(
+                        prop.name, "UNDETERMINED", reason="timeout",
+                        bound=max(0, next_frame[prop.name] - 1))
+                break
+            share = (total_deadline - now) / len(pending)
+            still = []
+            for prop in pending:
+                deadline = min(time.perf_counter() + share, total_deadline)
+                out = _attempt(enc_of[prop.name], model, prop, k,
+                               last[prop.name], next_frame, deadline)
+                if out is None:
+                    still.append(prop)
+                else:
+                    run.outcomes[prop.name] = out
+            pending = still
+        tallies = [_tally(enc) for enc in units.values()]
 
-    for enc in units.values():
-        run.n_vars += enc.solver.num_vars
-        run.n_clauses += enc.n_clauses
-        run.n_conflicts += enc.solver.n_conflicts
+    for n_vars, n_clauses, n_conflicts, _ in tallies:
+        run.n_vars += n_vars
+        run.n_clauses += n_clauses
+        run.n_conflicts += n_conflicts
     if dump_icnf is not None:
         os.makedirs(dump_icnf, exist_ok=True)
-        for g, enc in units.items():
-            names = [name for name, e in encs.items() if e is enc]
+        for (g, group_props), (*_, log) in zip(members.items(), tallies):
+            names = " ".join(p.name for p in group_props)
             with open(os.path.join(dump_icnf, f"group{g}.icnf"), "w") as fh:
-                fh.write("\n".join(["p inccnf", "c " + " ".join(names),
-                                    *enc.log]) + "\n")
+                fh.write("\n".join(["p inccnf", "c " + names, *log]) + "\n")
     if reuse is not None and any(o.reason == "timeout"
                                  for o in run.outcomes.values()):
         # a PASS or FAIL ends its loop anyway
@@ -1006,6 +1031,112 @@ def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
     finally:
         enc.deadline = None
     return PropertyOutcome(prop.name, "PASS", bound=k)
+
+
+def _solve_group(enc: Unroller, model: FlatModel, props: list[PropertyAst],
+                 k: int, last: dict[str, int], next_frame: dict[str, int]):
+    """Solve one group's properties in order on its solver, with no
+    budget: their outcomes, and what `check` keeps of the solver."""
+    return ([_attempt(enc, model, p, k, last[p.name], next_frame, None)
+             for p in props], _tally(enc))
+
+
+def _tally(enc: Unroller) -> tuple:
+    """A group solver's vars, clauses and conflicts, and its iCNF log."""
+    return enc.solver.num_vars, enc.n_clauses, enc.solver.n_conflicts, enc.log
+
+
+def _fork_map(fn, jobs: list[tuple], cpus: list[int]) -> list:
+    """`[fn(*job) for job in jobs]`, run by one forked worker per CPU in
+    `cpus`, each pinned to its CPU.
+
+    The claim pipe always holds one 4-byte record, the index of the
+    first job no worker has taken, written whole since it is shorter
+    than `PIPE_BUF`.  A worker reads it, writes back the next index and
+    runs the job it read, until the index it reads is past the last job.
+    Each worker then sends its results, pickled, down a pipe of its own
+    and ends with `os._exit`, so it never returns into the caller.  An
+    exception a job raised is raised here, with the worker's traceback
+    as its cause, and a worker that ends without sending its results
+    raises `SemiformError`.  The first worker to end is read first, so
+    one that dies holding the claim record cannot leave this waiting on
+    the others.  Every worker is reaped before this returns or raises;
+    those still running then are killed.
+    """
+    # imported here, and so in every worker, not with the module: a run
+    # that never forks does not pay their import at startup
+    import pickle
+    import select
+    import signal
+    import traceback  # for `_work`
+    claim_r, claim_w = os.pipe()
+    workers = {}  # results pipe -> pid, for each worker not reaped yet
+    try:
+        os.write(claim_w, (0).to_bytes(4, "little"))
+        for cpu in cpus:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _work(fn, jobs, cpu, claim_r, claim_w, w)  # never returns
+            os.close(w)
+            workers[open(r, "rb")] = pid
+        results = [None] * len(jobs)
+        while workers:
+            fh = select.select(list(workers), [], [])[0][0]
+            data = fh.read()  # to the end: the worker is done with claims
+            fh.close()
+            _, status = os.waitpid(workers.pop(fh), 0)
+            if not data:
+                raise SemiformError(
+                    "solver worker ended with exit status "
+                    f"{os.waitstatus_to_exitcode(status)} and sent no result")
+            done, raised = pickle.loads(data)
+            if raised is not None:
+                raise raised[0] from SemiformError(
+                    f"raised in a solver worker:\n{raised[1]}")
+            for i, out in done.items():
+                results[i] = out
+        return results
+    finally:
+        os.close(claim_r)
+        os.close(claim_w)
+        for fh, pid in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+
+
+def _work(fn, jobs: list[tuple], cpu: int, claim_r: int, claim_w: int,
+          out: int):
+    """A `_fork_map` worker: pin to `cpu`, claim and run jobs, send the
+    results and any exception down `out`, and exit."""
+    import pickle  # these two are already loaded by `_fork_map`
+    import traceback
+    done, raised, code = {}, None, 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+        while True:
+            i = int.from_bytes(os.read(claim_r, 4), "little")
+            os.write(claim_w, (i + 1).to_bytes(4, "little"))
+            if i >= len(jobs):
+                break
+            done[i] = fn(*jobs[i])
+    except BaseException as e:  # sent to the caller, which raises it
+        raised = e, traceback.format_exc()
+    try:
+        data = pickle.dumps((done, raised))
+        with open(out, "wb") as fh:
+            fh.write(data)
+        code = 0
+    except BaseException:  # such as an exception that cannot be pickled
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def _extract_trace(enc: Unroller, model: FlatModel, prop: str,

@@ -30,6 +30,10 @@ blackboxed instance is a set of cuts on that model, and each model's
 dual-rail graph, with each box set's base kinds, is kept with the
 model, so iterations that check one model again reuse both.
 
+The status is read from the rows once the flow stops
+(`Flow.emit_report`), so a run that leaves a property undetermined,
+such as one whose phase list skips phase 2, cannot read as complete.
+
 Reports are deterministic: rows carry charged time (an invocation that
 hits its budget charges exactly the budget, anything else charges
 zero) so identical runs serialize identically.  Checks that ran out of
@@ -438,8 +442,8 @@ class Flow:
 
     # -- phase 5 ---------------------------------------------------------------
 
-    def phase5_semiformal_subsystems(self, first: int) -> str:
-        """Refine subsystems `first`.. in turn; the status they reach."""
+    def phase5_semiformal_subsystems(self, first: int):
+        """Refine subsystems `first`.. in turn, until one fails."""
         ranked = self.state.ranked_ips
         for k in range(first, len(ranked)):
             arch = self._arch[f"subsystem-{k}"]
@@ -456,9 +460,8 @@ class Flow:
                         self._blackboxes(k), self.state.carryover)
                 if not ok:
                     arch.result = RESULT_SEMIFORMAL_FAIL
-                    return STATUS_SEMIFORMAL_FAIL
+                    return
             arch.result = RESULT_FINISHED
-        return STATUS_SEMIFORMAL_COMPLETE
 
     # -- driver ----------------------------------------------------------------
 
@@ -469,24 +472,30 @@ class Flow:
             self.phase2_formal_ips()
         if 3 in phases and self.state.marked:
             if not self.phase3_semiformal_ips():
-                return self.emit_report(STATUS_SEMIFORMAL_FAIL)
-        status = STATUS_FORMAL_COMPLETE
+                return self.emit_report()
         if 4 in phases:
             k = self.phase4_formal_subsystems()
-            if k is not None:
-                status = (self.phase5_semiformal_subsystems(k)
-                          if 5 in phases else STATUS_INCOMPLETE)
-        if status != STATUS_SEMIFORMAL_FAIL and self.state.marked:
-            status = STATUS_INCOMPLETE  # timed-out IPs no phase 3 resolved
-        if status == STATUS_FORMAL_COMPLETE and any(
-                a.engine == "semiformal" for a in self._arch.values()):
-            status = STATUS_SEMIFORMAL_COMPLETE
-        return self.emit_report(status)
+            if k is not None and 5 in phases:
+                self.phase5_semiformal_subsystems(k)
+        return self.emit_report()
 
-    def emit_report(self, status: str) -> VerifReport:
+    def emit_report(self) -> VerifReport:
+        """The report, with its status read from the rows:
+        SEMIFORMAL_FAIL when a refinement ran out of registers and
+        stopped the flow, else FORMAL_INCOMPLETE when any property is
+        still undetermined, else SEMIFORMAL_COMPLETE when any row took
+        the semiformal engine, else FORMAL_COMPLETE."""
+        rows = list(self._arch.values())
+        if any(r.result == RESULT_SEMIFORMAL_FAIL for r in rows):
+            status = STATUS_SEMIFORMAL_FAIL
+        elif any(r.undetermined for r in rows):
+            status = STATUS_INCOMPLETE
+        elif any(r.engine == "semiformal" for r in rows):
+            status = STATUS_SEMIFORMAL_COMPLETE
+        else:
+            status = STATUS_FORMAL_COMPLETE
         return VerifReport(design=self.design.name, status=status,
-                           rows=list(self._arch.values()),
-                           config=self.config.echo(),
+                           rows=rows, config=self.config.echo(),
                            warnings=list(self.warnings))
 
 

@@ -1,7 +1,9 @@
 """Bounded checking: outcomes, cuts, pins and boxes, traces, unknown-value
 encoding."""
 
+import os
 import random
+import signal
 
 import pytest
 
@@ -760,11 +762,54 @@ def test_dumped_cnf_holds_only_the_group_clauses(tmp_path):
     assert run.n_clauses == sum(added)
 
 
+def _parity16():
+    """Sixteen parity blocks on different graphs, one instance each, so
+    each block's property is a group of its own."""
+    lib, dsn, text = {}, ".design p16\n", ""
+    for s in range(16):
+        ip = parse_netlist(hard_block_module(8, s, gated=False)
+                           .replace(".module hard", f".module hard{s}", 1))
+        lib[ip.name] = ip
+        dsn += f".instance hard{s} h{s}\n"
+        text += f"prop quiet{s} : ~(h{s}.bad)\n"
+    design = parse_design(dsn)
+    return elaborate(design, lib), props_for(text, design, lib)
+
+
+def _cpus(monkeypatch, n):
+    """Make `check` see an affinity set of `n` CPUs.  Pinning is skipped,
+    since the host may have fewer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+
+
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_left():
+    # every check reaps the workers it forks, on every exit path
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_icnf_log_replays_every_solve(tmp_path, monkeypatch):
     # each group's log, replayed on a fresh solver told no variable count,
     # answers every solve as the check's own solver did, after the same
-    # number of conflicts: the log alone is the problem
+    # number of conflicts: the log alone is the problem.  The spy sees
+    # the solves of this process only, so these checks run on one CPU;
+    # the same checks on two CPUs, solved by forked workers, give the
+    # same outcomes, counts and logs
     built = _count_unrollers(monkeypatch)
+    forks = _count_forks(monkeypatch)
     results = {}
     solve = bmc.Solver.solve
 
@@ -779,9 +824,13 @@ def test_icnf_log_replays_every_solve(tmp_path, monkeypatch):
         cases.append((model, props, _cut_map(cuts, pins), rng.randint(1, 4)))
     model, props = _duo()
     cases.append((model, props, {}, 4))
+    model, props = _parity16()
+    cases.append((model, props, {}, 2))
+    multi = 0
     for i, (model, props, cuts, k) in enumerate(cases):
         built.clear()
         results.clear()
+        _cpus(monkeypatch, 1)
         out = tmp_path / str(i)
         run = bmc.check(model, props, cuts, k=k, dump_icnf=str(out))
         # groups are numbered by their smallest property index, and their
@@ -795,7 +844,83 @@ def test_icnf_log_replays_every_solve(tmp_path, monkeypatch):
             assert solver.n_conflicts == enc.solver.n_conflicts, (i, log.name)
             conflicts += solver.n_conflicts
         assert conflicts == run.n_conflicts, i
-    assert run.n_conflicts > 0  # the hard block's refutation learns
+        multi += len(built) > 1
+        _cpus(monkeypatch, 2)
+        forked = bmc.check(model, props, cuts, k=k,
+                           dump_icnf=str(tmp_path / f"{i}-forked"))
+        assert list(forked.outcomes.items()) == list(run.outcomes.items()), i
+        assert (forked.n_vars, forked.n_clauses, forked.n_conflicts) == \
+            (run.n_vars, run.n_clauses, run.n_conflicts), i
+        assert [p.read_bytes() for p in logs] == \
+            [(tmp_path / f"{i}-forked" / p.name).read_bytes() for p in logs]
+        assert len(list((tmp_path / f"{i}-forked").iterdir())) == len(logs)
+    assert run.n_conflicts > 0  # the parity blocks' refutations learn
+    assert multi >= 3 and len(forks) == 2 * multi  # two workers per check
+
+
+def test_one_cpu_one_group_or_a_budget_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+    model, props = _duo()  # three groups
+    _cpus(monkeypatch, 1)
+    assert bmc.check(model, props, k=4).status == "FAIL"
+    _cpus(monkeypatch, 2)
+    assert bmc.check(model, props[:1], k=4).status == "PASS"
+    assert bmc.check(model, props, k=4, budget=60).status == "FAIL"
+
+
+def test_a_worker_exception_is_raised_in_the_caller(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(bmc, "replay_counterexample", lambda *args: False)
+    model, props = _duo()
+    with pytest.raises(errors.SemiformError,
+                       match="three at frame 3 does not replay"):
+        bmc.check(model, props, k=4)
+    assert len(forks) == 2
+
+
+def test_a_worker_that_sends_nothing_is_an_error(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(errors.SemiformError,
+                       match="exit status 3 and sent no result"):
+        bmc._fork_map(os._exit, [(3,), (3,)], [0, 1])
+
+
+def test_every_job_is_claimed_once(monkeypatch):
+    # six workers on one CPU claim 300 jobs, each of which writes its
+    # index to a pipe: a lost claim would drop a job, a doubled one run
+    # a job twice.  An alarm bounds the wait
+    _cpus(monkeypatch, 1)
+    r, w = os.pipe()
+
+    def timed_out(*args):
+        raise TimeoutError("workers did not finish")
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        got = bmc._fork_map(lambda i: os.write(w, i.to_bytes(2, "little")),
+                            [(i,) for i in range(300)], [0] * 6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+        os.close(w)
+    with open(r, "rb") as fh:
+        ran = fh.read()
+    assert got == [2] * 300
+    assert sorted(int.from_bytes(ran[j:j + 2], "little")
+                  for j in range(0, len(ran), 2)) == list(range(300))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to pin to")
+def test_each_worker_runs_on_one_cpu_of_the_callers():
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    got = bmc._fork_map(lambda i: (i, os.sched_getaffinity(0)),
+                        [(i,) for i in range(8)], cpus)
+    assert [i for i, _ in got] == list(range(8))
+    assert all(len(mask) == 1 and mask <= set(cpus) for _, mask in got)
 
 
 def test_vacuous_check_encodes_nothing(counter, monkeypatch):

@@ -47,7 +47,7 @@ def test_phase_subset(mini_files, capsys):
                  "--esw", str(mini_files / "boot.esw"),
                  "--props", str(mini_files / "user.prop"),
                  "--format", "json", "--no-blackbox-failing"])
-    assert code == 0
+    assert code == 2  # subsystem-1's cross_ok is left undetermined
     doc = json.loads(capsys.readouterr().out)
     rows = {r["name"]: r for r in doc["rows"]}
     assert rows["subsystem-1"]["result"] == "Skipped"

@@ -71,7 +71,17 @@ def test_phase_subset_skips_subsystems(mini_parsed):
     assert by_name["alpha"].result == "Finished"
     assert by_name["subsystem-1"].result == "Skipped"
     assert by_name["subsystem-1"].properties == {"cross_ok": "UNDETERMINED"}
-    assert report.status == STATUS_FORMAL_COMPLETE  # nothing was marked
+    # cross_ok was never checked
+    assert report.status == STATUS_INCOMPLETE
+
+
+@pytest.mark.parametrize("phases", [(1,), (1, 3)])
+def test_phases_that_check_nothing_leave_the_run_incomplete(mini_parsed,
+                                                            phases):
+    design, lib, regmap, script, props = mini_parsed
+    report = run_flow(design, lib, regmap, script, props, _fast(phases=phases))
+    assert report.totals[0] == 0
+    assert report.status == STATUS_INCOMPLETE and exit_code(report) == 2
 
 
 def test_failing_property_counts_as_resolved(mini_parsed):
