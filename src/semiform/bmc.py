@@ -56,7 +56,10 @@ set, forked workers, one per CPU and each pinned to its CPU, claim the
 groups one at a time and send back their outcomes, counts and logs
 (`_fork_map`); the calling process solves none.  A check with a budget
 shares it out over all its groups in rounds, so its groups stay in
-process until budgets count work rather than seconds.
+process until budgets count work rather than seconds.  The budget is
+read by `check`'s rounds, by `_attempt` before each frame and by
+`Solver.solve`; encoding has none, so the clauses a check emits do not
+depend on where a clock read falls.
 
 A property stops at its cone's sequential depth `d`: the most DFF edges
 on any path from the rails it reads to a leaf (an input, a cut or free
@@ -218,10 +221,6 @@ def xprop_encode(model: FlatModel) -> DualModel:
 # lazy unroller
 
 
-class _EncodeTimeout(Exception):
-    pass
-
-
 class Unroller:
     """Translates (node id, frame) pairs to solver literals on demand.
 
@@ -237,6 +236,7 @@ class Unroller:
     Built with `log=True`, `log` holds the solver's calls as iCNF lines
     in call order: each clause added, and an `a <lits> 0` line for each
     solve (`_attempt`), so the lines alone are the group's whole problem.
+    It reads no clock: `lit` translates the whole cone it is asked for.
 
     Literal 1 is pinned true, so +1/-1 act as constants and folding is
     just integer comparison.  `memo[f * n + id]` holds the literal of
@@ -261,8 +261,6 @@ class Unroller:
         self.n_clauses = 0  # clauses emitted; the solver's list also holds learnts
         self._add([1])
         self.memo: list[int] = []
-        self.deadline: float | None = None
-        self._ops = 0
 
     # -- clause emission -----------------------------------------------------
 
@@ -358,15 +356,10 @@ class Unroller:
         if r:
             return r
         kind, A, B, C = self.kind, self.dual.a, self.dual.b, self.dual.c
-        add, new, deadline, ops = self._add, self._new, self.deadline, self._ops
+        add, new = self._add, self._new
         stack = [key]
         while stack:  # a key is pushed only while its slot is 0
             top = stack[-1]
-            ops += 1
-            if not ops & 4095 and deadline is not None \
-                    and time.perf_counter() > deadline:
-                self._ops = ops
-                raise _EncodeTimeout()
             i = top % n
             base = top - i
             k = kind[i]
@@ -436,7 +429,6 @@ class Unroller:
                 r = memo[top]
             memo[top] = r
             stack.pop()
-        self._ops = ops
         return memo[key]
 
     def pair(self, net: str, frame: int) -> tuple[int, int]:
@@ -847,7 +839,10 @@ def check(model: FlatModel, props,
     those of the in-process run.  A budget is split evenly over the
     unresolved properties and redistributed in rounds, so one stubborn
     property cannot starve the rest; such checks are solved in process,
-    since their rounds share out seconds across the groups.  Each
+    since their rounds share out seconds across the groups.  The clock
+    is read per round, per frame and in the solver, never while encoding,
+    and there is no early give-up: the properties left are UNDETERMINED
+    (`timeout`) only once the clock reaches the deadline.  Each
     property is solved frame by frame, from its `settle` on, on its
     group's incremental solver; a FAIL therefore carries its earliest
     reachable frame.  A property whose live cone has no loop
@@ -957,7 +952,7 @@ def check(model: FlatModel, props,
         enc_of = {p.name: units[g] for p, g in zip(pending, groups)}
         while pending:
             now = time.perf_counter()
-            if total_deadline - now < 0.005:
+            if now >= total_deadline:
                 for prop in pending:
                     run.outcomes[prop.name] = PropertyOutcome(
                         prop.name, "UNDETERMINED", reason="timeout",
@@ -999,37 +994,32 @@ def _attempt(enc: Unroller, model: FlatModel, prop: PropertyAst, k: int,
     """Run one budget slice; None means still unresolved.
 
     Frames up to `last` are solved; once they all hold, so does every
-    frame up to `k`.
+    frame up to `k`.  The clock is read before each frame and by the
+    solver, never while a frame is encoded.
     """
-    enc.deadline = deadline
-    try:
-        while next_frame[prop.name] <= last:
-            f = next_frame[prop.name]
-            if deadline is not None and time.perf_counter() > deadline:
-                return None
-            viol = _violation_lit(enc, model, prop, f)
-            if viol == enc.FALSE:
-                next_frame[prop.name] = f + 1
-                continue
-            assumed = [viol] if viol != enc.TRUE else []
-            if enc.log is not None:
-                enc.log.append(" ".join(["a", *map(str, assumed), "0"]))
-            res = enc.solver.solve(assumed, deadline)
-            if res == "timeout":
-                return None
-            if res == "unsat":
-                next_frame[prop.name] = f + 1
-                continue
-            trace = _extract_trace(enc, model, prop.name, f)
-            if not replay_counterexample(model, prop, trace):
-                raise SemiformError(
-                    f"counterexample for {prop.name} at frame {f} does not "
-                    "replay in simulation")
-            return PropertyOutcome(prop.name, "FAIL", frame=f, trace=trace)
-    except _EncodeTimeout:
-        return None
-    finally:
-        enc.deadline = None
+    while next_frame[prop.name] <= last:
+        f = next_frame[prop.name]
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
+        viol = _violation_lit(enc, model, prop, f)
+        if viol == enc.FALSE:
+            next_frame[prop.name] = f + 1
+            continue
+        assumed = [viol] if viol != enc.TRUE else []
+        if enc.log is not None:
+            enc.log.append(" ".join(["a", *map(str, assumed), "0"]))
+        res = enc.solver.solve(assumed, deadline)
+        if res == "timeout":
+            return None
+        if res == "unsat":
+            next_frame[prop.name] = f + 1
+            continue
+        trace = _extract_trace(enc, model, prop.name, f)
+        if not replay_counterexample(model, prop, trace):
+            raise SemiformError(
+                f"counterexample for {prop.name} at frame {f} does not "
+                "replay in simulation")
+        return PropertyOutcome(prop.name, "FAIL", frame=f, trace=trace)
     return PropertyOutcome(prop.name, "PASS", bound=k)
 
 

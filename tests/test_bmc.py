@@ -7,7 +7,7 @@ import signal
 
 import pytest
 
-from semiform import bmc, errors, netlist, sim as simlib
+from semiform import bmc, errors, netlist, sat, sim as simlib
 from semiform.frontend import (PropertyAst, gen_xprop, parse_design,
                                parse_netlist)
 from semiform.netlist import elaborate
@@ -182,34 +182,39 @@ def test_budget_timeout(hard_ungated):
 
 
 def _xor_chain(n):
-    """A module whose output is the XOR of a chain of n gates."""
+    """A module whose output is the XOR of a chain of n gates, fed back
+    through a flop into the first, so no frame bounds its properties."""
     return ".module chain\n.input rst 1\n.input a 1\n.input b 1\n" + \
+        ".reg R 1 init=0\n" + \
         "".join(f".wire w{i} 1\n" for i in range(n)) + \
-        ".gate XOR w0 a b\n" + \
+        ".gate XOR w0 a R\n" + \
         "".join(f".gate XOR w{i} w{i - 1} b\n" for i in range(1, n)) + \
-        ".endmodule\n"
+        f".dff R w{n - 1}\n.endmodule\n"
 
 
 def test_deadline_inside_the_encoding_leaves_the_property_open(monkeypatch):
-    # `Unroller.lit` reads the clock every 4,096 steps; a clock that
-    # reads past every deadline once `lit` has begun ends the attempt
-    # there, before any solver call
+    # encoding reads no clock: a clock that reads past every deadline
+    # once `Unroller.lit` has begun leaves frame 0 translated in full and
+    # solved, and `_attempt`'s read before frame 1 ends the attempt
     model, design, lib = build_model(_xor_chain(5000))
     props = props_for("prop p : ~m0.w4999\n", design, lib)
-    entered, raised, solved = [], [], []
+    units, entered, inside, reads_in_lit, solved = [], [], [], [], []
     lit = bmc.Unroller.lit
 
     def timed_lit(self, i, f):
+        units.append(self)
         entered.append(f)
+        inside.append(f)
         try:
             return lit(self, i, f)
-        except bmc._EncodeTimeout:
-            raised.append(f)
-            raise
+        finally:
+            inside.pop()
 
     class Clock:
         @staticmethod
         def perf_counter():
+            if inside:
+                reads_in_lit.append(inside[-1])
             return 10.0 if entered else 0.0
     monkeypatch.setattr(bmc.Unroller, "lit", timed_lit)
     monkeypatch.setattr(bmc, "time", Clock)
@@ -217,7 +222,33 @@ def test_deadline_inside_the_encoding_leaves_the_property_open(monkeypatch):
                         lambda *args: solved.append(args) or "unsat")
     o = bmc.check(model, props, k=3, budget=1.0).outcomes["p"]
     assert (o.status, o.reason, o.bound) == ("UNDETERMINED", "timeout", 0)
-    assert raised == [0] and solved == []
+    assert reads_in_lit == [] and len(solved) == 1 and set(entered) == {0}
+    assert all(units[0].peek(f"m0.w{i}", 0)[0] for i in range(5000))
+
+
+def test_a_check_with_time_left_tries_its_properties(counter, monkeypatch):
+    # one clock for the checker and the solver, frozen 3 ms before the
+    # deadline: every property is solved, none given up before its solve
+    model, design, lib = counter
+    props = props_for("prop b2 : ~m0.CNT[2]\nprop b3 : m0.CNT[3] != 1\n",
+                      design, lib)
+    solved, solve = [], bmc.Solver.solve
+
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            return 0.0
+
+    def counted(self, *args):
+        solved.append(args)
+        return solve(self, *args)
+    monkeypatch.setattr(bmc, "time", Clock)
+    monkeypatch.setattr(sat, "time", Clock)
+    monkeypatch.setattr(bmc.Solver, "solve", counted)
+    run = bmc.check(model, props, k=6, budget=0.003)
+    assert solved
+    assert [(o.status, o.frame, o.bound) for o in run.outcomes.values()] == \
+        [("FAIL", 4, None), ("PASS", None, 6)]
 
 
 def test_property_bit_select_matches_explicit_oracle(counter):
